@@ -2,9 +2,11 @@
 
 Exit codes: 0 = requested checks passed, 1 = a verification failed,
 2 = usage/input error.  All verification output is deterministic
-(fixed ordering, no timestamps).  Integer identities are serialized as
-JSON integers (never through floating point); complex numbers as
-[re, im] pairs; rationals as exact "p/q" strings.
+(fixed ordering, no timestamps).  JSON output is strict: a value that
+would print as NaN or Infinity is an error (exit 2) instead.  Integer
+identities are serialized as JSON integers (never through floating
+point); complex numbers as [re, im] pairs; rationals as exact "p/q"
+strings.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def to_jsonable(x):
     if isinstance(x, RootSystemId):
         return str(x)
     raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def _print_json(payload) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError (exit code 2)."""
+    print(json.dumps(to_jsonable(payload), indent=2, allow_nan=False))
 
 
 def _report(name: str, deviation: float, tolerance: float, details: str, ok: Optional[bool] = None) -> dict:
@@ -284,6 +291,8 @@ VERIFY_NAMES = tuple(_VERIFIERS) + ("all",)
 
 def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
     """Run one named verification (or all of them, in fixed order)."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tolerance must be finite and non-negative")
     if name == "all":
         return [_VERIFIERS[n](tol) for n in _VERIFIERS]
     if name not in _VERIFIERS:
@@ -294,7 +303,7 @@ def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
 def _print_reports(reports: List[dict], as_json: bool) -> None:
     if as_json:
         payload = reports[0] if len(reports) == 1 else {"reports": reports}
-        print(json.dumps(to_jsonable(payload), indent=2))
+        _print_json(payload)
         return
     for r in reports:
         print(
@@ -316,7 +325,7 @@ def _cmd_catalog(args) -> int:
             "coloring": {str(v): c for v, c in sorted(data.coloring.items())},
             "cartan": data.cartan,
         }
-        print(json.dumps(to_jsonable(payload), indent=2))
+        _print_json(payload)
         return 0
     print(f"{rid}: rank {data.rank}, Coxeter number h = {data.h}")
     print(f"exponents: {list(data.exponents)}")
@@ -356,7 +365,7 @@ def _cmd_eigen(args) -> int:
                 }
                 for p in pairs
             ]
-            print(json.dumps(to_jsonable(payload), indent=2))
+            _print_json(payload)
         return 0
     D = qdeform.deform(rootsys.cartan_matrix(rid))
     spec = qdeform.q_spectrum(D, args.q)
@@ -375,7 +384,7 @@ def _cmd_eigen(args) -> int:
             "exponent_vector": list(D.exponent_vector),
             "certificate_deviation": cert["max_abs_deviation"],
         }
-        print(json.dumps(to_jsonable(payload), indent=2))
+        _print_json(payload)
     return 0
 
 
@@ -394,7 +403,7 @@ def _cmd_ising(args) -> int:
         sys.stdout.write(csv)
     if args.bands:
         probe = ising.dispersion_probe(params, args.bands)
-        print(json.dumps(to_jsonable(probe), indent=2))
+        _print_json(probe)
     return 0
 
 

@@ -4,12 +4,16 @@ The engine acts on ordered bases of a lattice with a fixed ambient
 bilinear form: alpha/beta moves replace a basis vector by its reflection
 partner and swap adjacent positions, gamma flips a sign.  Composing the
 right move word turns the factorized basis of A4*A2*A1 into an E8 root
-basis (and A3*A2*A1 into E6); the change-of-basis matrix G satisfies
+basis (and A3*A2*A1 into E6).  The change-of-basis matrix G is the
+mutated basis with its rows renumbered to Bourbaki's labels by the pinned
+map TREE_RELABELING, and satisfies
 
     Gᵗ·A_*·G = A(E8)   and   G⁻¹·C_*·G = C_G(E8)
 
-exactly.  Also here: simple-reflection matrices, Weyl-word evaluation,
-a breadth-first conjugator search, and the 240-to-60 root-image count.
+exactly; each factorization report checks both identities and G against
+the reference matrix.  Also here: simple-reflection matrices, Weyl-word
+evaluation, a breadth-first conjugator search, and the 240-to-60
+root-image count.
 
 Convention flags (frozen after exact validation against the Gram
 identities above): SIGN_CONVENTION = -1 in the alpha/beta formulas, and
@@ -19,17 +23,16 @@ ambient form on current basis rows.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intmat import as_imatrix, det_exact, frac_inverse, iidentity, mat_eq, to_int
+from .intmat import as_imatrix, det_exact, frac_inverse, iidentity, to_int
 from .lattice import coxeter, join, standard_polarization
-from .rootsys import RootSystemId, cartan_matrix, dynkin_edges
+from .rootsys import RootSystemId, cartan_matrix
 
 __all__ = [
     "BasedLattice",
@@ -63,7 +66,7 @@ __all__ = [
     "E6_CBW_WORD",
     "E8_CONJUGATOR_WORD",
     "E6_CONJUGATOR_WORD",
-    "E8_RELABELING",
+    "TREE_RELABELING",
     "E8_CHANGE_OF_BASIS",
     "E6_CHANGE_OF_BASIS",
 ]
@@ -194,9 +197,11 @@ E8_CONJUGATOR_WORD = (7, 5, 3, 2, 6, 4, 5, 1, 3, 2, 4, 1, 3, 2, 1, 2)
 # flags the failure, and reports the repaired word found by BFS.
 E6_CONJUGATOR_WORD = (5, 3, 2, 4, 1, 3, 3, 1, 2)
 
-# label map from the mutation ordering of the E8/E6 tree to Bourbaki's;
-# derived by graph matching in *_factorization and asserted equal to this.
-E8_RELABELING = {2: 3, 3: 4, 4: 2}
+# label map from the mutation ordering of the E8/E6 tree to Bourbaki's
+# (unlisted labels are fixed).  It is forced: for both words it is the only
+# isomorphism of the mutated Gram tree onto the Dynkin tree that also
+# carries C_* to C_G, which the tests confirm by enumerating all of them.
+TREE_RELABELING = {2: 3, 3: 4, 4: 2}
 
 # reference change-of-basis matrices (columns = Bourbaki simple roots
 # written in the factorized tensor basis)
@@ -296,26 +301,6 @@ def join_coxeter(ids: Sequence[RootSystemId]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def _gram_edges(G: np.ndarray) -> List[Tuple[int, int]]:
-    n = G.shape[0]
-    return [
-        (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if G[i, j] != 0
-    ]
-
-
-def _tree_isomorphisms(
-    edges_from: Sequence[Tuple[int, int]], edges_to: Sequence[Tuple[int, int]], n: int
-) -> List[Dict[int, int]]:
-    """All vertex bijections mapping one edge set onto the other."""
-    target = {frozenset(e) for e in edges_to}
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        pi = {i + 1: perm[i] for i in range(n)}
-        if {frozenset((pi[u], pi[v])) for u, v in edges_from} == target:
-            out.append(pi)
-    return out
-
-
 def _check(identity: str, lhs: np.ndarray, rhs: np.ndarray) -> dict:
     dev = int(max(abs(int(x)) for x in (lhs - rhs).flat)) if lhs.size else 0
     return {
@@ -330,47 +315,26 @@ def _factorization(ids, word, target: RootSystemId, cg_word, reference_G):
     lat = _join_polarized(ids)
     n = lat.rank
     based = apply_word(BasedLattice(lat.A, iidentity(n)), word)
-    gram = based.gram()
+    # column TREE_RELABELING[k] of G is mutated basis row k
+    inv = {v: k for k, v in TREE_RELABELING.items()}
+    G = based.basis[[inv.get(i, i) - 1 for i in range(1, n + 1)], :].T
     A_target = cartan_matrix(target)
-    isos = _tree_isomorphisms(_gram_edges(gram), dynkin_edges(target), n)
-    if not isos:
-        raise RuntimeError(
-            f"mutated Gram matrix is not a {target} tree: {gram.tolist()}"
-        )
     C_star = join_coxeter(ids)
     C_target = weyl_apply(target, cg_word)
-    chosen = None
-    for pi in isos:
-        inv = {v: k for k, v in pi.items()}
-        G = based.basis[[inv[i] - 1 for i in range(1, n + 1)], :].T
-        if mat_eq(to_int(frac_inverse(G)) @ C_star @ G, C_target):
-            chosen = (pi, G)
-            break
-    if chosen is None:  # fall back to the first Gram-compatible relabeling
-        pi = isos[0]
-        inv = {v: k for k, v in pi.items()}
-        G = based.basis[[inv[i] - 1 for i in range(1, n + 1)], :].T
-        chosen = (pi, G)
-    pi, G = chosen
     Ginv = to_int(frac_inverse(G))
     checks = [
         _check("G^t A_* G = A", G.T @ lat.A @ G, A_target),
         _check("G^{-1} C_* G = C_G", Ginv @ C_star @ G, C_target),
         _check("G = reference matrix", G, reference_G),
     ]
-    expected = {k: E8_RELABELING.get(k, k) for k in range(1, n + 1)}
-    relabel_ok = pi == expected
     report = {
         "target": str(target),
-        "status": "pass"
-        if relabel_ok and all(c["status"] == "pass" for c in checks)
-        else "fail",
+        "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
         "convention_flags": {
             "sign": SIGN_CONVENTION,
             "composition": COMPOSITION_ORDER,
         },
-        "relabeling": {str(k): v for k, v in sorted(pi.items()) if k != v},
-        "relabeling_matches_expected": relabel_ok,
+        "relabeling": {str(k): v for k, v in sorted(TREE_RELABELING.items())},
         "checks": checks,
     }
     if checks[0]["status"] != "pass":

@@ -50,6 +50,8 @@ class IsingParams:
     def __post_init__(self):
         if self.N < 2 or 2**self.N > MAX_STATES:
             raise ValueError(f"N must satisfy 2 <= N and 2^N <= {MAX_STATES}")
+        if not all(math.isfinite(x) for x in (self.J, self.h_z, self.h_x)):
+            raise ValueError("J, h_z and h_x must be finite")
         if self.J <= 0 or self.h_z < 0 or self.h_x < 0:
             raise ValueError("need J > 0, h_z >= 0, h_x >= 0")
 

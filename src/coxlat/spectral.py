@@ -1,4 +1,4 @@
-"""Eigenvector machinery: Jacobi diagonalization, Cartan/Coxeter transfer,
+"""Eigenvector machinery: catalog Cartan spectra, Cartan/Coxeter transfer,
 closed-form eigenvectors for A_n, E6, E8, and the Perron-Frobenius vector.
 
 Eigenvalue bookkeeping: a rank-n Cartan matrix has eigenvalues
@@ -36,8 +36,6 @@ __all__ = [
     "residual",
     "normalize_eigvec",
     "projective_distance",
-    "jacobi_eigh",
-    "eig_sym",
     "cartan_spectrum",
     "transfer_eigenvalue",
     "cartan_coxeter_transfer",
@@ -104,65 +102,16 @@ def projective_distance(u, v) -> float:
     return math.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2))
 
 
-def jacobi_eigh(A, tol: float = ITER_TOL, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Returns (w, V) with eigenvalues ascending and orthonormal columns.
-    Sweeps stop when the off-diagonal Frobenius mass drops below tol.
-    """
-    M = np.array(A, dtype=float)
-    n = M.shape[0]
-    if M.shape != (n, n) or np.max(np.abs(M - M.T)) > 1e-12:
-        raise ValueError("matrix must be symmetric within 1e-12")
-    M = 0.5 * (M + M.T)
-    V = np.eye(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * sum(M[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                tau = (M[q, q] - M[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = M[p, :].copy(), M[q, :].copy()
-                M[p, :] = c * rp - s * rq
-                M[q, :] = s * rp + c * rq
-                cp, cq = M[:, p].copy(), M[:, q].copy()
-                M[:, p] = c * cp - s * cq
-                M[:, q] = s * cp + c * cq
-                M[p, q] = M[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi sweeps did not converge")
-    w = np.diag(M).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
-def eig_sym(A, tol: float = ITER_TOL, max_sweeps: int = 100) -> List[Eigenpair]:
-    """Full spectrum of a real symmetric matrix as normalized Eigenpairs."""
-    w, V = jacobi_eigh(A, tol=tol, max_sweeps=max_sweeps)
-    out = []
-    for i, lam in enumerate(w):
-        vec = normalize_eigvec(V[:, i])
-        out.append(Eigenpair(lam=float(lam), vector=vec, residual=residual(A, vec, lam)))
-    return out
-
-
 def cartan_spectrum(rid: RootSystemId) -> List[Eigenpair]:
     """Spectrum of the catalog Cartan matrix with (k, h) exponent labels."""
     data = root_system(rid)
-    pairs = eig_sym(np.array(data.cartan, dtype=float))
-    for pair, k in zip(pairs, data.exponents):
-        pair.k = int(k)
-        pair.h = data.h
+    A = np.array(data.cartan, dtype=float)
+    w, V = np.linalg.eigh(A)
+    pairs = []
+    for lam, col, k in zip(w, V.T, data.exponents):
+        vec = normalize_eigvec(col)
+        res = residual(A, vec, lam)
+        pairs.append(Eigenpair(float(lam), vec, k=int(k), h=data.h, residual=res))
     return pairs
 
 

@@ -83,6 +83,12 @@ def test_verify_tolerance_override_flips_exit_code(capsys):
     assert out.startswith("FAIL")
 
 
+def test_verify_bad_tolerance_exits_2(capsys):
+    # a tolerance that cannot gate anything is a usage error, not a failed check
+    for tol in ("nan", "-1", "inf"):
+        assert main(["verify", "steinberg", "--tol", tol]) == 2
+
+
 def test_verify_all_deterministic(capsys):
     code1, out1 = _run(capsys, "verify", "all", "--json")
     code2, out2 = _run(capsys, "verify", "all", "--json")
@@ -128,6 +134,24 @@ def test_eigen_deformed(capsys):
 def test_eigen_nonpositive_q_exits_2(capsys):
     assert main(["eigen", "A2", "--q", "-1.0"]) == 2
     assert main(["eigen", "A2", "--q", "0.0"]) == 2
+    assert main(["eigen", "A2", "--q", "inf"]) == 2
+    assert main(["eigen", "A2", "--q", "nan"]) == 2
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_eigen_huge_q_is_strict_json_or_exits_2(capsys):
+    # the certificate overflows at q = 1e300; Infinity must never be printed
+    code, out = _run(capsys, "eigen", "D4", "--q", "1e300")
+    if code == 0:
+        _strict_loads(out)
+    else:
+        assert code == 2 and out == ""
 
 
 def test_ising_csv_shape(capsys):
@@ -164,6 +188,11 @@ def test_ising_bands_without_out_exits_2(capsys):
 
 def test_ising_cap_exits_2(capsys):
     assert main(["ising", "--n", "15"]) == 2
+
+
+def test_ising_nonfinite_field_exits_2(capsys):
+    for flag, value in (("--hx", "nan"), ("--hz", "inf"), ("--J", "nan")):
+        assert main(["ising", "--n", "4", flag, value]) == 2
 
 
 def test_to_jsonable_exact_and_complex():

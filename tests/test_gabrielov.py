@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,17 @@ from hypothesis import strategies as st
 
 from coxlat.gabrielov import (
     ALPHA1_SIX_WORD,
+    E6_CG_WORD,
     E6_CHANGE_OF_BASIS,
     E6_CONJUGATOR_WORD,
+    E6_WORD,
     E8_CHANGE_OF_BASIS,
     E8_CBW_WORD,
     E8_CG_WORD,
     E8_CONJUGATOR_WORD,
     E8_WORD,
     GAMMA_SQUARE_WORD,
+    TREE_RELABELING,
     BasedLattice,
     alpha,
     apply_word,
@@ -36,7 +41,7 @@ from coxlat.gabrielov import (
     weyl_apply,
 )
 from coxlat.intmat import frac_inverse, iidentity, mat_eq, matrix_order, to_int
-from coxlat.rootsys import RootSystemId
+from coxlat.rootsys import RootSystemId, dynkin_edges
 
 A_STAR = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
 
@@ -103,7 +108,6 @@ def test_e8_factorization_report():
     assert rep["status"] == "pass"
     assert all(c["max_abs_deviation"] == 0 for c in rep["checks"])
     assert rep["relabeling"] == {"2": 3, "3": 4, "4": 2}
-    assert rep["relabeling_matches_expected"] is True
     assert mat_eq(G, E8_CHANGE_OF_BASIS)
     # exact identities restated independently of the report
     A_e8 = join_cartan([RootSystemId("E", 8)])
@@ -117,7 +121,49 @@ def test_e6_factorization_report():
     G, rep = e6_factorization()
     assert rep["status"] == "pass"
     assert all(c["max_abs_deviation"] == 0 for c in rep["checks"])
+    assert rep["relabeling"] == {"2": 3, "3": 4, "4": 2}
     assert mat_eq(G, E6_CHANGE_OF_BASIS)
+
+
+def _tree_isomorphisms(gram, target):
+    """Every bijection (mutated row -> Dynkin vertex, 0-based) that maps the
+    edges of the mutated Gram tree onto the Dynkin tree, by trying all n!."""
+    n = gram.shape[0]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i, j] != 0]
+    dynkin = {frozenset((u - 1, v - 1)) for u, v in dynkin_edges(target)}
+    return [
+        perm
+        for perm in itertools.permutations(range(n))
+        if {frozenset((perm[u], perm[v])) for u, v in edges} == dynkin
+    ]
+
+
+@pytest.mark.parametrize(
+    "ids,word,target,cg_word,n_isomorphisms",
+    [
+        ("A4 A2 A1", E8_WORD, "E8", E8_CG_WORD, 1),
+        ("A3 A2 A1", E6_WORD, "E6", E6_CG_WORD, 2),
+    ],
+    ids=["E8", "E6"],
+)
+def test_tree_relabeling_is_the_only_compatible_one(ids, word, target, cg_word, n_isomorphisms):
+    # reference oracle for the pinned relabeling the factorizations use
+    ids = [RootSystemId.parse(x) for x in ids.split()]
+    target = RootSystemId.parse(target)
+    A = join_cartan(ids)
+    based = apply_word(BasedLattice(A, iidentity(A.shape[0])), word)
+    C_star = join_coxeter(ids)
+    C_g = weyl_apply(target, cg_word)
+    isos = _tree_isomorphisms(based.gram(), target)
+    assert len(isos) == n_isomorphisms
+    compatible = []
+    for perm in isos:
+        G = np.empty_like(based.basis)
+        G[list(perm)] = based.basis  # row perm[k] of Gᵗ is mutated row k
+        G = G.T
+        if mat_eq(to_int(frac_inverse(G)) @ C_star @ G, C_g):
+            compatible.append({k + 1: v + 1 for k, v in enumerate(perm) if k != v})
+    assert compatible == [TREE_RELABELING]
 
 
 def test_gamma_square_equals_alpha_sixth_from_standard_basis():

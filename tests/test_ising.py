@@ -29,6 +29,10 @@ def test_params_validation():
         IsingParams(N=4, J=0.0)
     with pytest.raises(ValueError):
         IsingParams(N=4, h_x=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("J", "h_z", "h_x"):
+            with pytest.raises(ValueError):
+                IsingParams(N=4, **{field: bad})
     assert 2 ** IsingParams(N=14).N == MAX_STATES
 
 

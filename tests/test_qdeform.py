@@ -25,9 +25,16 @@ from coxlat.rootsys import RootSystemId, cartan_matrix
 
 Q_GRID = (0.25, 0.5, 2.0, 4.0)
 SYSTEMS = [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "E6", "E7", "E8"]
+# non-symmetric tree Cartan matrices, outside the ADE catalog
+NONSYMMETRIC = {
+    "G2": [[2, -1], [-3, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+}
 
 
 def _D(name: str) -> QDeformedCartan:
+    if name in NONSYMMETRIC:
+        return deform(as_imatrix(NONSYMMETRIC[name]))
     return deform(cartan_matrix(RootSystemId.parse(name)))
 
 
@@ -65,7 +72,7 @@ def test_deform_rejects_bad_input():
 
 def test_q_must_be_positive():
     D = _D("A2")
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             evaluate(D, bad)
         with pytest.raises(ValueError):
@@ -112,7 +119,7 @@ def test_a2_spectrum_frozen():
     assert rep["status"] == "pass"
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEMS + list(NONSYMMETRIC))
 @pytest.mark.parametrize("q", Q_GRID)
 def test_spectrum_law_on_grid(name, q):
     rep = q_spectrum(_D(name), q)

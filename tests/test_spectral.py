@@ -23,10 +23,8 @@ from coxlat.spectral import (
     coxeter_eigvec_from_cartan,
     e6_eigenvector,
     e8_eigenvector,
-    eig_sym,
     eigenvalue_for_angles,
     factorized_coxeter_eigenvector,
-    jacobi_eigh,
     normalize_eigvec,
     perron_frobenius,
     pf_closed_form,
@@ -41,31 +39,6 @@ def _A(name: str) -> np.ndarray:
     return np.array(cartan_matrix(RootSystemId.parse(name)), dtype=float)
 
 
-def test_jacobi_a2():
-    lams, vecs = jacobi_eigh(_A("A2"))
-    assert np.allclose(lams, [1.0, 3.0], atol=1e-13)
-    assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
-
-
-@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
-def test_jacobi_matches_lapack(rid):
-    A = np.array(cartan_matrix(rid), dtype=float)
-    lams, vecs = jacobi_eigh(A)
-    assert np.max(np.abs(lams - np.linalg.eigvalsh(A))) < 1e-12
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(rid.rank))) < 1e-12
-    assert np.max(np.abs(A @ vecs - vecs * lams)) < 1e-12
-
-
-def test_jacobi_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_eig_sym_residuals():
-    for pair in eig_sym(_A("E8")):
-        assert pair.residual <= IDENTITY_TOL
-
-
 def test_normalize_eigvec_sets_largest_component_to_one():
     v = normalize_eigvec(np.array([1.0, -3.0, 2.0]))
     assert v[1] == 1.0
@@ -77,6 +50,20 @@ def test_cartan_spectrum_labels():
     assert [p.k for p in pairs] == [1, 7, 11, 13, 17, 19, 23, 29]
     for p in pairs:
         assert abs(p.lam - 4 * math.sin(p.k * math.pi / (2 * p.h)) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
+def test_cartan_spectrum_on_catalog(rid):
+    # the spectrum `coxlat eigen` prints: 4sin^2(k*pi/2h) over the exponents,
+    # each vector scaled to unit largest modulus and within the residual contract
+    A = np.array(cartan_matrix(rid), dtype=float)
+    h, exps = exponents(rid)
+    pairs = cartan_spectrum(rid)
+    assert [p.k for p in pairs] == list(exps)
+    for p in pairs:
+        assert abs(p.lam - 4 * math.sin(p.k * math.pi / (2 * h)) ** 2) < 1e-12
+        assert abs(np.max(np.abs(p.vector)) - 1) < 1e-12
+        assert p.residual == residual(A, p.vector, p.lam) <= IDENTITY_TOL
 
 
 def test_transfer_eigenvalue_branches():
