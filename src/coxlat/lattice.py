@@ -161,14 +161,11 @@ def _normalize_coloring(n: int, coloring: Dict[int, str]) -> Dict[int, str]:
 def steinberg_decomposition(A, coloring: Dict[int, str]) -> Tuple[np.ndarray, np.ndarray]:
     """Black/white factors of the bipartite Coxeter element.
 
-    With vertices ordered black-first, A = [[2I, X], [Y, 2I]] and
-
-        C_B = [[-I, -X], [0, I]],   C_W = [[I, 0], [-Y, -I]],
-
-    returned here in the original vertex order.  C_B (resp. C_W) equals
-    the product of the simple reflections at black (resp. white)
-    vertices, and C_B + C_W = 2I - A exactly.  An empty color class
-    yields the identity for that factor.
+    C_B = I - P_B·A and C_W = I - P_W·A, with P_B (resp. P_W) the
+    diagonal projector onto the black (resp. white) coordinates.  C_B
+    (resp. C_W) equals the product of the commuting simple reflections
+    at black (resp. white) vertices, and C_B + C_W = 2I - A exactly.
+    An empty color class yields the identity for that factor.
     """
     A = as_imatrix(A)
     n = A.shape[0]
@@ -179,25 +176,9 @@ def steinberg_decomposition(A, coloring: Dict[int, str]) -> Tuple[np.ndarray, np
         for j in range(i + 1, n):
             if (A[i, j] != 0 or A[j, i] != 0) and coloring[i + 1] == coloring[j + 1]:
                 raise ValueError(f"coloring not proper at edge ({i + 1},{j + 1})")
-    blacks = [v - 1 for v in range(1, n + 1) if coloring[v] == "black"]
-    whites = [v - 1 for v in range(1, n + 1) if coloring[v] == "white"]
-    p, q = len(blacks), len(whites)
-    X = A[np.ix_(blacks, whites)]
-    Y = A[np.ix_(whites, blacks)]
-    CB_bf = np.zeros((n, n), dtype=object)
-    CW_bf = np.zeros((n, n), dtype=object)
-    CB_bf[:p, :p] = -iidentity(p)
-    CB_bf[:p, p:] = -X
-    CB_bf[p:, p:] = iidentity(q)
-    CW_bf[:p, :p] = iidentity(p)
-    CW_bf[p:, :p] = -Y
-    CW_bf[p:, p:] = -iidentity(q)
-    sigma = blacks + whites
-    C_B = np.zeros((n, n), dtype=object)
-    C_W = np.zeros((n, n), dtype=object)
-    C_B[np.ix_(sigma, sigma)] = CB_bf
-    C_W[np.ix_(sigma, sigma)] = CW_bf
-    return C_B, C_W
+    I = iidentity(n)
+    P_B = np.diag(np.array([int(coloring[v] == "black") for v in range(1, n + 1)], dtype=object))
+    return I - P_B @ A, I - (I - P_B) @ A
 
 
 def bipartite_coxeter(A, coloring: Dict[int, str]) -> np.ndarray:

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxlat import qdeform, spectral
 from coxlat.cli import VERIFY_NAMES, main, run_verification, to_jsonable
+from coxlat.rootsys import CATALOG_IDS
 
 
 def _run(capsys, *argv):
@@ -146,12 +155,13 @@ def _strict_loads(text):
 
 
 def test_eigen_huge_q_is_strict_json_or_exits_2(capsys):
-    # the certificate overflows at q = 1e300; Infinity must never be printed
-    code, out = _run(capsys, "eigen", "D4", "--q", "1e300")
-    if code == 0:
-        _strict_loads(out)
-    else:
-        assert code == 2 and out == ""
+    # the certificate overflows at these q; Infinity must never be printed
+    for system, q in (("D4", "1e300"), ("E8", "1e200")):
+        code, out = _run(capsys, "eigen", system, "--q", q)
+        if code == 0:
+            _strict_loads(out)
+        else:
+            assert code == 2 and out == ""
 
 
 def test_ising_csv_shape(capsys):
@@ -172,8 +182,8 @@ def test_ising_out_file(tmp_path, capsys):
     assert len(lines) == 17
 
 
-def test_ising_bands_json(capsys):
-    target = "/tmp/coxlat_test_disp.csv"
+def test_ising_bands_json(tmp_path, capsys):
+    target = str(tmp_path / "disp.csv")
     code = main(["ising", "--n", "6", "--hx", "2.0", "--bands", "1", "--out", target])
     out = capsys.readouterr().out
     assert code == 0
@@ -195,6 +205,30 @@ def test_ising_nonfinite_field_exits_2(capsys):
         assert main(["ising", "--n", "4", flag, value]) == 2
 
 
+def test_ising_nonfinite_levels_exit_2(tmp_path, capsys):
+    # finite fields whose spectrum overflows: nothing is written
+    target = tmp_path / "levels.csv"
+    assert main(["ising", "--n", "2", "--hx", "1e308", "--out", str(target)]) == 2
+    assert main(["ising", "--n", "2", "--hx", "1e308"]) == 2
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "name, module, attr, fake",
+    [
+        ("q-spectrum", qdeform, "q_spectrum",
+         lambda real: lambda D, q: {**real(D, q), "max_abs_deviation": math.nan}),
+        ("e8-eigvecs", spectral, "residual", lambda real: lambda *args: math.nan),
+    ],
+    ids=["q-spectrum", "e8-eigvecs"],
+)
+def test_nan_deviation_fails_the_check(monkeypatch, name, module, attr, fake):
+    monkeypatch.setattr(module, attr, fake(getattr(module, attr)))
+    [report] = run_verification(name)
+    assert report["status"] == "fail"
+
+
 def test_to_jsonable_exact_and_complex():
     big = 10**30
     assert to_jsonable(big) == big
@@ -205,3 +239,97 @@ def test_to_jsonable_exact_and_complex():
     assert to_jsonable(Fraction(1, 3)) == "1/3"
     arr = np.array([[2, -1], [-1, 2]], dtype=object)
     assert to_jsonable(arr) == [[2, -1], [-1, 2]]
+
+
+_SYSTEMS = st.sampled_from([str(rid) for rid in CATALOG_IDS] + ["Z9", "A0", "e8"])
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e308, 5e-324]),
+    st.floats(),
+)
+_JSON_FLAG = st.sampled_from([[], ["--json"]])
+
+
+def _opt(flag, value):
+    # the --flag=value form keeps argparse from reading "-1e+300" as an option
+    return [f"{flag}={value!r}"]
+
+
+_CATALOG = st.tuples(_SYSTEMS, _JSON_FLAG).map(lambda t: ["catalog", t[0], *t[1]])
+_EIGEN = st.tuples(
+    _SYSTEMS,
+    st.one_of(st.just([]), _NUMBERS.map(lambda q: _opt("--q", q))),
+    st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]),
+).map(lambda t: ["eigen", t[0], *t[1], *t[2]])
+_VERIFY = st.tuples(
+    st.sampled_from(VERIFY_NAMES + ("bogus",)),
+    st.one_of(st.just([]), _NUMBERS.map(lambda tol: _opt("--tol", tol))),
+    _JSON_FLAG,
+).map(lambda t: ["verify", t[0], *t[1], *t[2]])
+_ISING = st.tuples(
+    st.integers(min_value=-1, max_value=9),  # N >= 10 is too slow for a fuzz
+    st.lists(
+        st.tuples(st.sampled_from(["--J", "--hx", "--hz"]), _NUMBERS), max_size=3
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+)
+
+
+def _outcome(argv):
+    """(exit code, stdout) of main(argv); only SystemExit may escape main."""
+    out = io.StringIO()
+    quiet = contextlib.redirect_stderr(io.StringIO())
+    with contextlib.redirect_stdout(out), quiet, np.errstate(all="ignore"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    return code, out.getvalue()
+
+
+def _assert_finite_csv(text, header):
+    lines = text.splitlines()
+    assert lines[0] == header
+    for line in lines[1:]:
+        assert all(math.isfinite(float(v)) for v in line.split(",")), line
+
+
+_FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@_FUZZ
+@given(argv=st.one_of(_CATALOG, _EIGEN))
+def test_fuzz_catalog_and_eigen(argv):
+    code, out = _outcome(argv)
+    if code == 2 or argv[0] == "catalog" and "--json" not in argv:
+        return
+    if "csv" in argv:
+        _assert_finite_csv(out, "k,h,lambda")
+    else:
+        _strict_loads(out)
+
+
+@settings(_FUZZ, max_examples=25)
+@given(argv=_VERIFY)
+def test_fuzz_verify(argv):
+    code, out = _outcome(argv)
+    if code != 2 and "--json" in argv:
+        _strict_loads(out)
+
+
+@settings(_FUZZ, max_examples=40)
+@given(case=_ISING)
+def test_fuzz_ising(case):
+    n, fields, bands, to_file = case
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "levels.csv"
+        argv = ["ising", f"--n={n}"] + [a for f, v in fields for a in _opt(f, v)]
+        argv += [f"--bands={bands}"] + (["--out", str(target)] if to_file else [])
+        code, out = _outcome(argv)
+        if code == 2:
+            return
+        csv = target.read_text() if to_file else out
+        _assert_finite_csv(csv, "p,epsilon")
+        if bands:
+            _strict_loads(out)
