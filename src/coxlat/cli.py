@@ -55,9 +55,9 @@ def to_jsonable(x):
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
-def _print_json(payload) -> None:
+def _json_text(payload) -> str:
     """Strict JSON: a NaN or infinity raises ValueError (exit code 2)."""
-    print(json.dumps(to_jsonable(payload), indent=2, allow_nan=False))
+    return json.dumps(to_jsonable(payload), indent=2, allow_nan=False)
 
 
 EXACT_TOL = 0.0
@@ -296,8 +296,11 @@ def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
 
 def _print_reports(reports: List[dict], as_json: bool) -> None:
     if as_json:
+        # strict JSON has no NaN: a non-finite deviation (a failed check) prints as null
+        reports = [r if math.isfinite(r["deviation"]) else {**r, "deviation": None}
+                   for r in reports]
         payload = reports[0] if len(reports) == 1 else {"reports": reports}
-        _print_json(payload)
+        print(_json_text(payload))
         return
     for r in reports:
         print(
@@ -319,7 +322,7 @@ def _cmd_catalog(args) -> int:
             "coloring": {str(v): c for v, c in sorted(data.coloring.items())},
             "cartan": data.cartan,
         }
-        _print_json(payload)
+        print(_json_text(payload))
         return 0
     print(f"{rid}: rank {data.rank}, Coxeter number h = {data.h}")
     print(f"exponents: {list(data.exponents)}")
@@ -359,7 +362,7 @@ def _cmd_eigen(args) -> int:
                 }
                 for p in pairs
             ]
-            _print_json(payload)
+            print(_json_text(payload))
         return 0
     D = qdeform.deform(rootsys.cartan_matrix(rid))
     spec = qdeform.q_spectrum(D, args.q)
@@ -378,7 +381,7 @@ def _cmd_eigen(args) -> int:
             "exponent_vector": list(D.exponent_vector),
             "certificate_deviation": cert["max_abs_deviation"],
         }
-        _print_json(payload)
+        print(_json_text(payload))
     return 0
 
 
@@ -392,14 +395,15 @@ def _cmd_ising(args) -> int:
     csv = "p,epsilon\n" + "".join(
         f"{level.p:.12g},{level.epsilon:.12g}\n" for level in levels
     )
+    # fit and serialize first: a failed band fit must leave no CSV behind
+    fit = _json_text(ising.dispersion_probe(params, args.bands)) if args.bands else None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)
     else:
         sys.stdout.write(csv)
-    if args.bands:
-        probe = ising.dispersion_probe(params, args.bands)
-        _print_json(probe)
+    if fit is not None:
+        print(fit)
     return 0
 
 

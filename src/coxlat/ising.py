@@ -6,18 +6,21 @@
 Basis: product sigma^z states indexed by bitstrings; site 1 is the most
 significant bit, bit 0 means spin +1.  H is real-symmetric with exact
 entries, the translation T is a bit rotation, and [H, T] = 0 exactly.
-Momentum sectors come from the projector (1/N) sum_n e^{-2 pi i k n/N} T^n
-applied to one basis state per T-orbit (nonzero iff k·(orbit size) = 0
-mod N), which lands directly on an orthonormal sector basis.
+Momentum sector k keeps the T-orbits whose size d has k·d = 0 mod N.  Orbit
+b, with representative r_b (its smallest state), gives the unit vector with
+amplitude amp(s) = e^{2 pi i k m/N}/sqrt(d_b) on each s with T^m s = r_b.
+The block is read off the representatives (Sandvik, arXiv:1101.3281, 4.1):
+diagonal E(r_a), plus -h_x·sqrt(d_a)·amp(s) at (a, b) for each spin flip
+s = r_a xor 2^n in a kept orbit b.  Neither H nor a sector basis is formed
+densely; `build_hamiltonian` is the oracle.
 
 This exists for property verification at desk scale — it makes no
 attempt at scaling-limit physics, and the dispersion fit is explicitly
-exploratory.  Dense solvers only; the top of the N range is slow.
+exploratory.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -73,17 +76,21 @@ def _sz(b: int, site: int, N: int) -> int:
     return 1 - 2 * ((b >> (N - site)) & 1)
 
 
+def _diagonal(params: IsingParams) -> np.ndarray:
+    """Diagonal of H, -J·(bond sum) - h_z·(magnetization), for every state."""
+    N = params.N
+    states = np.arange(1 << N)
+    sz = 1 - 2 * ((states[:, None] >> np.arange(N)) & 1)
+    bonds = (sz * np.roll(sz, 1, axis=1)).sum(axis=1)
+    return -params.J * bonds - params.h_z * sz.sum(axis=1)
+
+
 def build_hamiltonian(params: IsingParams) -> np.ndarray:
     """Dense 2^N x 2^N real-symmetric matrix of H."""
-    N, J, h_z, h_x = params.N, params.J, params.h_z, params.h_x
-    dim = 1 << N
-    H = np.zeros((dim, dim))
-    for b in range(dim):
-        bonds = sum(_sz(b, n, N) * _sz(b, n % N + 1, N) for n in range(1, N + 1))
-        mag = sum(_sz(b, n, N) for n in range(1, N + 1))
-        H[b, b] = -J * bonds - h_z * mag
-        for n in range(1, N + 1):
-            H[b ^ (1 << (N - n)), b] -= h_x
+    states = np.arange(1 << params.N)
+    H = np.diag(_diagonal(params))
+    for n in range(params.N):
+        H[states ^ (1 << n), states] -= params.h_x
     return H
 
 
@@ -107,35 +114,18 @@ def classical_energies(params: IsingParams) -> np.ndarray:
     return np.sort(np.array(out, dtype=float))
 
 
-def _orbits(N: int) -> List[List[int]]:
-    seen = [False] * (1 << N)
-    orbits = []
-    for b in range(1 << N):
-        if seen[b]:
-            continue
-        orbit = []
-        c = b
-        while not seen[c]:
-            seen[c] = True
-            orbit.append(c)
-            c = _rotl(c, N)
-        orbits.append(orbit)
-    return orbits
-
-
-def _sector_basis(N: int, k: int, orbits: List[List[int]]) -> np.ndarray:
-    """Orthonormal momentum-k basis: one column per compatible orbit."""
-    p = 2 * math.pi * k / N
-    cols = []
-    for orbit in orbits:
-        d = len(orbit)
-        if (k * d) % N != 0:
-            continue
-        v = np.zeros(1 << N, dtype=complex)
-        for n, state in enumerate(orbit):
-            v[state] = cmath.exp(-1j * p * n) / math.sqrt(d)
-        cols.append(v)
-    return np.array(cols).T if cols else np.zeros((1 << N, 0), dtype=complex)
+def _orbit_table(N: int):
+    """Per state s: representative r (smallest state of its T-orbit),
+    shift m with T^m s = r, and orbit size d."""
+    states = np.arange(1 << N)
+    rep, shift, size = states.copy(), np.zeros_like(states), np.full_like(states, N)
+    image = states
+    for m in range(1, N):
+        image = _rotl(image, N)
+        lower = image < rep
+        rep[lower], shift[lower] = image[lower], m
+        size[(image == states) & (size == N)] = m
+    return rep, shift, size
 
 
 def _wrap_momentum(k: int, N: int) -> float:
@@ -154,23 +144,28 @@ def momentum_spectrum(
     whatever the diagonalization says, not an assumption.
     """
     N = params.N
-    H = build_hamiltonian(params)
-    orbits = _orbits(N)
+    energy = _diagonal(params)
+    rep, shift, size = _orbit_table(N)
+    reps = np.flatnonzero(rep == np.arange(1 << N))
+    orbit = np.searchsorted(reps, rep)
+    flips = reps[:, None] ^ (1 << np.arange(N))
     levels: List[MomentumLevel] = []
     for k in range(N):
-        Q = _sector_basis(N, k, orbits)
-        if Q.shape[1] == 0:
-            continue
-        Hk = Q.conj().T @ H @ Q
-        w, psi = np.linalg.eigh(Hk)
+        kept = (k * size[reps]) % N == 0
+        col = np.cumsum(kept) - 1
+        amp = np.exp(2j * math.pi * k * shift / N) / np.sqrt(size)
+        a, n = np.nonzero(kept[:, None] & kept[orbit[flips]])
+        s = flips[a, n]
+        Hk = np.diag(energy[reps[kept]]).astype(complex)
+        np.add.at(Hk, (col[a], col[orbit[s]]), -params.h_x * np.sqrt(size[reps[a]]) * amp[s])
+        w, psi = np.linalg.eigh(Hk) if with_vectors else (np.linalg.eigvalsh(Hk), None)
         p = _wrap_momentum(k, N)
         for i, e in enumerate(w):
-            vec = Q @ psi[:, i] if with_vectors else None
+            vec = np.where(kept[orbit], amp * psi[col[orbit], i], 0) if with_vectors else None
             levels.append(MomentumLevel(p=p, epsilon=float(e), k=k, vector=vec))
     e0 = min(level.epsilon for level in levels)
     for level in levels:
         level.epsilon -= e0
-    levels.sort(key=lambda level: (level.k, level.epsilon))
     return levels
 
 

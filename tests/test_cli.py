@@ -212,6 +212,11 @@ def test_ising_nonfinite_levels_exit_2(tmp_path, capsys):
     assert main(["ising", "--n", "2", "--hx", "1e308"]) == 2
     assert capsys.readouterr().out == ""
     assert not target.exists()
+    # finite levels whose band fit overflows: no CSV outlives the failed fit
+    argv = ["ising", "--n", "2", "--J", "1e300", "--bands", "1", "--out", str(target)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(
@@ -223,10 +228,15 @@ def test_ising_nonfinite_levels_exit_2(tmp_path, capsys):
     ],
     ids=["q-spectrum", "e8-eigvecs"],
 )
-def test_nan_deviation_fails_the_check(monkeypatch, name, module, attr, fake):
+def test_nan_deviation_fails_the_check(monkeypatch, capsys, name, module, attr, fake):
     monkeypatch.setattr(module, attr, fake(getattr(module, attr)))
     [report] = run_verification(name)
     assert report["status"] == "fail"
+    assert math.isnan(report["deviation"])
+    # strict JSON has no NaN: the failed record prints with a null deviation
+    capsys.readouterr()
+    assert main(["verify", name, "--json"]) == 1
+    assert _strict_loads(capsys.readouterr().out)["deviation"] is None
 
 
 def test_to_jsonable_exact_and_complex():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,21 +105,38 @@ def test_classical_limit_exact():
 
 
 def test_classical_limit_through_momentum_sectors():
-    # N = 4: all orbit sizes are powers of two, the projector arithmetic
-    # is exact and the momentum route reproduces the classical levels
+    # at h_x = 0 every sector block is diagonal with entries E(r_a), so the
+    # momentum route reproduces the classical levels exactly
     params = IsingParams(N=4, J=1.0, h_z=0.3)
     eps = np.sort([l.epsilon for l in momentum_spectrum(params)])
     cls = classical_energies(params)
     assert np.array_equal(eps, cls - cls[0])
 
 
-def test_sector_vectors_are_translation_eigenstates():
-    N = 5
+@pytest.mark.parametrize("N", [5, 6])  # N = 6 has orbit sizes 1, 2, 3 and 6
+def test_sector_vectors_are_translation_eigenstates(N):
     params = IsingParams(N=N, h_x=1.1)
+    H = build_hamiltonian(params)
+    e0 = np.linalg.eigvalsh(H)[0]
     T = translation_operator(N).astype(float)
     for level in momentum_spectrum(params, with_vectors=True):
         v = level.vector
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert np.max(np.abs(T @ v - np.exp(1j * level.p) * v)) < 1e-10
+        assert np.max(np.abs(H @ v - (level.epsilon + e0) * v)) <= 1e-10
+
+
+def test_momentum_spectrum_builds_no_dense_matrix():
+    # a quarter of the dense real H (8·4^N bytes) bounds the peak allocation
+    N = 10
+    momentum_spectrum(IsingParams(N=4, h_x=0.5))  # LAPACK start-up allocations
+    tracemalloc.start()
+    try:
+        momentum_spectrum(IsingParams(N=N, h_z=0.2, h_x=0.9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**N / 4
 
 
 def test_free_fermion_dispersion_disordered_phase():
