@@ -10,7 +10,7 @@ C_B + C_W = 2I - A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -68,11 +68,10 @@ class PolarizedLattice:
 
 @dataclass(frozen=True)
 class CoxeterElement:
-    """Matrix of a Coxeter automorphism; order is filled in lazily."""
+    """Matrix of a Coxeter automorphism (coxeter_order gives its order)."""
 
     C: np.ndarray
     integral: bool
-    order: Optional[int] = None
 
 
 def standard_polarization(A) -> PolarizedLattice:
@@ -92,21 +91,10 @@ def standard_polarization(A) -> PolarizedLattice:
 
 
 def coxeter(P: PolarizedLattice) -> CoxeterElement:
-    """C = -L⁻¹Lᵗ; integral whenever det L = ±1.
-
-    The order is filled in for integral C when it is at most 1000
-    (always the case on the catalog, where it equals the Coxeter
-    number); otherwise it is left as None.
-    """
-    Linv = frac_inverse(P.L)
-    C = -(Linv @ P.L.T)
+    """C = -L⁻¹Lᵗ; integral whenever det L = ±1."""
+    C = -(frac_inverse(P.L) @ P.L.T)
     if is_integral(C):
-        C = to_int(C)
-        try:
-            order: Optional[int] = matrix_order(C)
-        except ValueError:
-            order = None
-        return CoxeterElement(C=C, integral=True, order=order)
+        return CoxeterElement(C=to_int(C), integral=True)
     return CoxeterElement(C=C, integral=False)
 
 

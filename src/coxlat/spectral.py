@@ -50,13 +50,11 @@ __all__ = [
     "perron_frobenius",
     "zamolodchikov_vector",
     "pf_closed_form",
-    "ITER_TOL",
     "IDENTITY_TOL",
     "PIPELINE_TOL",
 ]
 
-# tolerance ladder: iteration stops, identity acceptance, long pipelines
-ITER_TOL = 1e-13
+# tolerance ladder: identity acceptance, long pipelines
 IDENTITY_TOL = 1e-9
 PIPELINE_TOL = 1e-7
 
@@ -303,33 +301,20 @@ def factorized_coxeter_eigenvector(k4: int, k2: int) -> np.ndarray:
     return w @ (Ginv @ x_star)
 
 
-def perron_frobenius(A, tol: float = ITER_TOL, max_iter: int = 200000) -> np.ndarray:
+def perron_frobenius(A) -> np.ndarray:
     """Positive eigenvector for the smallest Cartan eigenvalue, min entry 1.
 
-    Power iteration on 5I - A (positive for catalog inputs) until
-    successive 2-norm-normalized iterates differ by < tol in the
-    infinity norm, then a fixed polishing stretch to machine precision
-    (the golden-ratio checks want a couple of digits beyond tol).
+    The symmetric solver's eigenvector for the lowest eigenvalue, with its
+    sign fixed; it is strictly positive when A is an irreducible Cartan
+    matrix, and anything else raises ValueError.
     """
     A = np.array(A, dtype=float)
-    n = A.shape[0]
-    M = 5.0 * np.eye(n) - A
-    v = np.ones(n) / math.sqrt(n)
-    for _ in range(max_iter):
-        prev = v
-        u = M @ v
-        v = u / np.linalg.norm(u)
-        if np.max(np.abs(v - prev)) < tol:
-            break
-    else:
-        raise RuntimeError("power iteration did not converge")
-    for _ in range(1000):
-        u = M @ v
-        v = u / np.linalg.norm(u)
-    if np.max(v) < 0:
-        v = -v
+    if not np.array_equal(A, A.T):
+        raise ValueError("A must be symmetric")
+    v = np.linalg.eigh(A)[1][:, 0]
+    v = v if np.max(v) > 0 else -v
     if np.min(v) <= 0:
-        raise RuntimeError("iterate is not strictly positive; matrix irreducible?")
+        raise ValueError("the lowest eigenvector is not strictly positive; is A irreducible?")
     return v / np.min(v)
 
 

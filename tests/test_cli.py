@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat import qdeform, spectral
+from coxlat import cli, gabrielov, qdeform, spectral
 from coxlat.cli import VERIFY_NAMES, main, run_verification, to_jsonable
 from coxlat.rootsys import CATALOG_IDS
 
@@ -237,6 +237,39 @@ def test_nan_deviation_fails_the_check(monkeypatch, capsys, name, module, attr, 
     capsys.readouterr()
     assert main(["verify", name, "--json"]) == 1
     assert _strict_loads(capsys.readouterr().out)["deviation"] is None
+
+
+def test_wrong_e8_word_fails_its_record(monkeypatch, capsys):
+    # a failed Gram identity is a failed record, not an exception
+    monkeypatch.setattr(gabrielov, "E8_WORD", gabrielov.E8_WORD[1:])
+    [report] = run_verification("e8-factorization")
+    assert report["status"] == "fail"
+    assert report["deviation"] > 0
+    assert "G^t A_* G = A: fail" in report["details"]
+    # --tol grades the factorization deviations like every other check
+    [loose] = run_verification("e8-factorization", tol=report["deviation"])
+    assert loose["status"] == "pass"
+    capsys.readouterr()
+    assert main(["verify", "all", "--json"]) == 1
+    reports = _strict_loads(capsys.readouterr().out)["reports"]
+    assert [r["name"] for r in reports] == list(VERIFY_NAMES[:-1])
+    assert "e8-factorization" in {r["name"] for r in reports if r["status"] == "fail"}
+
+
+def test_exact_e6_conjugator_needs_no_repair(monkeypatch):
+    monkeypatch.setattr(gabrielov, "E6_CONJUGATOR_WORD", (3, 1, 6))
+    [report] = run_verification("e6-factorization")
+    assert report["status"] == "pass"
+    assert report["deviation"] == 0
+    assert "repaired" not in report["details"]
+    assert report["details"].endswith("v^{-1} C_BW v = C_G: pass")
+
+
+def test_e6_repair_longer_than_the_limit_fails(monkeypatch):
+    monkeypatch.setattr(cli, "REPAIR_MAX_LEN", 2)
+    [report] = run_verification("e6-factorization")
+    assert report["status"] == "fail"
+    assert "repaired word [3, 1, 6]" in report["details"]
 
 
 def test_to_jsonable_exact_and_complex():

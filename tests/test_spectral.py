@@ -219,6 +219,26 @@ def test_perron_frobenius_matches_closed_form():
     assert np.max(np.abs(np.sort(closed) / np.min(closed) - zam)) <= 1e-9
 
 
+@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
+def test_perron_frobenius_on_catalog(rid):
+    # LAPACK hands back a negative lowest eigenvector for some of these
+    A = np.array(cartan_matrix(rid), dtype=float)
+    v = perron_frobenius(A)
+    assert np.all(v > 0) and np.min(v) == 1.0
+    h, _ = exponents(rid)
+    assert residual(A, v, 4 * math.sin(math.pi / (2 * h)) ** 2) <= IDENTITY_TOL
+
+
+def test_perron_frobenius_rejects_bad_input():
+    with pytest.raises(ValueError, match="symmetric"):
+        perron_frobenius([[2, -1], [-3, 2]])  # G2
+    reducible = np.zeros((3, 3))
+    reducible[:2, :2] = _A("A2")
+    reducible[2, 2] = 2.0  # A2 + A1: the lowest eigenvector vanishes on A1
+    with pytest.raises(ValueError, match="positive"):
+        perron_frobenius(reducible)
+
+
 def test_zamolodchikov_ratios():
     zam = zamolodchikov_vector(2.5)
     assert zam[0] == 2.5
