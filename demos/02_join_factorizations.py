@@ -21,6 +21,7 @@ from coxlat.gabrielov import (
     e8_factorization,
     root_image_count,
 )
+from coxlat.intmat import det_exact
 from coxlat.lattice import coxeter, coxeter_order, join, standard_polarization
 from coxlat.rootsys import RootSystemId, cartan_matrix
 
@@ -29,7 +30,7 @@ P = standard_polarization(cartan_matrix(RootSystemId.parse("A4")))
 for name in ("A2", "A1"):
     P = join(P, standard_polarization(cartan_matrix(RootSystemId.parse(name))))
 C_star = coxeter(P)
-print(f"join rank {P.rank}, Coxeter element integral: {C_star.integral}, "
+print(f"join rank {P.rank}, det L = {det_exact(P.L)} (unimodular, so C is integral), "
       f"order {coxeter_order(C_star.C)}")
 
 # the mutation word produces E8 simple roots; every deviation is exact

@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``intmat``    exact integer/rational matrix helpers (object-dtype numpy)
+- ``intmat``    exact integer matrix helpers (object-dtype numpy)
 - ``rootsys``   ADE catalog: Cartan matrices, exponents, bipartite colorings
 - ``lattice``   polarized lattices, Coxeter elements, joins, Steinberg splits
 - ``gabrielov`` basis moves, tensor-basis factorizations, Weyl-word checks

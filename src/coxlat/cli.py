@@ -5,8 +5,7 @@ Exit codes: 0 = requested checks passed, 1 = a verification failed,
 (fixed ordering, no timestamps).  JSON output is strict: a value that
 would print as NaN or Infinity is an error (exit 2) instead.  Integer
 identities are serialized as JSON integers (never through floating
-point); complex numbers as [re, im] pairs; rationals as exact "p/q"
-strings.
+point) and complex numbers as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,8 +36,6 @@ def to_jsonable(x):
         return x
     if isinstance(x, (int, np.integer)):
         return int(x)
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, (float, np.floating)):
         return float(x)
     if isinstance(x, (complex, np.complexfloating)):

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intmat import as_imatrix, det_exact, frac_inverse, iidentity, to_int
+from .intmat import as_imatrix, det_exact, frac_inverse, iidentity
 from .lattice import coxeter, join, standard_polarization
 from .rootsys import RootSystemId, cartan_matrix
 
@@ -47,6 +47,7 @@ __all__ = [
     "simple_reflection",
     "weyl_apply",
     "find_conjugator",
+    "BFS_MAX_NODES",
     "join_cartan",
     "join_coxeter",
     "e8_factorization",
@@ -248,14 +249,20 @@ def weyl_apply(rid: RootSystemId, word: Sequence[int]) -> np.ndarray:
     return reduce(lambda M, i: M @ _reflection(A, i), word, iidentity(A.shape[0]))
 
 
+# Weyl group elements find_conjugator may discover: all of W(E6)
+# (51 840) fits, while E8's 696 729 600 would exhaust memory.
+BFS_MAX_NODES = 65_536
+
+
 def find_conjugator(
     rid: RootSystemId, C1, C2, max_len: int = 20
 ) -> Optional[List[int]]:
     """BFS for a Weyl word w with w⁻¹·C1·w = C2; None if not found.
 
     Deterministic: returns the lexicographically smallest among the
-    shortest solutions.  Feasible for ranks with desk-sized Weyl groups
-    (E6 and below); do not unleash on E8's full group.
+    shortest solutions.  The search gives up (None) once it would discover
+    more than BFS_MAX_NODES group elements, so it is exhaustive for E6 and
+    below and bounded in memory on larger groups.
     """
     n = rid.rank
     C1 = np.array(as_imatrix(C1), dtype=np.int64)
@@ -276,6 +283,8 @@ def find_conjugator(
             M2 = M @ S
             key = M2.tobytes()
             if key not in seen:
+                if len(seen) >= BFS_MAX_NODES:
+                    return None
                 seen.add(key)
                 queue.append((M2, word + (i,)))
     return None
@@ -312,7 +321,7 @@ def _factorization(ids, word, target: RootSystemId, cg_word, reference_G):
     # column TREE_RELABELING[k] of G is mutated basis row k
     inv = {v: k for k, v in TREE_RELABELING.items()}
     G = based.basis[[inv.get(i, i) - 1 for i in range(1, n + 1)], :].T
-    Ginv = to_int(frac_inverse(G))
+    Ginv = frac_inverse(G)
     return G, {
         "G^t A_* G = A": _deviation(G.T @ lat.A @ G, cartan_matrix(target)),
         "G^{-1} C_* G = C_G": _deviation(
@@ -407,19 +416,20 @@ def root_image_count() -> Tuple[int, bool]:
     Each of the 240 triples (x, y, z) maps to G⁻¹·(x ⊗ y ⊗ z); returns
     the number of distinct images and whether all have squared norm 2
     under A(E8).  (General vectors don't survive the join this way; the
-    240 root triples land on exactly 60 E8 roots.)
+    240 root triples land on exactly 60 E8 roots.)  The map and the norms
+    are int64 products; OverflowError if G⁻¹ is too large for them to
+    be exact.
     """
     G, _ = e8_factorization()
-    Ginv = to_int(frac_inverse(G))
+    Ginv = frac_inverse(G)
     A8 = cartan_matrix(RootSystemId("E", 8))
-    images = set()
-    all_norm_2 = True
-    for x in an_roots(4):
-        for y in an_roots(2):
-            for z in an_roots(1):
-                f = np.kron(np.kron(x, y), z)
-                v = Ginv @ f
-                if v @ A8 @ v != 2:
-                    all_norm_2 = False
-                images.add(tuple(int(t) for t in v))
-    return len(images), all_norm_2
+    # tensor entries are 0 or ±1, so |image entry| <= the largest row sum
+    # of |G⁻¹| and |norm| <= that squared times the sum of |A(E8)|
+    row = max(sum(abs(v) for v in r) for r in Ginv)
+    if row * row * sum(abs(v) for v in A8.flat) >= 2**63:
+        raise OverflowError("G^{-1} too large for exact int64 root images")
+    roots = [np.array(an_roots(n), dtype=np.int64) for n in (4, 2, 1)]
+    F = np.einsum("ai,bj,ck->abcijk", *roots).reshape(-1, G.shape[0])
+    V = F @ np.array(Ginv, dtype=np.int64).T
+    norms = np.einsum("pi,ij,pj->p", V, np.array(A8, dtype=np.int64), V)
+    return len(set(map(tuple, V.tolist()))), bool((norms == 2).all())

@@ -1,16 +1,16 @@
-"""Exact integer and rational matrix arithmetic on small dense matrices.
+"""Exact integer matrix arithmetic on small dense matrices.
 
 All exact-arithmetic modules in this package represent matrices as square
-numpy arrays of dtype=object holding Python ints (or Fractions where a
-computation leaves the integers).  Python integers never overflow, and
-numpy's object matmul dispatches to exact Python arithmetic, so every
-identity checked through this module is an exact statement.
+numpy arrays of dtype=object holding Python ints.  Python integers never
+overflow, and numpy's object matmul dispatches to exact Python arithmetic,
+so every identity checked through this module is an exact statement.  The
+lattices here are unimodular, so inverses stay integral: frac_inverse
+rejects any matrix without an integer inverse.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import index
 
 import numpy as np
 
@@ -19,8 +19,6 @@ __all__ = [
     "iidentity",
     "mat_eq",
     "is_symmetric",
-    "is_integral",
-    "to_int",
     "frac_inverse",
     "det_exact",
     "char_poly",
@@ -29,21 +27,17 @@ __all__ = [
 
 
 def as_imatrix(data) -> np.ndarray:
-    """Build a square object-dtype matrix of exact scalars (int or Fraction)."""
+    """Build a square object-dtype matrix of Python ints.
+
+    Entries must be ints, numpy integers or bools; anything else (a float,
+    a rational) raises TypeError.
+    """
     M = np.array(data, dtype=object)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    out = np.empty(M.shape, dtype=object)
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            v = M[i, j]
-            if isinstance(v, Fraction):
-                out[i, j] = int(v) if v.denominator == 1 else v
-            elif isinstance(v, (int, np.integer)):
-                out[i, j] = int(v)
-            else:
-                raise TypeError(f"non-exact entry {v!r} at ({i},{j})")
-    return out
+    flat = M.ravel()
+    flat[:] = [index(v) for v in flat.tolist()]
+    return M
 
 
 def iidentity(n: int) -> np.ndarray:
@@ -62,59 +56,43 @@ def is_symmetric(A: np.ndarray) -> bool:
     return mat_eq(A, A.T)
 
 
-def is_integral(M: np.ndarray) -> bool:
-    return all(
-        isinstance(v, (int, np.integer)) or (isinstance(v, Fraction) and v.denominator == 1)
-        for v in M.flat
-    )
-
-
-def to_int(M: np.ndarray) -> np.ndarray:
-    """Convert an integral matrix of Fractions/ints to plain ints."""
-    if not is_integral(M):
-        raise ValueError("matrix has non-integer entries")
-    out = np.empty(M.shape, dtype=object)
-    for idx, v in np.ndenumerate(M):
-        out[idx] = int(v)
-    return out
-
-
 def frac_inverse(M: np.ndarray) -> np.ndarray:
-    """Exact inverse by Gauss-Jordan elimination over the rationals.
+    """Exact integer inverse of a unimodular integer matrix.
 
-    Returns an object matrix whose entries are ints where possible and
-    Fractions otherwise.  Raises ValueError on singular input.
+    Runs fraction-free Gauss-Jordan on [M | I]: each step's division by the
+    previous pivot is exact (Bareiss), and the last step leaves d·[I | M⁻¹]
+    with d = ±det M.  So the right block times d is M⁻¹ when d = ±1; a
+    singular or non-unimodular M raises ValueError.
     """
     n = M.shape[0]
-    aug = [
-        [Fraction(M[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix has no inverse")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    rows = [[index(v) for v in M[i]] + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if piv is None:
+                raise ValueError("singular matrix has no inverse")
+            rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], rk)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError(f"det = ±{abs(prev)}: no integer inverse")
     out = np.empty((n, n), dtype=object)
     for i in range(n):
-        for j in range(n):
-            v = aug[i][n + j]
-            out[i, j] = int(v) if v.denominator == 1 else v
+        out[i] = [prev * v for v in rows[i][n:]]
     return out
 
 
-def det_exact(M: np.ndarray):
-    """Exact determinant via fraction-free Bareiss elimination."""
+def det_exact(M: np.ndarray) -> int:
+    """Exact integer determinant via fraction-free Bareiss elimination."""
     n = M.shape[0]
-    a = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Fraction(1)
+    a = [[index(v) for v in M[i]] for i in range(n)]
+    sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
@@ -122,12 +100,14 @@ def det_exact(M: np.ndarray):
                 return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        akk, ak = a[k][k], a[k]
         for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    d = sign * a[n - 1][n - 1]
-    return int(d) if d.denominator == 1 else d
+                ai[j] = (ai[j] * akk - aik * ak[j]) // prev
+        prev = akk
+    return sign * a[n - 1][n - 1]
 
 
 def char_poly(M: np.ndarray) -> list:
@@ -136,6 +116,8 @@ def char_poly(M: np.ndarray) -> list:
     Computed by evaluating the determinant at n+1 integer points and
     interpolating; avoids any floating-point round trip.
     """
+    from fractions import Fraction  # the divided differences are rational
+
     n = M.shape[0]
     xs = list(range(n + 1))
     ys = []

@@ -1,9 +1,12 @@
 """Polarized lattices, Coxeter automorphisms, and bipartite decompositions.
 
-A polarized lattice is a pair (A, L) with A = L + Lᵗ; the Coxeter
-automorphism is C = -L⁻¹Lᵗ.  Everything here is exact integer (or
-rational) arithmetic on object arrays; floating point never enters.
-Includes the Kronecker join product and the black/white decomposition
+A polarized lattice is a pair (A, L) with A = L + Lᵗ and L unimodular
+(det L = ±1, as for the Seifert form of an isolated singularity); the
+Coxeter automorphism C = -L⁻¹Lᵗ is then an integer matrix.  Everything
+here is exact integer arithmetic on object arrays; floating point never
+enters.  The standard polarization is unit upper triangular, joins keep L
+unimodular, and gauge transforms are base changes in GL_n(Z).  Includes
+the Kronecker join product and the black/white decomposition
 C_B + C_W = 2I - A.
 """
 
@@ -19,11 +22,9 @@ from .intmat import (
     det_exact,
     frac_inverse,
     iidentity,
-    is_integral,
     is_symmetric,
     mat_eq,
     matrix_order,
-    to_int,
 )
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolarizedLattice:
-    """Lattice with symmetric form A and Seifert form L, A = L + Lᵗ."""
+    """Lattice with symmetric form A and unimodular Seifert form L, A = L + Lᵗ."""
 
     A: np.ndarray
     L: np.ndarray
@@ -58,8 +59,8 @@ class PolarizedLattice:
             raise ValueError("A must be symmetric")
         if not mat_eq(A, L + L.T):
             raise ValueError("A = L + L^t violated")
-        if det_exact(L) == 0:
-            raise ValueError("L must be invertible over the rationals")
+        if det_exact(L) not in (1, -1):
+            raise ValueError("L must be unimodular (det L = ±1)")
 
     @property
     def rank(self) -> int:
@@ -71,7 +72,6 @@ class CoxeterElement:
     """Matrix of a Coxeter automorphism (coxeter_order gives its order)."""
 
     C: np.ndarray
-    integral: bool
 
 
 def standard_polarization(A) -> PolarizedLattice:
@@ -91,11 +91,8 @@ def standard_polarization(A) -> PolarizedLattice:
 
 
 def coxeter(P: PolarizedLattice) -> CoxeterElement:
-    """C = -L⁻¹Lᵗ; integral whenever det L = ±1."""
-    C = -(frac_inverse(P.L) @ P.L.T)
-    if is_integral(C):
-        return CoxeterElement(C=to_int(C), integral=True)
-    return CoxeterElement(C=C, integral=False)
+    """C = -L⁻¹Lᵗ, an integer matrix since L is unimodular."""
+    return CoxeterElement(C=-(frac_inverse(P.L) @ P.L.T))
 
 
 def orthogonality_check(A, C) -> bool:
@@ -108,10 +105,10 @@ def orthogonality_check(A, C) -> bool:
 
 
 def gauge_transform(P: PolarizedLattice, M) -> PolarizedLattice:
-    """Base change L -> MᵗLM; the Coxeter element transforms to M⁻¹CM."""
+    """Base change L -> MᵗLM by M in GL_n(Z); the Coxeter element transforms to M⁻¹CM."""
     M = as_imatrix(M)
-    if det_exact(M) == 0:
-        raise ValueError("M must be invertible")
+    if det_exact(M) not in (1, -1):
+        raise ValueError("M must be unimodular (det M = ±1)")
     return PolarizedLattice(A=M.T @ P.A @ M, L=M.T @ P.L @ M)
 
 

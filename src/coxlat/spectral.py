@@ -26,7 +26,7 @@ from .gabrielov import (
     e8_factorization,
     weyl_apply,
 )
-from .intmat import as_imatrix, frac_inverse, to_int
+from .intmat import as_imatrix, frac_inverse
 from .lattice import bipartite_coxeter
 from .rootsys import RootSystemId, cartan_matrix, exponents, root_system
 
@@ -295,7 +295,7 @@ def factorized_coxeter_eigenvector(k4: int, k2: int) -> np.ndarray:
         an_coxeter_eigenvector(1, 0.0),
     )
     G, _ = e8_factorization()
-    Ginv = np.array(to_int(frac_inverse(G)), dtype=float)
+    Ginv = np.array(frac_inverse(G), dtype=float)
     rid = RootSystemId("E", 8)
     w = np.array(weyl_apply(rid, E8_CONJUGATOR_WORD), dtype=float)
     return w @ (Ginv @ x_star)

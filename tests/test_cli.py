@@ -265,6 +265,19 @@ def test_exact_e6_conjugator_needs_no_repair(monkeypatch):
     assert report["details"].endswith("v^{-1} C_BW v = C_G: pass")
 
 
+def test_e6_repair_past_the_bfs_budget_fails(monkeypatch, capsys):
+    monkeypatch.setattr(gabrielov, "BFS_MAX_NODES", 20)
+    [report] = run_verification("e6-factorization")
+    assert report["status"] == "fail"
+    assert report["deviation"] > 0
+    assert "repaired" not in report["details"]
+    capsys.readouterr()
+    assert main(["verify", "all", "--json"]) == 1
+    reports = _strict_loads(capsys.readouterr().out)["reports"]
+    assert [r["name"] for r in reports] == list(VERIFY_NAMES[:-1])
+    assert [r["name"] for r in reports if r["status"] == "fail"] == ["e6-factorization"]
+
+
 def test_e6_repair_longer_than_the_limit_fails(monkeypatch):
     monkeypatch.setattr(cli, "REPAIR_MAX_LEN", 2)
     [report] = run_verification("e6-factorization")
@@ -277,9 +290,6 @@ def test_to_jsonable_exact_and_complex():
     assert to_jsonable(big) == big
     assert to_jsonable(np.int64(7)) == 7
     assert to_jsonable(1 + 2j) == [1.0, 2.0]
-    from fractions import Fraction
-
-    assert to_jsonable(Fraction(1, 3)) == "1/3"
     arr = np.array([[2, -1], [-1, 2]], dtype=object)
     assert to_jsonable(arr) == [[2, -1], [-1, 2]]
 

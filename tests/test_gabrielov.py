@@ -41,7 +41,8 @@ from coxlat.gabrielov import (
     simple_reflection,
     weyl_apply,
 )
-from coxlat.intmat import frac_inverse, iidentity, mat_eq, matrix_order, to_int
+from coxlat import gabrielov
+from coxlat.intmat import det_exact, frac_inverse, iidentity, mat_eq, matrix_order
 from coxlat.rootsys import RootSystemId, dynkin_edges
 
 A_STAR = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
@@ -62,8 +63,6 @@ def test_alpha_hand_check():
     b = alpha(BasedLattice(A2, iidentity(2)), 1)
     assert b.basis.tolist() == [[1, 1], [1, 0]]
     # moves never change the abstract lattice: Gram determinant is preserved
-    from coxlat.intmat import det_exact
-
     assert det_exact(b.gram()) == det_exact(A2)
 
 
@@ -98,10 +97,13 @@ def test_beta_undoes_alpha_explicitly():
 
 
 def test_mutation_word_yields_unimodular_basis():
-    b = apply_word(_standard(), E8_WORD)
-    from coxlat.intmat import det_exact
-
-    assert det_exact(b.basis) in (1, -1)
+    # det = ±1 after every move of both words, in the order they act
+    for ids, word in (("A4 A2 A1", E8_WORD), ("A3 A2 A1", E6_WORD)):
+        A = join_cartan([RootSystemId.parse(x) for x in ids.split()])
+        b = BasedLattice(A, iidentity(A.shape[0]))
+        for move in reversed(word):
+            b = apply_word(b, [move])
+            assert det_exact(b.basis) in (1, -1)
 
 
 FACTORIZATION_IDENTITIES = ["G^t A_* G = A", "G^{-1} C_* G = C_G", "G = reference matrix"]
@@ -116,7 +118,7 @@ def test_e8_factorization_report():
     assert mat_eq(G.T @ A_STAR @ G, A_e8)
     C_star = join_coxeter([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
     C_g = weyl_apply(RootSystemId("E", 8), E8_CG_WORD)
-    assert mat_eq(to_int(frac_inverse(G)) @ C_star @ G, C_g)
+    assert mat_eq(frac_inverse(G) @ C_star @ G, C_g)
 
 
 def test_e6_factorization_report():
@@ -161,7 +163,7 @@ def test_tree_relabeling_is_the_only_compatible_one(ids, word, target, cg_word, 
         G = np.empty_like(based.basis)
         G[list(perm)] = based.basis  # row perm[k] of Gᵗ is mutated row k
         G = G.T
-        if mat_eq(to_int(frac_inverse(G)) @ C_star @ G, C_g):
+        if mat_eq(frac_inverse(G) @ C_star @ G, C_g):
             compatible.append({k + 1: v + 1 for k, v in enumerate(perm) if k != v})
     assert compatible == [TREE_RELABELING]
 
@@ -237,5 +239,25 @@ def test_find_conjugator_no_solution():
     assert find_conjugator(rid, C, iidentity(2), max_len=6) is None
 
 
+def test_find_conjugator_gives_up_past_the_node_budget(monkeypatch):
+    rid = RootSystemId("E", 6)
+    C_bw, C_g = weyl_apply(rid, E6_CBW_WORD), weyl_apply(rid, E6_CG_WORD)
+    assert gabrielov.BFS_MAX_NODES > 51_840  # |W(E6)|: every E6 search completes
+    assert find_conjugator(rid, C_bw, C_g) == [3, 1, 6]
+    # the words of length <= 2 alone are more than 20 elements
+    monkeypatch.setattr(gabrielov, "BFS_MAX_NODES", 20)
+    assert find_conjugator(rid, C_bw, C_g) is None
+
+
 def test_root_image_count():
     assert root_image_count() == (60, True)
+
+
+def test_root_image_count_refuses_inexact_int64(monkeypatch):
+    # a shear by 2**31 puts -2**31 into G⁻¹: the norms could overflow int64
+    G, deviations = e8_factorization()
+    S = iidentity(8)
+    S[0, 1] = 2**31
+    monkeypatch.setattr(gabrielov, "e8_factorization", lambda: (G @ S, deviations))
+    with pytest.raises(OverflowError):
+        root_image_count()

@@ -1,11 +1,15 @@
-"""Exact integer/rational matrix helpers."""
+"""Exact integer matrix helpers."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxlat.intmat import (
     as_imatrix,
@@ -13,11 +17,9 @@ from coxlat.intmat import (
     det_exact,
     frac_inverse,
     iidentity,
-    is_integral,
     is_symmetric,
     mat_eq,
     matrix_order,
-    to_int,
 )
 from coxlat.rootsys import RootSystemId, cartan_matrix
 
@@ -29,11 +31,19 @@ def test_as_imatrix_rejects_floats_and_nonsquare():
         as_imatrix([[1, 2, 3], [4, 5, 6]])
 
 
-def test_as_imatrix_accepts_fractions():
-    M = as_imatrix([[Fraction(1, 2), 0], [0, 1]])
-    assert M[0, 0] == Fraction(1, 2)
-    assert not is_integral(M)
-    assert is_integral(as_imatrix([[2, -1], [-1, 2]]))
+def test_as_imatrix_rejects_fractions():
+    # integral Fractions too: the exact layer holds Python ints only
+    for bad in (Fraction(1, 2), Fraction(2, 1)):
+        with pytest.raises(TypeError):
+            as_imatrix([[bad, 0], [0, 1]])
+    M = as_imatrix([[np.int64(2), -1], [-1, True]])
+    assert all(type(v) is int for v in M.flat)
+    assert M.tolist() == [[2, -1], [-1, 1]]
+    # det_exact and frac_inverse refuse to truncate what as_imatrix would reject
+    with pytest.raises(TypeError):
+        det_exact(np.array([[0.5]], dtype=object))
+    with pytest.raises(TypeError):
+        frac_inverse(np.array([[Fraction(1, 2)]], dtype=object))
 
 
 def test_identity_and_eq():
@@ -46,13 +56,78 @@ def test_identity_and_eq():
 def test_frac_inverse_known_2x2():
     M = as_imatrix([[2, 1], [1, 1]])
     Minv = frac_inverse(M)
-    assert mat_eq(to_int(Minv), as_imatrix([[1, -1], [-1, 2]]))
-    assert mat_eq(to_int(M @ Minv), iidentity(2))
+    assert mat_eq(Minv, as_imatrix([[1, -1], [-1, 2]]))
+    assert all(type(v) is int for v in Minv.flat)
+    assert mat_eq(M @ Minv, iidentity(2))
 
 
 def test_frac_inverse_singular_raises():
     with pytest.raises(ValueError):
         frac_inverse(as_imatrix([[1, 2], [2, 4]]))
+
+
+def test_frac_inverse_rejects_non_unimodular():
+    # invertible over the rationals, but its inverse is not integral
+    with pytest.raises(ValueError):
+        frac_inverse(as_imatrix([[2, 0], [0, 1]]))
+
+
+def _det_by_permutations(M) -> int:
+    """Leibniz expansion: the reference for det_exact."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def _int_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+    # a repeated row or a zero column makes some draws singular
+    kind = draw(st.sampled_from(["any", "repeat", "zero"]))
+    if kind == "repeat" and n > 1:
+        rows[-1] = list(rows[0])
+    elif kind == "zero":
+        for r in rows:
+            r[0] = 0
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_int_matrices())
+def test_det_exact_matches_permutation_expansion(rows):
+    d = det_exact(as_imatrix(rows))
+    assert type(d) is int
+    assert d == _det_by_permutations(rows)
+
+
+# unimodular matrices: shears (row i += c·row j) and sign flips of rows
+_unimodular_steps = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=5), _unimodular_steps)
+def test_frac_inverse_of_unimodular_is_exact(n, steps):
+    M = iidentity(n)
+    for i, j, c in steps:
+        i, j = i % n, j % n
+        if i != j:
+            M[i, :] = M[i, :] + c * M[j, :]
+        else:
+            M[i, :] = -M[i, :]
+    Minv = frac_inverse(M)
+    assert all(type(v) is int for v in Minv.flat)
+    assert mat_eq(Minv @ M, iidentity(n))
 
 
 # det A(A_n) = n+1; D_n -> 4; E6 -> 3; E7 -> 2; E8 -> 1 (classical values)

@@ -14,7 +14,6 @@ from coxlat.intmat import (
     iidentity,
     mat_eq,
     matrix_order,
-    to_int,
 )
 from coxlat.lattice import (
     PolarizedLattice,
@@ -45,9 +44,17 @@ def test_standard_polarization_odd_diagonal_raises():
         standard_polarization(as_imatrix([[1, 0], [0, 2]]))
 
 
+def test_non_unimodular_forms_are_rejected():
+    # det L = 2: C = -L⁻¹Lᵗ would not be integral
+    with pytest.raises(ValueError):
+        PolarizedLattice(A=as_imatrix([[4, 0], [0, 2]]), L=as_imatrix([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="M must be unimodular"):
+        gauge_transform(_pol("A2"), as_imatrix([[2, 0], [0, 1]]))
+
+
 def test_coxeter_a2_frozen():
     C = coxeter(_pol("A2"))
-    assert C.integral
+    assert all(type(v) is int for v in C.C.flat)
     assert C.C.tolist() == [[0, -1], [1, -1]]
     assert coxeter_order(C) == 3
 
@@ -94,7 +101,7 @@ def test_gauge_law(shears):
     Q = gauge_transform(P, M)
     assert mat_eq(Q.A, M.T @ P.A @ M)
     lhs = coxeter(Q).C
-    rhs = to_int(frac_inverse(M) @ coxeter(P).C @ M)
+    rhs = frac_inverse(M) @ coxeter(P).C @ M
     assert mat_eq(lhs, rhs)
 
 
