@@ -21,8 +21,8 @@ from coxlat.gabrielov import (
     e8_factorization,
     root_image_count,
 )
-from coxlat.intmat import det_exact
-from coxlat.lattice import coxeter, coxeter_order, join, standard_polarization
+from coxlat.intmat import det_exact, matrix_order
+from coxlat.lattice import coxeter, join, standard_polarization
 from coxlat.rootsys import RootSystemId, cartan_matrix
 
 # build the triple join A4 * A2 * A1
@@ -31,7 +31,7 @@ for name in ("A2", "A1"):
     P = join(P, standard_polarization(cartan_matrix(RootSystemId.parse(name))))
 C_star = coxeter(P)
 print(f"join rank {P.rank}, det L = {det_exact(P.L)} (unimodular, so C is integral), "
-      f"order {coxeter_order(C_star.C)}")
+      f"order {matrix_order(C_star)}")
 
 # the mutation word produces E8 simple roots; every deviation is exact
 G, deviations = e8_factorization()

@@ -30,7 +30,6 @@ from .gabrielov import (
 )
 from .ising import IsingParams, build_hamiltonian, momentum_spectrum
 from .lattice import (
-    CoxeterElement,
     PolarizedLattice,
     bipartite_coxeter,
     coxeter,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasedLattice",
-    "CoxeterElement",
     "IsingParams",
     "PolarizedLattice",
     "QDeformedCartan",

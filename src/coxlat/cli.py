@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import gabrielov, ising, lattice, qdeform, rootsys, spectral
-from .intmat import iidentity
+from .intmat import deviation, iidentity
 from .rootsys import CATALOG_IDS, RootSystemId
 
 __all__ = ["main", "run_verification", "VERIFY_NAMES"]
@@ -77,11 +77,6 @@ def _worst(deviations) -> float:
     return float(np.max(deviations))
 
 
-def _int_dev(lhs, rhs) -> int:
-    diff = lhs - rhs
-    return max((abs(int(v)) for v in diff.flat), default=0)
-
-
 def _verify_steinberg(tolerance: float) -> dict:
     dev = 0
     for rid in CATALOG_IDS:
@@ -90,9 +85,9 @@ def _verify_steinberg(tolerance: float) -> dict:
         I = iidentity(rid.rank)
         dev = max(
             dev,
-            _int_dev(C_B + C_W, 2 * I - data.cartan),
-            _int_dev(C_B @ C_B, I),
-            _int_dev(C_W @ C_W, I),
+            deviation(C_B + C_W, 2 * I - data.cartan),
+            deviation(C_B @ C_B, I),
+            deviation(C_W @ C_W, I),
         )
     return _report(
         float(dev),
@@ -112,6 +107,8 @@ def _verify_factorization(fact: Callable, conj: Callable, tolerance: float) -> d
     word = crep.get("repaired_word")
     if word is not None:
         parts.append(f"reference conjugator failed as written; repaired word {word}")
+    elif "repaired_word" in crep and conj_dev > 0:
+        parts.append("reference conjugator failed as written; no repair word found")
     return _report(
         float(max(*deviations.values(), conj_dev)),
         tolerance,
@@ -127,7 +124,7 @@ def _verify_gamma_alpha(tolerance: float) -> dict:
     left = gabrielov.apply_word(start, gabrielov.GAMMA_SQUARE_WORD)
     right = gabrielov.apply_word(start, gabrielov.ALPHA1_SIX_WORD)
     return _report(
-        float(_int_dev(left.basis, right.basis)),
+        float(deviation(left.basis, right.basis)),
         tolerance,
         "gamma2·gamma1 = alpha1^6 from the standard rank-8 basis (exact)",
     )

@@ -11,9 +11,9 @@ map TREE_RELABELING, and satisfies
     Gᵗ·A_*·G = A(E8)   and   G⁻¹·C_*·G = C_G(E8)
 
 exactly; each factorization report checks both identities and G against
-the reference matrix.  Also here: simple-reflection matrices, Weyl-word
-evaluation, a breadth-first conjugator search, and the 240-to-60
-root-image count.
+the reference matrix.  Also here: Weyl-word evaluation (a one-letter
+word is a simple reflection), a breadth-first conjugator search, and the
+240-to-60 root-image count.
 
 Convention flags (frozen after exact validation against the Gram
 identities above): SIGN_CONVENTION = -1 in the alpha/beta formulas, and
@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intmat import as_imatrix, det_exact, frac_inverse, iidentity
+from .intmat import as_imatrix, det_exact, deviation, frac_inverse, iidentity
 from .lattice import coxeter, join, standard_polarization
 from .rootsys import RootSystemId, cartan_matrix
 
@@ -44,7 +44,6 @@ __all__ = [
     "gamma",
     "inverse_move",
     "apply_word",
-    "simple_reflection",
     "weyl_apply",
     "find_conjugator",
     "BFS_MAX_NODES",
@@ -101,10 +100,6 @@ class BasedLattice:
 
     def gram(self) -> np.ndarray:
         return self.basis @ self.ambient_gram @ self.basis.T
-
-    def pairing(self, i: int, j: int):
-        """Ambient inner product of basis rows i, j (1-based)."""
-        return self.basis[i - 1] @ self.ambient_gram @ self.basis[j - 1]
 
 
 def _wrap(m: int, rank: int) -> int:
@@ -228,13 +223,8 @@ E6_CHANGE_OF_BASIS = as_imatrix(
 )
 
 
-def simple_reflection(rid: RootSystemId, i: int) -> np.ndarray:
-    """Matrix of s_i on simple-root coordinates (columns are images)."""
-    A = cartan_matrix(rid)
-    return _reflection(A, i)
-
-
 def _reflection(A: np.ndarray, i: int) -> np.ndarray:
+    """Matrix of s_i on simple-root coordinates (columns are images)."""
     n = A.shape[0]
     if not 1 <= i <= n:
         raise ValueError(f"reflection index {i} out of range")
@@ -265,11 +255,10 @@ def find_conjugator(
     below and bounded in memory on larger groups.
     """
     n = rid.rank
+    A = cartan_matrix(rid)
     C1 = np.array(as_imatrix(C1), dtype=np.int64)
     C2 = np.array(as_imatrix(C2), dtype=np.int64)
-    gens = [
-        np.array(simple_reflection(rid, i + 1), dtype=np.int64) for i in range(n)
-    ]
+    gens = [np.array(_reflection(A, i), dtype=np.int64) for i in range(1, n + 1)]
     ident = np.eye(n, dtype=np.int64)
     seen = {ident.tobytes()}
     queue = deque([(ident, ())])
@@ -302,15 +291,8 @@ def join_cartan(ids: Sequence[RootSystemId]) -> np.ndarray:
 
 def join_coxeter(ids: Sequence[RootSystemId]) -> np.ndarray:
     """Kronecker product of the factor Coxeter elements C1 ⊗ C2 ⊗ ..."""
-    mats = [
-        coxeter(standard_polarization(cartan_matrix(rid))).C for rid in ids
-    ]
+    mats = [coxeter(standard_polarization(cartan_matrix(rid))) for rid in ids]
     return reduce(np.kron, mats)
-
-
-def _deviation(lhs: np.ndarray, rhs: np.ndarray) -> int:
-    """Largest |entry| of lhs - rhs, an exact integer (0 iff they are equal)."""
-    return max((abs(int(x)) for x in (lhs - rhs).flat), default=0)
 
 
 def _factorization(ids, word, target: RootSystemId, cg_word, reference_G):
@@ -323,11 +305,11 @@ def _factorization(ids, word, target: RootSystemId, cg_word, reference_G):
     G = based.basis[[inv.get(i, i) - 1 for i in range(1, n + 1)], :].T
     Ginv = frac_inverse(G)
     return G, {
-        "G^t A_* G = A": _deviation(G.T @ lat.A @ G, cartan_matrix(target)),
-        "G^{-1} C_* G = C_G": _deviation(
+        "G^t A_* G = A": deviation(G.T @ lat.A @ G, cartan_matrix(target)),
+        "G^{-1} C_* G = C_G": deviation(
             Ginv @ join_coxeter(ids) @ G, weyl_apply(target, cg_word)
         ),
-        "G = reference matrix": _deviation(G, reference_G),
+        "G = reference matrix": deviation(G, reference_G),
     }
 
 
@@ -360,7 +342,7 @@ def conjugation_report_e8() -> dict:
     w = weyl_apply(rid, E8_CONJUGATOR_WORD)
     return {
         "word": list(E8_CONJUGATOR_WORD),
-        "deviations": {"w^{-1} C_BW w = C_G": _deviation(C_bw @ w, w @ C_g)},
+        "deviations": {"w^{-1} C_BW w = C_G": deviation(C_bw @ w, w @ C_g)},
     }
 
 
@@ -377,13 +359,13 @@ def conjugation_report_e6() -> dict:
     C_bw = weyl_apply(rid, E6_CBW_WORD)
     C_g = weyl_apply(rid, E6_CG_WORD)
     v = weyl_apply(rid, E6_CONJUGATOR_WORD)
-    dev = _deviation(C_bw @ v, v @ C_g)
+    dev = deviation(C_bw @ v, v @ C_g)
     deviations = {"v^{-1} C_BW v = C_G": dev}
     repaired = find_conjugator(rid, C_bw, C_g) if dev else None
     if repaired is not None:
         w = weyl_apply(rid, repaired)
         label = f"repaired w^{{-1}} C_BW w = C_G (word {repaired})"
-        deviations[label] = _deviation(C_bw @ w, w @ C_g)
+        deviations[label] = deviation(C_bw @ w, w @ C_g)
     return {
         "word": list(E6_CONJUGATOR_WORD),
         "deviations": deviations,

@@ -18,6 +18,7 @@ __all__ = [
     "as_imatrix",
     "iidentity",
     "mat_eq",
+    "deviation",
     "is_symmetric",
     "frac_inverse",
     "det_exact",
@@ -50,6 +51,14 @@ def iidentity(n: int) -> np.ndarray:
 def mat_eq(A: np.ndarray, B: np.ndarray) -> bool:
     """Exact entrywise equality."""
     return A.shape == B.shape and bool(np.equal(A, B).all())
+
+
+def deviation(lhs: np.ndarray, rhs: np.ndarray) -> int:
+    """Largest |entry| of lhs - rhs, an exact integer (0 iff they are equal).
+
+    Entries must be integers: a float difference raises TypeError.
+    """
+    return max((abs(index(v)) for v in (lhs - rhs).flat), default=0)
 
 
 def is_symmetric(A: np.ndarray) -> bool:
@@ -113,38 +122,16 @@ def det_exact(M: np.ndarray) -> int:
 def char_poly(M: np.ndarray) -> list:
     """Coefficients of det(xI - M), highest degree first, exact.
 
-    Computed by evaluating the determinant at n+1 integer points and
-    interpolating; avoids any floating-point round trip.
+    Integer Faddeev-LeVerrier: M_k = M·M_{k-1} + c_{n-k+1}·I and
+    c_{n-k} = -tr(M·M_k)/k, where each division is exact.
     """
-    from fractions import Fraction  # the divided differences are rational
-
-    n = M.shape[0]
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        S = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                S[i, j] = (x if i == j else 0) - M[i, j]
-        ys.append(Fraction(det_exact(S)))
-    # Newton's divided differences, then expand to monomial coefficients.
-    coef = list(ys)
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / Fraction(xs[i] - xs[i - j])
-    poly = [coef[n]]  # lowest-degree-first
-    for k in range(n - 1, -1, -1):
-        # poly <- poly*(x - xs[k]) + coef[k]
-        shifted = [Fraction(0)] + poly
-        poly = [s - Fraction(xs[k]) * p for s, p in zip(shifted, poly + [Fraction(0)])]
-        while len(poly) > 1 and poly[-1] == 0:
-            poly.pop()
-        poly[0] += coef[k]
-    poly += [Fraction(0)] * (n + 1 - len(poly))
-    out = []
-    for c in reversed(poly):
-        out.append(int(c) if c.denominator == 1 else c)
-    return out
+    I = iidentity(M.shape[0])
+    coeffs = [1]
+    MMk = 0 * I  # M·M_0 with M_0 = 0
+    for k in range(1, M.shape[0] + 1):
+        MMk = M @ (MMk + coeffs[-1] * I)
+        coeffs.append(-sum(index(v) for v in MMk.diagonal()) // k)
+    return coeffs
 
 
 def matrix_order(M: np.ndarray, cap: int = 1000) -> int:

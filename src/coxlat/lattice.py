@@ -2,7 +2,8 @@
 
 A polarized lattice is a pair (A, L) with A = L + Lᵗ and L unimodular
 (det L = ±1, as for the Seifert form of an isolated singularity); the
-Coxeter automorphism C = -L⁻¹Lᵗ is then an integer matrix.  Everything
+Coxeter automorphism C = -L⁻¹Lᵗ is then an integer matrix, returned as a
+plain object array (intmat.matrix_order gives its order).  Everything
 here is exact integer arithmetic on object arrays; floating point never
 enters.  The standard polarization is unit upper triangular, joins keep L
 unimodular, and gauge transforms are base changes in GL_n(Z).  Includes
@@ -24,18 +25,15 @@ from .intmat import (
     iidentity,
     is_symmetric,
     mat_eq,
-    matrix_order,
 )
 
 __all__ = [
     "PolarizedLattice",
-    "CoxeterElement",
     "standard_polarization",
     "coxeter",
     "orthogonality_check",
     "gauge_transform",
     "join",
-    "coxeter_order",
     "steinberg_decomposition",
     "bipartite_coxeter",
 ]
@@ -67,13 +65,6 @@ class PolarizedLattice:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
-class CoxeterElement:
-    """Matrix of a Coxeter automorphism (coxeter_order gives its order)."""
-
-    C: np.ndarray
-
-
 def standard_polarization(A) -> PolarizedLattice:
     """Upper-triangular polarization: l_ii = a_ii/2, l_ij = a_ij above."""
     A = as_imatrix(A)
@@ -90,9 +81,9 @@ def standard_polarization(A) -> PolarizedLattice:
     return PolarizedLattice(A=A, L=L)
 
 
-def coxeter(P: PolarizedLattice) -> CoxeterElement:
+def coxeter(P: PolarizedLattice) -> np.ndarray:
     """C = -L⁻¹Lᵗ, an integer matrix since L is unimodular."""
-    return CoxeterElement(C=-(frac_inverse(P.L) @ P.L.T))
+    return -(frac_inverse(P.L) @ P.L.T)
 
 
 def orthogonality_check(A, C) -> bool:
@@ -122,27 +113,6 @@ def join(P1: PolarizedLattice, P2: PolarizedLattice) -> PolarizedLattice:
     return PolarizedLattice(A=L + L.T, L=L)
 
 
-def coxeter_order(C, cap: int = 1000) -> int:
-    """Smallest h >= 1 with Cʰ = I, by exact repeated multiplication."""
-    M = C.C if isinstance(C, CoxeterElement) else as_imatrix(C)
-    return matrix_order(M, cap=cap)
-
-
-_COLOR_ALIASES = {"black": "black", "b": "black", "white": "white", "w": "white"}
-
-
-def _normalize_coloring(n: int, coloring: Dict[int, str]) -> Dict[int, str]:
-    out = {}
-    for v in range(1, n + 1):
-        if v not in coloring:
-            raise ValueError(f"vertex {v} missing from coloring")
-        c = _COLOR_ALIASES.get(str(coloring[v]).lower())
-        if c is None:
-            raise ValueError(f"unknown color {coloring[v]!r}")
-        out[v] = c
-    return out
-
-
 def steinberg_decomposition(A, coloring: Dict[int, str]) -> Tuple[np.ndarray, np.ndarray]:
     """Black/white factors of the bipartite Coxeter element.
 
@@ -154,7 +124,11 @@ def steinberg_decomposition(A, coloring: Dict[int, str]) -> Tuple[np.ndarray, np
     """
     A = as_imatrix(A)
     n = A.shape[0]
-    coloring = _normalize_coloring(n, coloring)
+    for v in range(1, n + 1):
+        if v not in coloring:
+            raise ValueError(f"vertex {v} missing from coloring")
+        if coloring[v] not in ("black", "white"):
+            raise ValueError(f"unknown color {coloring[v]!r}")
     for i in range(n):
         if A[i, i] != 2:
             raise ValueError("diagonal entries must equal 2")

@@ -4,10 +4,10 @@ A = L + U is the unique split into unit-diagonal lower/upper triangular
 parts.  When the graph of A (vertices i, j joined iff a_ij != 0) is a
 tree, the deformed spectrum is {1 + (lambda-2)sqrt(q) + q} over
 eigenvalues lambda of A, and eigenvectors transport coordinatewise by
-powers q^{k_i/2} with an integer exponent vector read off the tree:
-along any edge, the numerically larger endpoint has k one more than the
-smaller (making diag(q^{k_i/2}) conjugate sqrt(q)A + (1-sqrt(q))^2 I
-into A(q)).
+powers q^{k_i/2}.  The exponent vector k is rootsys.tree_levels of the
+graph: along any edge, the numerically larger endpoint has k one more
+than the smaller (making diag(q^{k_i/2}) conjugate
+sqrt(q)A + (1-sqrt(q))^2 I into A(q)).
 
 q is restricted to positive reals, so sqrt(q) is unambiguous.
 Disconnected graphs are rejected along with cycles; per-component
@@ -18,19 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .intmat import as_imatrix
-from .spectral import residual
+from .rootsys import tree_levels
+from .spectral import IDENTITY_TOL, residual
 
 __all__ = [
     "QDeformedCartan",
     "deform",
     "evaluate",
     "q_eigenvalue",
-    "exponent_vector",
     "q_eigenvector",
     "conjugation_certificate",
     "q_spectrum",
@@ -62,47 +62,6 @@ class QDeformedCartan:
         return self.L + self.U
 
 
-def _graph_edges(A: np.ndarray) -> List[Tuple[int, int]]:
-    n = A.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (A[i, j] != 0) != (A[j, i] != 0):
-                raise ValueError("off-diagonal zero pattern must be symmetric")
-            if A[i, j] != 0:
-                out.append((i + 1, j + 1))
-    return out
-
-
-def _adjacency(n: int, edges: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
-    adj: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _exponents_from_edges(
-    n: int, edges: Sequence[Tuple[int, int]], root: int = 1
-) -> Tuple[int, ...]:
-    """k over the tree: k_root = 0, k grows by 1 toward larger labels."""
-    if len(edges) != n - 1:
-        raise ValueError("graph is not a tree (wrong edge count)")
-    adj = _adjacency(n, edges)
-    k: Dict[int, int] = {root: 0}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in k:
-                k[v] = k[u] + (1 if v > u else -1)
-                stack.append(v)
-    if len(k) != n:
-        raise ValueError("graph is not a tree (disconnected)")
-    low = min(k.values())
-    return tuple(k[v] - low for v in range(1, n + 1))
-
-
 def deform(A) -> QDeformedCartan:
     """Split a generalized Cartan matrix (tree graph) into L + U."""
     A = as_imatrix(A)
@@ -110,8 +69,7 @@ def deform(A) -> QDeformedCartan:
     for i in range(n):
         if A[i, i] != 2:
             raise ValueError("diagonal entries must equal 2")
-    edges = _graph_edges(A)
-    ks = _exponents_from_edges(n, edges)
+    ks = tree_levels(A)
     L = np.zeros((n, n), dtype=object)
     U = np.zeros((n, n), dtype=object)
     for i in range(n):
@@ -144,30 +102,17 @@ def q_eigenvalue(lam: float, q: float) -> float:
     return 1 + (lam - 2) * math.sqrt(q) + q
 
 
-def exponent_vector(D: QDeformedCartan, root: int = 1) -> Tuple[int, ...]:
-    """Tree exponents k_i (min 0) with an optional re-rooting.
-
-    The default root is vertex 1; any other root shifts all k_i by a
-    constant before normalization, which a global diagonal scalar
-    absorbs — transported eigenvector residuals are root-independent.
-    """
-    edges = _graph_edges(as_imatrix(D.A))
-    return _exponents_from_edges(D.rank, edges, root=root)
-
-
-def q_eigenvector(
-    x, D: QDeformedCartan, q: float, lam: Optional[float] = None, check_tol: float = 1e-8
-) -> np.ndarray:
+def q_eigenvector(x, D: QDeformedCartan, q: float, lam: Optional[float] = None) -> np.ndarray:
     """Transport an eigenvector of A to one of A(q): x_i -> q^{k_i/2} x_i."""
     q = _check_q(q)
     x = np.asarray(x, dtype=complex)
     A = np.array(D.A, dtype=float)
     if lam is None:
         lam = float((np.conj(x) @ (A @ x)).real / (np.conj(x) @ x).real)
-    if residual(A, x, lam) > 1e-9:
+    if residual(A, x, lam) > IDENTITY_TOL:
         raise ValueError("x is not an eigenvector of A to tolerance")
     xq = np.power(q, np.array(D.exponent_vector) / 2.0) * x
-    if residual(evaluate(D, q), xq, q_eigenvalue(lam, q)) > check_tol:
+    if residual(evaluate(D, q), xq, q_eigenvalue(lam, q)) > IDENTITY_TOL:
         raise ValueError("transported vector failed the deformed residual check")
     return xq.real if np.allclose(xq.imag, 0, atol=1e-14) else xq
 

@@ -1,22 +1,21 @@
 """Catalog of finite simply-laced root systems in Bourbaki numbering.
 
 Provides Cartan matrices, Dynkin tree edge lists, Coxeter numbers,
-exponents, and the bipartite (black/white) coloring used by the Coxeter
-element machinery.  Vertices are numbered 1..rank throughout.
+exponents, and the one walk of a Dynkin tree: tree_levels gives each
+vertex its level k_i, from which both the bipartite (black/white)
+coloring of the Coxeter element machinery and the exponent vector of the
+q-deformation are read.  Vertices are numbered 1..rank throughout.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from .intmat import as_imatrix
 
 __all__ = [
     "RootSystemId",
@@ -24,6 +23,7 @@ __all__ = [
     "cartan_matrix",
     "dynkin_edges",
     "exponents",
+    "tree_levels",
     "bipartition",
     "root_system",
     "join_exponent_arithmetic",
@@ -118,21 +118,46 @@ def exponents(rid: RootSystemId) -> Tuple[int, List[int]]:
     return h, list(exps)
 
 
-def bipartition(rid: RootSystemId) -> Dict[int, str]:
-    """Proper 2-coloring of the Dynkin tree; vertex 1 is white by convention."""
-    adj: Dict[int, List[int]] = {i: [] for i in range(1, rid.rank + 1)}
-    for u, v in dynkin_edges(rid):
-        adj[u].append(v)
-        adj[v].append(u)
-    color = {1: "white"}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
+def tree_levels(A) -> Tuple[int, ...]:
+    """Levels k_i of the tree graph of A (i, j joined iff a_ij != 0).
+
+    Walks from vertex 1; k goes up by 1 along each edge toward the larger
+    label and down by 1 toward the smaller one, and is shifted to min 0.
+    A non-tree graph or an asymmetric zero pattern raises ValueError.
+    """
+    n = A.shape[0]
+    adj: Dict[int, List[int]] = {v: [] for v in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (A[i, j] != 0) != (A[j, i] != 0):
+                raise ValueError("off-diagonal zero pattern must be symmetric")
+            if A[i, j] != 0:
+                adj[i].append(j)
+                adj[j].append(i)
+    if sum(map(len, adj.values())) != 2 * (n - 1):
+        raise ValueError("graph is not a tree (wrong edge count)")
+    k = {0: 0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
         for v in adj[u]:
-            if v not in color:
-                color[v] = "black" if color[u] == "white" else "white"
-                queue.append(v)
-    return color
+            if v not in k:
+                k[v] = k[u] + (1 if v > u else -1)
+                stack.append(v)
+    if len(k) != n:
+        raise ValueError("graph is not a tree (disconnected)")
+    low = min(k.values())
+    return tuple(k[v] - low for v in range(n))
+
+
+def bipartition(rid: RootSystemId) -> Dict[int, str]:
+    """Proper 2-coloring of the Dynkin tree; vertex 1 is white by convention.
+
+    Adjacent vertices differ in level by one, so the parity of k_v - k_1
+    is the unique proper coloring with vertex 1 white.
+    """
+    k = tree_levels(cartan_matrix(rid))
+    return {v: "white" if (kv - k[0]) % 2 == 0 else "black" for v, kv in enumerate(k, 1)}
 
 
 def root_system(rid: RootSystemId) -> RootSystemData:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .gabrielov import (
 )
 from .intmat import as_imatrix, frac_inverse
 from .lattice import bipartite_coxeter
-from .rootsys import RootSystemId, cartan_matrix, exponents, root_system
+from .rootsys import RootSystemId, root_system
 
 __all__ = [
     "Eigenpair",
@@ -147,13 +147,7 @@ def coxeter_cartan_transfer(w1, w2, mu: complex, branch: int = 1) -> np.ndarray:
     return np.concatenate([w1, w2 / r])
 
 
-def coxeter_eigvec_from_cartan(
-    x,
-    theta: float,
-    coloring: Dict[int, str],
-    A=None,
-    check_tol: float = 1e-8,
-) -> np.ndarray:
+def coxeter_eigvec_from_cartan(x, theta: float, coloring: Dict[int, str], A=None) -> np.ndarray:
     """Phase-dress a Cartan eigenvector into a bipartite-Coxeter eigenvector.
 
     Coordinate j of x is multiplied by e^{+i theta/2} at white vertices
@@ -177,7 +171,7 @@ def coxeter_eigvec_from_cartan(
         # bipartite_coxeter wants an exact integer matrix
         A_exact = as_imatrix(np.rint(np.asarray(A, dtype=float)).astype(int))
         C = np.array(bipartite_coxeter(A_exact, coloring), dtype=float)
-        if residual(C, xc, cmath.exp(2j * theta)) > check_tol:
+        if residual(C, xc, cmath.exp(2j * theta)) > IDENTITY_TOL:
             raise ValueError("phase-dressed vector failed the Coxeter residual check")
     return xc
 

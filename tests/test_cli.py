@@ -271,6 +271,9 @@ def test_e6_repair_past_the_bfs_budget_fails(monkeypatch, capsys):
     assert report["status"] == "fail"
     assert report["deviation"] > 0
     assert "repaired" not in report["details"]
+    assert report["details"].endswith(
+        "reference conjugator failed as written; no repair word found"
+    )
     capsys.readouterr()
     assert main(["verify", "all", "--json"]) == 1
     reports = _strict_loads(capsys.readouterr().out)["reports"]

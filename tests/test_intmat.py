@@ -15,6 +15,7 @@ from coxlat.intmat import (
     as_imatrix,
     char_poly,
     det_exact,
+    deviation,
     frac_inverse,
     iidentity,
     is_symmetric,
@@ -51,6 +52,16 @@ def test_identity_and_eq():
     assert mat_eq(I3, I3)
     assert is_symmetric(I3)
     assert not mat_eq(I3, as_imatrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]]))
+
+
+def test_deviation_is_exact():
+    A = as_imatrix([[1, 2], [3, 4]])
+    assert deviation(A, A) == 0
+    d = deviation(A, as_imatrix([[1, 2], [3, 4 - 10**20]]))
+    assert type(d) is int and d == 10**20
+    # a float difference is not an exact deviation
+    with pytest.raises(TypeError):
+        deviation(np.array([[0.5]], dtype=object), np.array([[0]], dtype=object))
 
 
 def test_frac_inverse_known_2x2():
@@ -150,6 +161,18 @@ def test_char_poly_matches_determinant():
     # constant term is (-1)^n det
     assert coeffs[-1] == -det_exact(M)
     assert coeffs[0] == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_int_matrices())
+def test_char_poly_matches_determinant_at_integer_points(rows):
+    M = as_imatrix(rows)
+    n = M.shape[0]
+    coeffs = char_poly(M)
+    assert all(type(c) is int for c in coeffs)
+    for x in range(n + 1):
+        value = sum(c * x ** (n - i) for i, c in enumerate(coeffs))
+        assert value == det_exact(x * iidentity(n) - M)
 
 
 def test_matrix_order():

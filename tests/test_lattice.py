@@ -19,7 +19,6 @@ from coxlat.lattice import (
     PolarizedLattice,
     bipartite_coxeter,
     coxeter,
-    coxeter_order,
     gauge_transform,
     join,
     orthogonality_check,
@@ -54,13 +53,13 @@ def test_non_unimodular_forms_are_rejected():
 
 def test_coxeter_a2_frozen():
     C = coxeter(_pol("A2"))
-    assert all(type(v) is int for v in C.C.flat)
-    assert C.C.tolist() == [[0, -1], [1, -1]]
-    assert coxeter_order(C) == 3
+    assert all(type(v) is int for v in C.flat)
+    assert C.tolist() == [[0, -1], [1, -1]]
+    assert matrix_order(C) == 3
 
 
 def test_coxeter_a4_frozen():
-    C = coxeter(_pol("A4")).C
+    C = coxeter(_pol("A4"))
     assert C.tolist() == [
         [0, 0, 0, -1],
         [1, 0, 0, -1],
@@ -73,9 +72,9 @@ def test_coxeter_a4_frozen():
 def test_coxeter_preserves_form_and_has_order_h(rid):
     A = cartan_matrix(rid)
     C = coxeter(standard_polarization(A))
-    assert orthogonality_check(A, C.C)
+    assert orthogonality_check(A, C)
     h, _ = exponents(rid)
-    assert coxeter_order(C) == h
+    assert matrix_order(C) == h
 
 
 # unimodular gauge matrices as shear sequences: row i += c * row j
@@ -100,8 +99,8 @@ def test_gauge_law(shears):
             M[i, :] = M[i, :] + c * M[j, :]
     Q = gauge_transform(P, M)
     assert mat_eq(Q.A, M.T @ P.A @ M)
-    lhs = coxeter(Q).C
-    rhs = frac_inverse(M) @ coxeter(P).C @ M
+    lhs = coxeter(Q)
+    rhs = frac_inverse(M) @ coxeter(P) @ M
     assert mat_eq(lhs, rhs)
 
 
@@ -110,8 +109,8 @@ def test_join_pair_sign():
     J = join(P1, P2)
     assert mat_eq(J.L, np.kron(P1.L, P2.L))
     # Coxeter element of a two-factor join is minus the tensor product
-    C1, C2 = coxeter(P1).C, coxeter(P2).C
-    assert mat_eq(coxeter(J).C, -np.kron(C1, C2))
+    C1, C2 = coxeter(P1), coxeter(P2)
+    assert mat_eq(coxeter(J), -np.kron(C1, C2))
 
 
 def test_join_triple_is_tensor_product_with_order_30():
@@ -119,10 +118,10 @@ def test_join_triple_is_tensor_product_with_order_30():
     P = _pol(ids[0])
     for name in ids[1:]:
         P = join(P, _pol(name))
-    Cs = [coxeter(_pol(name)).C for name in ids]
+    Cs = [coxeter(_pol(name)) for name in ids]
     C_star = np.kron(np.kron(Cs[0], Cs[1]), Cs[2])
-    assert mat_eq(coxeter(P).C, C_star)  # signs cancel over three factors
-    assert coxeter_order(C_star) == 30
+    assert mat_eq(coxeter(P), C_star)  # signs cancel over three factors
+    assert matrix_order(C_star) == 30
 
 
 def test_steinberg_a2_frozen():
@@ -132,7 +131,7 @@ def test_steinberg_a2_frozen():
     assert C_B.tolist() == [[1, 0], [1, -1]]
     assert C_W.tolist() == [[-1, 1], [0, 1]]
     # C_W @ C_B is the standard Coxeter element of A2
-    assert mat_eq(bipartite_coxeter(A, coloring), coxeter(_pol("A2")).C)
+    assert mat_eq(bipartite_coxeter(A, coloring), coxeter(_pol("A2")))
 
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
@@ -148,10 +147,15 @@ def test_steinberg_identities(rid):
     assert matrix_order(C_bw) == h
     # conjugate to the standard Coxeter element: same characteristic
     # polynomial, and both sides have finite order h (hence diagonalizable)
-    assert char_poly(C_bw) == char_poly(coxeter(standard_polarization(A)).C)
+    assert char_poly(C_bw) == char_poly(coxeter(standard_polarization(A)))
 
 
 def test_steinberg_rejects_improper_coloring():
     A = cartan_matrix(RootSystemId.parse("A2"))
     with pytest.raises(ValueError):
         steinberg_decomposition(A, {1: "white", 2: "white"})
+    with pytest.raises(ValueError, match="vertex 2 missing"):
+        steinberg_decomposition(A, {1: "white"})
+    for bad in ("b", "Black", "red"):
+        with pytest.raises(ValueError, match="unknown color"):
+            steinberg_decomposition(A, {1: "white", 2: bad})

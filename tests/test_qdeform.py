@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coxlat.intmat import as_imatrix
 from coxlat.qdeform import (
@@ -15,7 +13,6 @@ from coxlat.qdeform import (
     conjugation_certificate,
     deform,
     evaluate,
-    exponent_vector,
     general_eigenvalues,
     q_eigenvalue,
     q_eigenvector,
@@ -92,18 +89,6 @@ def test_q_must_be_positive():
 )
 def test_exponent_vectors(name, k):
     assert _D(name).exponent_vector == k
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    name=st.sampled_from(SYSTEMS),
-    root=st.integers(min_value=1, max_value=8),
-)
-def test_exponent_vector_is_root_independent(name, root):
-    # after the min-0 normalization the DFS root does not matter
-    D = _D(name)
-    r = (root - 1) % D.rank + 1
-    assert exponent_vector(D, root=r) == D.exponent_vector
 
 
 def test_q_eigenvalue_law_at_one():

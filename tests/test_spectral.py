@@ -149,7 +149,7 @@ def test_an_eigenvectors(n):
 def test_an_coxeter_eigenvectors(n, k):
     from coxlat.lattice import coxeter, standard_polarization
 
-    C = np.array(coxeter(standard_polarization(cartan_matrix(RootSystemId("A", n)))).C,
+    C = np.array(coxeter(standard_polarization(cartan_matrix(RootSystemId("A", n)))),
                  dtype=float)
     theta = k * math.pi / (n + 1)
     v = an_coxeter_eigenvector(n, theta)
