@@ -5,8 +5,10 @@ Transverse-field Ising chain with momentum resolution
 H = -J sum sz sz - h_z sum sz - h_x sum sx on a periodic ring.  The
 dense matrix over bitstrings shows [H, T] = 0; translation symmetry
 then block-diagonalizes H, with each momentum block read off the orbit
-representatives.  Each level gets a momentum label, and in the
-disordered phase the lowest band tracks the free-fermion dispersion
+representatives.  H is real and reflection-symmetric, so only momenta
+k <= N/2 are diagonalized, each as a real block; momentum -p shares the
+levels of p.  Each level gets a momentum label, and in the disordered
+phase the lowest band tracks the free-fermion dispersion
 2 sqrt(J^2 + h_x^2 - 2 J h_x cos p).
 """
 

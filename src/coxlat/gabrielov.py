@@ -244,9 +244,7 @@ def weyl_apply(rid: RootSystemId, word: Sequence[int]) -> np.ndarray:
 BFS_MAX_NODES = 65_536
 
 
-def find_conjugator(
-    rid: RootSystemId, C1, C2, max_len: int = 20
-) -> Optional[List[int]]:
+def find_conjugator(rid: RootSystemId, C1, C2) -> Optional[List[int]]:
     """BFS for a Weyl word w with w⁻¹·C1·w = C2; None if not found.
 
     Deterministic: returns the lexicographically smallest among the
@@ -266,8 +264,6 @@ def find_conjugator(
         M, word = queue.popleft()
         if np.array_equal(C1 @ M, M @ C2):
             return list(word)
-        if len(word) >= max_len:
-            continue
         for i, S in enumerate(gens, start=1):
             M2 = M @ S
             key = M2.tobytes()

@@ -7,12 +7,16 @@ Basis: product sigma^z states indexed by bitstrings; site 1 is the most
 significant bit, bit 0 means spin +1.  H is real-symmetric with exact
 entries, the translation T is a bit rotation, and [H, T] = 0 exactly.
 Momentum sector k keeps the T-orbits whose size d has k·d = 0 mod N.  Orbit
-b, with representative r_b (its smallest state), gives the unit vector with
-amplitude amp(s) = e^{2 pi i k m/N}/sqrt(d_b) on each s with T^m s = r_b.
-The block is read off the representatives (Sandvik, arXiv:1101.3281, 4.1):
-diagonal E(r_a), plus -h_x·sqrt(d_a)·amp(s) at (a, b) for each spin flip
-s = r_a xor 2^n in a kept orbit b.  Neither H nor a sector basis is formed
-densely; `build_hamiltonian` is the oracle.
+b, with representative r_b (its smallest state), gives the unit vector |b>
+with amplitude amp(s) = e^{2 pi i k m/N}/sqrt(d_b) on each s with T^m s = r_b.
+A spin flip s = r_a xor 2^n into a kept orbit b adds -h_x·sqrt(d_a)·amp(s) at
+(a, b) (Sandvik, arXiv:1101.3281, 4.1-4.3).  H is real, so sector N-k is the
+conjugate of sector k; only k <= N/2 is solved.  Theta = P∘K (P the bit
+reversal, P T P = T^-1; K conjugation) maps |b> to e^{-i phi_b}|pi(b)>, pi(b)
+the orbit of P r_b, phi_b = 2 pi k·m(P r_b)/N.  Column b of U is e^{-i phi_b/2}|b>
+if pi(b) = b; if b < pi(b), columns b and pi(b) are (|b> + Theta|b>)/sqrt 2 and
+i(|b> - Theta|b>)/sqrt 2.  Theta fixes them, so U^H H U is real; E(r_a) is added
+after it.  No dense H or U is formed; `build_hamiltonian` is the oracle.
 
 This exists for property verification at desk scale — it makes no
 attempt at scaling-limit physics, and the dispersion fit is explicitly
@@ -130,7 +134,7 @@ def _orbit_table(N: int):
 
 def _wrap_momentum(k: int, N: int) -> float:
     p = 2 * math.pi * k / N
-    return p if p <= math.pi + 1e-12 else p - 2 * math.pi
+    return p if 2 * k <= N else p - 2 * math.pi
 
 
 def momentum_spectrum(
@@ -138,10 +142,10 @@ def momentum_spectrum(
 ) -> List[MomentumLevel]:
     """All 2^N levels as (p, epsilon) with epsilon >= 0 above the ground state.
 
-    Within each momentum sector H restricts to a Hermitian block, which
-    is diagonalized densely; levels come back sorted by (k, epsilon).
-    The ground level is the single entry with epsilon = 0 — its p is
-    whatever the diagonalization says, not an assumption.
+    Sectors k <= N/2 are solved as real symmetric blocks in the Theta basis
+    above; sector N-k reuses sector k's levels and conjugate vectors.  Levels
+    come back sorted by (k, epsilon); the ground level is the single one with
+    epsilon = 0 — its p is whatever the diagonalization says, not assumed.
     """
     N = params.N
     energy = _diagonal(params)
@@ -149,20 +153,31 @@ def momentum_spectrum(
     reps = np.flatnonzero(rep == np.arange(1 << N))
     orbit = np.searchsorted(reps, rep)
     flips = reps[:, None] ^ (1 << np.arange(N))
+    mirror = ((reps[:, None] >> np.arange(N)) & 1) @ (1 << np.arange(N)[::-1])
     levels: List[MomentumLevel] = []
-    for k in range(N):
+    for k in range(N // 2 + 1):
         kept = (k * size[reps]) % N == 0
-        col = np.cumsum(kept) - 1
+        col, n = np.cumsum(kept) - 1, int(kept.sum())
         amp = np.exp(2j * math.pi * k * shift / N) / np.sqrt(size)
-        a, n = np.nonzero(kept[:, None] & kept[orbit[flips]])
-        s = flips[a, n]
-        Hk = np.diag(energy[reps[kept]]).astype(complex)
-        np.add.at(Hk, (col[a], col[orbit[s]]), -params.h_x * np.sqrt(size[reps[a]]) * amp[s])
+        g = np.exp(-2j * math.pi * k * shift[mirror[kept]] / N)
+        pair, own = col[orbit[mirror[kept]]], np.arange(n)  # row a of U: u0 at a, u1 at pair
+        u1 = np.where(pair == own, 0, np.where(pair > own, 1j, g) / math.sqrt(2))
+        u0 = np.where(pair == own, np.sqrt(g), -1j * u1)
+        a, j = np.nonzero(kept[:, None] & kept[orbit[flips]])
+        s = flips[a, j]
+        ra, rb = col[a], col[orbit[s]]
+        f = -params.h_x * np.sqrt(size[reps[a]]) * amp[s]
+        vals = np.stack([u0[ra], u1[ra]]).conj()[:, None] * f * np.stack([u0[rb], u1[rb]])
+        idx = np.stack([ra, pair[ra]])[:, None] * n + np.stack([rb, pair[rb]])
+        Hk = np.diag(energy[reps[kept]])
+        Hk += np.bincount(idx.ravel(), vals.real.ravel(), n * n).reshape(n, n)
         w, psi = np.linalg.eigh(Hk) if with_vectors else (np.linalg.eigvalsh(Hk), None)
-        p = _wrap_momentum(k, N)
-        for i, e in enumerate(w):
-            vec = np.where(kept[orbit], amp * psi[col[orbit], i], 0) if with_vectors else None
-            levels.append(MomentumLevel(p=p, epsilon=float(e), k=k, vector=vec))
+        if with_vectors:
+            psi = kept[orbit] * amp * (u0[:, None] * psi + u1[:, None] * psi[pair])[col[orbit]].T
+        for q in {k, (N - k) % N}:
+            vs = [None] * n if psi is None else psi if q == k else psi.conj()
+            levels += [MomentumLevel(_wrap_momentum(q, N), float(e), q, v) for e, v in zip(w, vs)]
+    levels.sort(key=lambda level: level.k)
     e0 = min(level.epsilon for level in levels)
     for level in levels:
         level.epsilon -= e0

@@ -150,26 +150,29 @@ def tree_levels(A) -> Tuple[int, ...]:
     return tuple(k[v] - low for v in range(n))
 
 
-def bipartition(rid: RootSystemId) -> Dict[int, str]:
-    """Proper 2-coloring of the Dynkin tree; vertex 1 is white by convention.
-
-    Adjacent vertices differ in level by one, so the parity of k_v - k_1
-    is the unique proper coloring with vertex 1 white.
-    """
-    k = tree_levels(cartan_matrix(rid))
+def _coloring(A) -> Dict[int, str]:
+    # adjacent vertices differ in level by one, so the parity of k_v - k_1
+    # is the unique proper coloring with vertex 1 white
+    k = tree_levels(A)
     return {v: "white" if (kv - k[0]) % 2 == 0 else "black" for v, kv in enumerate(k, 1)}
+
+
+def bipartition(rid: RootSystemId) -> Dict[int, str]:
+    """Proper 2-coloring of the Dynkin tree; vertex 1 is white by convention."""
+    return _coloring(cartan_matrix(rid))
 
 
 def root_system(rid: RootSystemId) -> RootSystemData:
     h, exps = exponents(rid)
+    A = cartan_matrix(rid)
     return RootSystemData(
         id=rid,
         rank=rid.rank,
-        cartan=cartan_matrix(rid),
+        cartan=A,
         edges=tuple(dynkin_edges(rid)),
         h=h,
         exponents=tuple(exps),
-        coloring=bipartition(rid),
+        coloring=_coloring(A),
     )
 
 

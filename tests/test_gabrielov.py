@@ -235,7 +235,7 @@ def test_find_conjugator_smallest_word():
 def test_find_conjugator_no_solution():
     rid = RootSystemId("A", 2)
     C = weyl_apply(rid, (1, 2))
-    assert find_conjugator(rid, C, iidentity(2), max_len=6) is None
+    assert find_conjugator(rid, C, iidentity(2)) is None  # all |W(A2)| = 6 searched
 
 
 def test_find_conjugator_gives_up_past_the_node_budget(monkeypatch):

@@ -73,16 +73,50 @@ def test_translation_invariance(N):
     assert np.max(np.abs(T @ H - H @ T)) == 0.0
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_momentum_spectrum_matches_dense_oracle(N):
-    params = IsingParams(N=N, J=1.0, h_z=0.4, h_x=0.9)
-    levels = momentum_spectrum(params)
-    assert len(levels) == 2**N
-    eps = np.sort([l.epsilon for l in levels])
-    dense = np.linalg.eigvalsh(build_hamiltonian(params))
-    dense -= dense[0]
-    assert np.max(np.abs(eps - dense)) < 1e-10
-    assert eps[0] == 0.0  # ground state is the reference
+    for h_z, h_x in ((0.4, 0.9), (0.0, 1.234)):
+        params = IsingParams(N=N, J=1.0, h_z=h_z, h_x=h_x)
+        levels = momentum_spectrum(params)
+        assert len(levels) == 2**N
+        eps = np.sort([l.epsilon for l in levels])
+        dense = np.linalg.eigvalsh(build_hamiltonian(params))
+        dense -= dense[0]
+        assert np.max(np.abs(eps - dense)) < 1e-10
+        assert eps[0] == 0.0  # ground state is the reference
+
+
+def _orbit_sizes(N):
+    """Sizes of the T-orbits, by brute-force rotation of every bitstring."""
+    orbits = {
+        frozenset(((b << m) | (b >> (N - m))) & ((1 << N) - 1) for m in range(N))
+        for b in range(1 << N)
+    }
+    return [len(o) for o in orbits]
+
+
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("with_vectors", [False, True])
+def test_momentum_spectrum_solves_half_the_sectors_on_real_blocks(N, with_vectors, monkeypatch):
+    blocks = []
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda M, _solve=solve: blocks.append(M) or _solve(M)
+        )
+    momentum_spectrum(IsingParams(N=N, h_z=0.3, h_x=0.8), with_vectors=with_vectors)
+    assert len(blocks) == N // 2 + 1
+    assert all(M.dtype == np.float64 and M.ndim == 2 for M in blocks)
+
+
+@pytest.mark.parametrize("N", [7, 8, 9])
+def test_conjugate_sectors_share_levels(N):
+    levels = momentum_spectrum(IsingParams(N=N, h_z=0.3, h_x=0.8))
+    sectors = [[l.epsilon for l in levels if l.k == k] for k in range(N)]
+    sizes = _orbit_sizes(N)
+    for k in range(N):
+        assert len(sectors[k]) == sum(k * d % N == 0 for d in sizes)
+        assert sectors[k] == sectors[(N - k) % N]
 
 
 def test_momenta_are_wrapped_and_sorted():
@@ -113,7 +147,9 @@ def test_classical_limit_through_momentum_sectors():
     assert np.array_equal(eps, cls - cls[0])
 
 
-@pytest.mark.parametrize("N", [5, 6])  # N = 6 has orbit sizes 1, 2, 3 and 6
+# N = 6 has orbit sizes 1, 2, 3 and 6; N = 8 has reflection-fixed orbits,
+# reflection pairs (00001011 and 00001101) and conjugated sectors k > N/2
+@pytest.mark.parametrize("N", [5, 6, 8])
 def test_sector_vectors_are_translation_eigenstates(N):
     params = IsingParams(N=N, h_x=1.1)
     H = build_hamiltonian(params)
