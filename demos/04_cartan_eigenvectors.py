@@ -51,8 +51,8 @@ print("long vs simplified form, max diff:",
 # 2 - 2cos(pi/30), so the dressing angle is theta = pi/30
 x = e8_eigenvector(4, 2)
 theta = math.pi / 30
-y = coxeter_eigvec_from_cartan(x, theta, e8.coloring, A=A)
-C = np.array(bipartite_coxeter(e8.cartan, e8.coloring), dtype=float)
+y = coxeter_eigvec_from_cartan(x, theta, e8.cartan)
+C = np.array(bipartite_coxeter(e8.cartan), dtype=float)
 print("dressed vector residual vs C_W C_B:",
       f"{residual(C, y, cmath.exp(2j * theta)):.2e}")
 

@@ -81,7 +81,7 @@ def _verify_steinberg(tolerance: float) -> dict:
     dev = 0
     for rid in CATALOG_IDS:
         data = rootsys.root_system(rid)
-        C_B, C_W = lattice.steinberg_decomposition(data.cartan, data.coloring)
+        C_B, C_W = lattice.steinberg_decomposition(data.cartan)
         I = iidentity(rid.rank)
         dev = max(
             dev,

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 MAX_STATES = 16384
+# grid points of the h_x scan in critical_field
+_CRITICAL_SCAN_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -238,13 +240,13 @@ def free_fermion_energy(J: float, h_x: float, p: float) -> float:
     return 2 * math.sqrt(J**2 + h_x**2 - 2 * J * h_x * math.cos(p))
 
 
-def critical_field(J: float = 1.0, samples: int = 2001) -> float:
+def critical_field(J: float = 1.0) -> float:
     """h_x minimizing the free-fermion gap min_p epsilon(p) at h_z = 0.
 
     The minimum over p sits at p = 0, giving gap 2|J - h_x|; the scan
     returns h_x = J under this Hamiltonian normalization (conventions
     that halve the fields quote J/2).
     """
-    grid = np.linspace(0.0, 2.0 * J, samples)
+    grid = np.linspace(0.0, 2.0 * J, _CRITICAL_SCAN_POINTS)
     gaps = [min(free_fermion_energy(J, h, p) for p in (0.0, math.pi)) for h in grid]
     return float(grid[int(np.argmin(gaps))])

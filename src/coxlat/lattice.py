@@ -8,13 +8,13 @@ here is exact integer arithmetic on object arrays; floating point never
 enters.  The standard polarization is unit upper triangular, joins keep L
 unimodular, and gauge transforms are base changes in GL_n(Z).  Includes
 the Kronecker join product and the black/white decomposition
-C_B + C_W = 2I - A.
+C_B + C_W = 2I - A of a Cartan tree, whose colors are rootsys.coloring(A).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .intmat import (
     is_symmetric,
     mat_eq,
 )
+from .rootsys import coloring
 
 __all__ = [
     "PolarizedLattice",
@@ -113,39 +114,29 @@ def join(P1: PolarizedLattice, P2: PolarizedLattice) -> PolarizedLattice:
     return PolarizedLattice(A=L + L.T, L=L)
 
 
-def steinberg_decomposition(A, coloring: Dict[int, str]) -> Tuple[np.ndarray, np.ndarray]:
-    """Black/white factors of the bipartite Coxeter element.
+def steinberg_decomposition(A) -> Tuple[np.ndarray, np.ndarray]:
+    """Black/white factors of the bipartite Coxeter element of a Cartan tree.
 
     C_B = I - P_B·A and C_W = I - P_W·A, with P_B (resp. P_W) the
-    diagonal projector onto the black (resp. white) coordinates.  C_B
-    (resp. C_W) equals the product of the commuting simple reflections
-    at black (resp. white) vertices, and C_B + C_W = 2I - A exactly.
-    An empty color class yields the identity for that factor.
+    diagonal projector onto the black (resp. white) coordinates of
+    rootsys.coloring(A), vertex 1 white; an A that is not a Cartan tree
+    raises ValueError there.  C_B (resp. C_W) equals the product of the
+    commuting simple reflections at black (resp. white) vertices, and
+    C_B + C_W = 2I - A exactly.  An empty color class yields the identity
+    for that factor.
     """
     A = as_imatrix(A)
-    n = A.shape[0]
-    for v in range(1, n + 1):
-        if v not in coloring:
-            raise ValueError(f"vertex {v} missing from coloring")
-        if coloring[v] not in ("black", "white"):
-            raise ValueError(f"unknown color {coloring[v]!r}")
-    for i in range(n):
-        if A[i, i] != 2:
-            raise ValueError("diagonal entries must equal 2")
-        for j in range(i + 1, n):
-            if (A[i, j] != 0 or A[j, i] != 0) and coloring[i + 1] == coloring[j + 1]:
-                raise ValueError(f"coloring not proper at edge ({i + 1},{j + 1})")
-    I = iidentity(n)
-    P_B = np.diag(np.array([int(coloring[v] == "black") for v in range(1, n + 1)], dtype=object))
+    I = iidentity(A.shape[0])
+    P_B = np.diag(np.array([int(c == "black") for c in coloring(A).values()], dtype=object))
     return I - P_B @ A, I - (I - P_B) @ A
 
 
-def bipartite_coxeter(A, coloring: Dict[int, str]) -> np.ndarray:
+def bipartite_coxeter(A) -> np.ndarray:
     """The black/white Coxeter element C_W·C_B (black reflections act first).
 
     This is the order used by the eigenvector phase rules (white
     coordinates carry e^{+iθ/2}); the opposite product C_B·C_W is its
     conjugate by either factor.
     """
-    C_B, C_W = steinberg_decomposition(A, coloring)
+    C_B, C_W = steinberg_decomposition(A)
     return C_W @ C_B

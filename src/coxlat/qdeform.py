@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -66,9 +66,6 @@ def deform(A) -> QDeformedCartan:
     """Split a generalized Cartan matrix (tree graph) into L + U."""
     A = as_imatrix(A)
     n = A.shape[0]
-    for i in range(n):
-        if A[i, i] != 2:
-            raise ValueError("diagonal entries must equal 2")
     ks = tree_levels(A)
     L = np.zeros((n, n), dtype=object)
     U = np.zeros((n, n), dtype=object)
@@ -102,13 +99,15 @@ def q_eigenvalue(lam: float, q: float) -> float:
     return 1 + (lam - 2) * math.sqrt(q) + q
 
 
-def q_eigenvector(x, D: QDeformedCartan, q: float, lam: Optional[float] = None) -> np.ndarray:
-    """Transport an eigenvector of A to one of A(q): x_i -> q^{k_i/2} x_i."""
+def q_eigenvector(x, D: QDeformedCartan, q: float) -> np.ndarray:
+    """Transport an eigenvector of A to one of A(q): x_i -> q^{k_i/2} x_i.
+
+    Its eigenvalue lambda is the Rayleigh quotient of x.
+    """
     q = _check_q(q)
     x = np.asarray(x, dtype=complex)
     A = np.array(D.A, dtype=float)
-    if lam is None:
-        lam = float((np.conj(x) @ (A @ x)).real / (np.conj(x) @ x).real)
+    lam = float((np.conj(x) @ (A @ x)).real / (np.conj(x) @ x).real)
     if residual(A, x, lam) > IDENTITY_TOL:
         raise ValueError("x is not an eigenvector of A to tolerance")
     xq = np.power(q, np.array(D.exponent_vector) / 2.0) * x

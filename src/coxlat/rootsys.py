@@ -1,10 +1,12 @@
 """Catalog of finite simply-laced root systems in Bourbaki numbering.
 
 Provides Cartan matrices, Dynkin tree edge lists, Coxeter numbers,
-exponents, and the one walk of a Dynkin tree: tree_levels gives each
-vertex its level k_i, from which both the bipartite (black/white)
-coloring of the Coxeter element machinery and the exponent vector of the
-q-deformation are read.  Vertices are numbered 1..rank throughout.
+exponents, and the one walk of a Dynkin tree.  tree_levels decides what
+a Cartan tree is (diagonal 2, symmetric zero pattern, tree graph) and
+gives each vertex its level k_i; the bipartite (black/white) coloring of
+the Coxeter element machinery (coloring) and the exponent vector of the
+q-deformation are both read off those levels.  Vertices are numbered
+1..rank throughout.
 """
 
 from __future__ import annotations
@@ -24,33 +26,27 @@ __all__ = [
     "dynkin_edges",
     "exponents",
     "tree_levels",
-    "bipartition",
+    "coloring",
     "root_system",
     "join_exponent_arithmetic",
     "CATALOG_IDS",
 ]
 
 _ID_RE = re.compile(r"^([ADE])(\d+)$")
+# the catalog: admissible ranks of each family
+_RANKS = {"A": range(1, 9), "D": range(4, 9), "E": range(6, 9)}
 
 
 @dataclass(frozen=True)
 class RootSystemId:
-    """Identifier of a catalog root system: family A, D, or E plus rank."""
+    """Identifier of a catalog root system: A1-A8, D4-D8 or E6-E8."""
 
     family: str
     rank: int
 
     def __post_init__(self):
-        if self.family == "A":
-            ok = self.rank >= 1
-        elif self.family == "D":
-            ok = self.rank >= 4
-        elif self.family == "E":
-            ok = self.rank in (6, 7, 8)
-        else:
-            ok = False
-        if not ok:
-            raise ValueError(f"invalid root system {self.family}{self.rank}")
+        if self.rank not in _RANKS.get(self.family, ()):
+            raise ValueError(f"root system {self.family}{self.rank} is not in the catalog")
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemId":
@@ -123,11 +119,14 @@ def tree_levels(A) -> Tuple[int, ...]:
 
     Walks from vertex 1; k goes up by 1 along each edge toward the larger
     label and down by 1 toward the smaller one, and is shifted to min 0.
-    A non-tree graph or an asymmetric zero pattern raises ValueError.
+    A is a Cartan tree or this raises ValueError: a diagonal entry other
+    than 2, an asymmetric zero pattern, or a graph that is not a tree.
     """
     n = A.shape[0]
     adj: Dict[int, List[int]] = {v: [] for v in range(n)}
     for i in range(n):
+        if A[i, i] != 2:
+            raise ValueError("diagonal entries must equal 2")
         for j in range(i + 1, n):
             if (A[i, j] != 0) != (A[j, i] != 0):
                 raise ValueError("off-diagonal zero pattern must be symmetric")
@@ -150,16 +149,16 @@ def tree_levels(A) -> Tuple[int, ...]:
     return tuple(k[v] - low for v in range(n))
 
 
-def _coloring(A) -> Dict[int, str]:
-    # adjacent vertices differ in level by one, so the parity of k_v - k_1
-    # is the unique proper coloring with vertex 1 white
+def coloring(A) -> Dict[int, str]:
+    """The proper black/white coloring of the tree graph of A, vertex 1 white.
+
+    Adjacent vertices differ in level by one, so the parity of k_v - k_1
+    is the unique such coloring.  It fixes the bipartite Coxeter element
+    C_W·C_B and the phases that dress Cartan eigenvectors into its
+    eigenvectors.
+    """
     k = tree_levels(A)
     return {v: "white" if (kv - k[0]) % 2 == 0 else "black" for v, kv in enumerate(k, 1)}
-
-
-def bipartition(rid: RootSystemId) -> Dict[int, str]:
-    """Proper 2-coloring of the Dynkin tree; vertex 1 is white by convention."""
-    return _coloring(cartan_matrix(rid))
 
 
 def root_system(rid: RootSystemId) -> RootSystemData:
@@ -172,7 +171,7 @@ def root_system(rid: RootSystemId) -> RootSystemData:
         edges=tuple(dynkin_edges(rid)),
         h=h,
         exponents=tuple(exps),
-        coloring=_coloring(A),
+        coloring=coloring(A),
     )
 
 
@@ -201,11 +200,6 @@ def join_exponent_arithmetic(ids: Sequence[RootSystemId]) -> Tuple[int, List[int
     return hout, sorted(int(f * hout) for f in fracs)
 
 
-def _catalog_ids() -> List[RootSystemId]:
-    out = [RootSystemId("A", n) for n in range(1, 9)]
-    out += [RootSystemId("D", n) for n in range(4, 9)]
-    out += [RootSystemId("E", n) for n in (6, 7, 8)]
-    return out
-
-
-CATALOG_IDS: Tuple[RootSystemId, ...] = tuple(_catalog_ids())
+CATALOG_IDS: Tuple[RootSystemId, ...] = tuple(
+    RootSystemId(family, n) for family, ranks in _RANKS.items() for n in ranks
+)

@@ -1,5 +1,7 @@
 """Eigenvector machinery: catalog Cartan spectra, Cartan/Coxeter transfer,
-closed-form eigenvectors for A_n, E6, E8, and the Perron-Frobenius vector.
+phase dressing, closed-form eigenvectors for A_n, E6, E8, and the
+Perron-Frobenius vector.  Phase dressing takes the black/white coloring of
+the bipartite Coxeter element from the Cartan matrix (rootsys.coloring).
 
 Eigenvalue bookkeeping: a rank-n Cartan matrix has eigenvalues
 lambda_k = 2 - 2cos(k*pi/h) = 4 sin^2(k*pi/2h) over the exponents k,
@@ -17,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -26,9 +28,9 @@ from .gabrielov import (
     e8_factorization,
     weyl_apply,
 )
-from .intmat import as_imatrix, frac_inverse
+from .intmat import frac_inverse
 from .lattice import bipartite_coxeter
-from .rootsys import RootSystemId, root_system
+from .rootsys import RootSystemId, coloring, root_system
 
 __all__ = [
     "Eigenpair",
@@ -51,12 +53,10 @@ __all__ = [
     "zamolodchikov_vector",
     "pf_closed_form",
     "IDENTITY_TOL",
-    "PIPELINE_TOL",
 ]
 
-# tolerance ladder: identity acceptance, long pipelines
+# the residual contract's tolerance
 IDENTITY_TOL = 1e-9
-PIPELINE_TOL = 1e-7
 
 DELTA = math.pi / 2
 
@@ -147,32 +147,29 @@ def coxeter_cartan_transfer(w1, w2, mu: complex, branch: int = 1) -> np.ndarray:
     return np.concatenate([w1, w2 / r])
 
 
-def coxeter_eigvec_from_cartan(x, theta: float, coloring: Dict[int, str], A=None) -> np.ndarray:
+def coxeter_eigvec_from_cartan(x, theta: float, A) -> np.ndarray:
     """Phase-dress a Cartan eigenvector into a bipartite-Coxeter eigenvector.
 
-    Coordinate j of x is multiplied by e^{+i theta/2} at white vertices
-    and e^{-i theta/2} at black ones; the result is an eigenvector of
-    C_W·C_B for e^{2i theta}.  If A is given, the precondition
-    (x is an A-eigenvector for 2 - 2cos(theta)) and the postcondition
-    are both verified.
+    A is the exact integer Cartan matrix of a tree.  Coordinate j of x is
+    multiplied by e^{+i theta/2} at the white vertices of
+    rootsys.coloring(A) and by e^{-i theta/2} at the black ones; the result
+    is an eigenvector of C_W·C_B for e^{2i theta}.  Both the precondition
+    (x is an A-eigenvector for 2 - 2cos(theta)) and the postcondition are
+    verified.
     """
     x = np.asarray(x, dtype=complex)
-    lam = 2 - 2 * math.cos(theta)
-    if A is not None and residual(A, x, lam) > IDENTITY_TOL:
+    if residual(A, x, 2 - 2 * math.cos(theta)) > IDENTITY_TOL:
         raise ValueError("x is not an eigenvector for 2 - 2cos(theta)")
     phase = np.array(
         [
-            cmath.exp(1j * theta / 2 if coloring[j + 1] == "white" else -1j * theta / 2)
-            for j in range(len(x))
+            cmath.exp(1j * theta / 2 if c == "white" else -1j * theta / 2)
+            for c in coloring(A).values()
         ]
     )
     xc = phase * x
-    if A is not None:
-        # bipartite_coxeter wants an exact integer matrix
-        A_exact = as_imatrix(np.rint(np.asarray(A, dtype=float)).astype(int))
-        C = np.array(bipartite_coxeter(A_exact, coloring), dtype=float)
-        if residual(C, xc, cmath.exp(2j * theta)) > IDENTITY_TOL:
-            raise ValueError("phase-dressed vector failed the Coxeter residual check")
+    C = np.array(bipartite_coxeter(A), dtype=float)
+    if residual(C, xc, cmath.exp(2j * theta)) > IDENTITY_TOL:
+        raise ValueError("phase-dressed vector failed the Coxeter residual check")
     return xc
 
 

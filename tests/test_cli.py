@@ -46,6 +46,12 @@ def test_catalog_bad_system_exits_2(capsys):
     assert main(["catalog", "Z9"]) == 2
 
 
+def test_systems_outside_the_catalog_exit_2(capsys):
+    assert main(["catalog", "A9"]) == 2
+    assert main(["eigen", "D9", "--q", "2.0"]) == 2
+    assert "not in the catalog" in capsys.readouterr().err
+
+
 def test_verify_names_cover_the_contract():
     assert VERIFY_NAMES == (
         "steinberg",
@@ -297,7 +303,9 @@ def test_to_jsonable_exact_and_complex():
     assert to_jsonable(arr) == [[2, -1], [-1, 2]]
 
 
-_SYSTEMS = st.sampled_from([str(rid) for rid in CATALOG_IDS] + ["Z9", "A0", "e8"])
+_SYSTEMS = st.sampled_from(
+    [str(rid) for rid in CATALOG_IDS] + ["Z9", "A0", "e8", "A9", "D9", "A100000"]
+)
 _NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e308, 5e-324]),
     st.floats(),

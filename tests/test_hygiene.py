@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxlat"
@@ -34,3 +35,15 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{line}: {name}" for line, name in _unused_imports(tree)]
     assert found == []
+
+
+def test_all_names_resolve():
+    # perfbench/replay.py reads every __all__ entry of a layer with getattr
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "coxlat" if path.stem == "__init__" else f"coxlat.{path.stem}"
+        mod = importlib.import_module(name)
+        missing += [
+            f"{path.name}: {n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)
+        ]
+    assert missing == []

@@ -25,7 +25,7 @@ from coxlat.lattice import (
     standard_polarization,
     steinberg_decomposition,
 )
-from coxlat.rootsys import CATALOG_IDS, RootSystemId, bipartition, cartan_matrix, exponents
+from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents
 
 
 def _pol(name: str) -> PolarizedLattice:
@@ -125,24 +125,23 @@ def test_join_triple_is_tensor_product_with_order_30():
 
 
 def test_steinberg_a2_frozen():
+    # vertex 1 is white, vertex 2 black
     A = cartan_matrix(RootSystemId.parse("A2"))
-    coloring = {1: "white", 2: "black"}
-    C_B, C_W = steinberg_decomposition(A, coloring)
+    C_B, C_W = steinberg_decomposition(A)
     assert C_B.tolist() == [[1, 0], [1, -1]]
     assert C_W.tolist() == [[-1, 1], [0, 1]]
     # C_W @ C_B is the standard Coxeter element of A2
-    assert mat_eq(bipartite_coxeter(A, coloring), coxeter(_pol("A2")))
+    assert mat_eq(bipartite_coxeter(A), coxeter(_pol("A2")))
 
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
 def test_steinberg_identities(rid):
     A = cartan_matrix(rid)
-    coloring = bipartition(rid)
-    C_B, C_W = steinberg_decomposition(A, coloring)
+    C_B, C_W = steinberg_decomposition(A)
     assert mat_eq(C_B + C_W, 2 * iidentity(rid.rank) - A)
     assert mat_eq(C_B @ C_B, iidentity(rid.rank))
     assert mat_eq(C_W @ C_W, iidentity(rid.rank))
-    C_bw = bipartite_coxeter(A, coloring)
+    C_bw = bipartite_coxeter(A)
     h, _ = exponents(rid)
     assert matrix_order(C_bw) == h
     # conjugate to the standard Coxeter element: same characteristic
@@ -150,12 +149,13 @@ def test_steinberg_identities(rid):
     assert char_poly(C_bw) == char_poly(coxeter(standard_polarization(A)))
 
 
-def test_steinberg_rejects_improper_coloring():
-    A = cartan_matrix(RootSystemId.parse("A2"))
-    with pytest.raises(ValueError):
-        steinberg_decomposition(A, {1: "white", 2: "white"})
-    with pytest.raises(ValueError, match="vertex 2 missing"):
-        steinberg_decomposition(A, {1: "white"})
-    for bad in ("b", "Black", "red"):
-        with pytest.raises(ValueError, match="unknown color"):
-            steinberg_decomposition(A, {1: "white", 2: bad})
+def test_steinberg_rejects_non_cartan_trees():
+    # the colors are read off A, so A itself must be a Cartan tree
+    bad = {
+        "diagonal": [[2, -1], [-1, 1]],
+        "symmetric": [[2, 0], [-1, 2]],
+        "not a tree": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    }
+    for message, A in bad.items():
+        with pytest.raises(ValueError, match=message):
+            steinberg_decomposition(as_imatrix(A))

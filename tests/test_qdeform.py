@@ -136,7 +136,7 @@ def test_q_eigenvector_transport():
     A = np.array(cartan_matrix(RootSystemId.parse("A4")), dtype=float)
     lams, vecs = np.linalg.eigh(A)
     for lam, x in zip(lams, vecs.T):
-        y = q_eigenvector(x, D, q, lam=lam)
+        y = q_eigenvector(x, D, q)
         Aq = evaluate(D, q)
         lam_q = q_eigenvalue(lam, q)
         assert np.max(np.abs(Aq @ y - lam_q * y)) < 1e-8
@@ -145,7 +145,7 @@ def test_q_eigenvector_transport():
 def test_q_eigenvector_rejects_garbage():
     D = _D("A4")
     with pytest.raises(ValueError):
-        q_eigenvector(np.array([1.0, 0.0, 0.0, 0.0]), D, 2.0, lam=1.0)
+        q_eigenvector(np.array([1.0, 0.0, 0.0, 0.0]), D, 2.0)
 
 
 def test_general_eigenvalues_deterministic_order():

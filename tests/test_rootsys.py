@@ -7,16 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from coxlat.intmat import det_exact, is_symmetric
+from coxlat.intmat import as_imatrix, det_exact, is_symmetric
 from coxlat.rootsys import (
     CATALOG_IDS,
     RootSystemId,
-    bipartition,
     cartan_matrix,
+    coloring,
     dynkin_edges,
     exponents,
     join_exponent_arithmetic,
     root_system,
+    tree_levels,
 )
 
 
@@ -26,7 +27,11 @@ def test_parse_and_str():
     assert RootSystemId.parse("d4").family == "D"
 
 
-@pytest.mark.parametrize("bad", ["Q5", "D3", "E9", "E5", "A0", "A", "8E", ""])
+# ranks past the catalog (A9, D9, ...) are rejected: cartan_matrix and
+# tree_levels are quadratic in the rank
+@pytest.mark.parametrize(
+    "bad", ["Q5", "D3", "E9", "E5", "A0", "A", "8E", "", "A9", "D9", "A100000"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         RootSystemId.parse(bad)
@@ -96,18 +101,38 @@ def test_exponents_match_cartan_spectrum(rid):
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
 def test_bipartition_proper(rid):
-    coloring = bipartition(rid)
-    assert coloring[1] == "white"
-    assert set(coloring) == set(range(1, rid.rank + 1))
+    colors = root_system(rid).coloring
+    assert colors[1] == "white"
+    assert set(colors) == set(range(1, rid.rank + 1))
     for i, j in dynkin_edges(rid):
-        assert coloring[i] != coloring[j]
+        assert colors[i] != colors[j]
 
 
 def test_root_system_record():
     data = root_system(RootSystemId.parse("E6"))
     assert data.rank == 6
     assert data.h == 12
-    assert data.coloring == bipartition(data.id)
+    assert data.coloring == coloring(data.cartan)
+
+
+def test_tree_levels_e8():
+    assert tree_levels(cartan_matrix(RootSystemId.parse("E8"))) == (0, 1, 1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize(
+    "A,message",
+    [
+        ([[1, -1], [-1, 2]], "diagonal entries must equal 2"),
+        ([[2, -1], [0, 2]], "zero pattern must be symmetric"),
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "not a tree"),
+        # n - 1 edges, so only the walk from vertex 1 can tell
+        ([[2, 0, 0, 0], [0, 2, -1, -1], [0, -1, 2, -1], [0, -1, -1, 2]], "disconnected"),
+    ],
+    ids=["diagonal-1", "asymmetric", "3-cycle", "disconnected"],
+)
+def test_tree_levels_rejects_non_cartan_trees(A, message):
+    with pytest.raises(ValueError, match=message):
+        tree_levels(as_imatrix(A))
 
 
 def test_join_exponent_arithmetic_e8():

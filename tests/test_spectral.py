@@ -14,7 +14,6 @@ from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents, 
 from coxlat.spectral import (
     DELTA,
     IDENTITY_TOL,
-    PIPELINE_TOL,
     an_coxeter_eigenvector,
     an_eigenvector,
     cartan_coxeter_transfer,
@@ -119,21 +118,17 @@ def test_transfer_round_trip():
 def test_phase_dressing_gives_coxeter_eigenvectors(name):
     rid = RootSystemId.parse(name)
     data = root_system(rid)
-    A = np.array(data.cartan, dtype=float)
-    C = np.array(bipartite_coxeter(data.cartan, data.coloring), dtype=float)
+    C = np.array(bipartite_coxeter(data.cartan), dtype=float)
     for pair in cartan_spectrum(rid):
         theta = pair.k * math.pi / pair.h
-        y = coxeter_eigvec_from_cartan(pair.vector, theta, data.coloring, A=A)
+        y = coxeter_eigvec_from_cartan(pair.vector, theta, data.cartan)
         assert residual(C, y, cmath.exp(2j * theta)) <= IDENTITY_TOL
 
 
 def test_phase_dressing_rejects_non_eigenvector():
-    data = root_system(RootSystemId.parse("A2"))
-    with pytest.raises(ValueError):
-        coxeter_eigvec_from_cartan(
-            np.array([1.0, 0.0]), math.pi / 3, data.coloring,
-            A=np.array(data.cartan, dtype=float),
-        )
+    A = cartan_matrix(RootSystemId.parse("A2"))
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        coxeter_eigvec_from_cartan(np.array([1.0, 0.0]), math.pi / 3, A)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -206,7 +201,7 @@ def test_factorized_coxeter_pipeline(k4, k2):
     C = np.array(weyl_apply(RootSystemId("E", 8), E8_CBW_WORD), dtype=float)
     x = factorized_coxeter_eigenvector(k4, k2)
     lam = cmath.exp(2j * (k4 * math.pi / 5 + k2 * math.pi / 3 + math.pi / 2))
-    assert residual(C, x, lam) <= PIPELINE_TOL
+    assert residual(C, x, lam) <= IDENTITY_TOL
 
 
 def test_perron_frobenius_matches_closed_form():
