@@ -6,6 +6,16 @@ Exit codes: 0 = requested checks passed, 1 = a verification failed,
 would print as NaN or Infinity is an error (exit 2) instead.  Integer
 identities are serialized as JSON integers (never through floating
 point) and complex numbers as [re, im] pairs.
+
+Importing this module loads only the standard library.  ``main`` parses
+the request first; each command then imports the coxlat modules it uses,
+and numpy with them.  A command other than ``ising`` factors nothing
+larger than the 256 x 256 oracle of ``verify ising-symmetry`` (every
+Cartan matrix has rank at most 8), where an OpenBLAS thread pool only
+spins, so before numpy loads ``main`` defaults ``OPENBLAS_NUM_THREADS``
+to 1.  ``ising`` blocks grow with N and keep the default pool.  A thread
+count already set in the environment wins, and a caller that has loaded
+numpy is left as it is.
 """
 
 from __future__ import annotations
@@ -13,14 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from . import gabrielov, ising, lattice, qdeform, rootsys, spectral
-from .intmat import deviation, iidentity
-from .rootsys import CATALOG_IDS, RootSystemId
+if TYPE_CHECKING:
+    from .rootsys import RootSystemId
 
 __all__ = ["main", "run_verification", "VERIFY_NAMES"]
 
@@ -28,10 +36,14 @@ Q_GRID = (0.25, 0.5, 2.0, 4.0)
 Q_SYSTEMS = tuple(
     [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "E6", "E7", "E8"]
 )
+# OpenBLAS reads the first of these that is set when numpy loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def to_jsonable(x):
     """Recursive conversion to JSON-safe values with exact integers."""
+    import numpy as np
+
     if isinstance(x, (bool, str)) or x is None:
         return x
     if isinstance(x, (int, np.integer)):
@@ -46,14 +58,15 @@ def to_jsonable(x):
         return [to_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, RootSystemId):
-        return str(x)
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def _json_text(payload) -> str:
     """Strict JSON: a NaN or infinity raises ValueError (exit code 2)."""
-    return json.dumps(to_jsonable(payload), indent=2, allow_nan=False)
+    try:
+        return json.dumps(to_jsonable(payload), indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result is not finite, so it has no strict JSON form") from None
 
 
 EXACT_TOL = 0.0
@@ -74,18 +87,24 @@ def _report(deviation: float, tolerance: float, details: str, ok: bool = True) -
 
 def _worst(deviations) -> float:
     """Largest deviation; a NaN anywhere makes the result NaN (which fails)."""
+    import numpy as np
+
     return float(np.max(deviations))
 
 
 def _verify_steinberg(tolerance: float) -> dict:
+    from . import lattice, rootsys
+    from .intmat import deviation, iidentity
+    from .rootsys import CATALOG_IDS
+
     dev = 0
     for rid in CATALOG_IDS:
-        data = rootsys.root_system(rid)
-        C_B, C_W = lattice.steinberg_decomposition(data.cartan)
+        A = rootsys.cartan_matrix(rid)
+        C_B, C_W = lattice.steinberg_decomposition(A)
         I = iidentity(rid.rank)
         dev = max(
             dev,
-            deviation(C_B + C_W, 2 * I - data.cartan),
+            deviation(C_B + C_W, 2 * I - A),
             deviation(C_B @ C_B, I),
             deviation(C_W @ C_W, I),
         )
@@ -118,6 +137,10 @@ def _verify_factorization(fact: Callable, conj: Callable, tolerance: float) -> d
 
 
 def _verify_gamma_alpha(tolerance: float) -> dict:
+    from . import gabrielov
+    from .intmat import deviation, iidentity
+    from .rootsys import RootSystemId
+
     ids = [RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)]
     A_star = gabrielov.join_cartan(ids)
     start = gabrielov.BasedLattice(A_star, iidentity(8))
@@ -131,6 +154,8 @@ def _verify_gamma_alpha(tolerance: float) -> dict:
 
 
 def _verify_root_image(tolerance: float) -> dict:
+    from . import gabrielov
+
     count, all_norm_2 = gabrielov.root_image_count()
     return _report(
         float(abs(count - 60)),
@@ -141,6 +166,10 @@ def _verify_root_image(tolerance: float) -> dict:
 
 
 def _verify_eigvecs(rid: RootSystemId, a_range: int, builder: Callable, tolerance: float) -> dict:
+    import numpy as np
+
+    from . import rootsys, spectral
+
     A = np.array(rootsys.cartan_matrix(rid), dtype=float)
     h, exps = rootsys.exponents(rid)
     residuals = []
@@ -162,6 +191,11 @@ def _verify_eigvecs(rid: RootSystemId, a_range: int, builder: Callable, toleranc
 
 
 def _verify_pf(tolerance: float) -> dict:
+    import numpy as np
+
+    from . import rootsys, spectral
+    from .rootsys import RootSystemId
+
     A = rootsys.cartan_matrix(RootSystemId("E", 8))
     v = np.sort(spectral.perron_frobenius(np.array(A, dtype=float)))
     zam = spectral.zamolodchikov_vector(1.0)
@@ -182,6 +216,9 @@ def _verify_pf(tolerance: float) -> dict:
 
 def _q_grid_worst(measure: Callable) -> float:
     """Worst max_abs_deviation of measure(D, q) over Q_SYSTEMS x Q_GRID."""
+    from . import qdeform, rootsys
+    from .rootsys import RootSystemId
+
     deviations = []
     for name in Q_SYSTEMS:
         D = qdeform.deform(rootsys.cartan_matrix(RootSystemId.parse(name)))
@@ -190,6 +227,8 @@ def _q_grid_worst(measure: Callable) -> float:
 
 
 def _verify_q_spectrum(tolerance: float) -> dict:
+    from . import qdeform
+
     return _report(
         _q_grid_worst(qdeform.q_spectrum),
         tolerance,
@@ -198,6 +237,9 @@ def _verify_q_spectrum(tolerance: float) -> dict:
 
 
 def _verify_q_certificate(tolerance: float) -> dict:
+    from . import qdeform, rootsys
+    from .rootsys import RootSystemId
+
     worst = _q_grid_worst(qdeform.conjugation_certificate)
     e8_exp = qdeform.deform(rootsys.cartan_matrix(RootSystemId("E", 8))).exponent_vector
     return _report(
@@ -210,6 +252,10 @@ def _verify_q_certificate(tolerance: float) -> dict:
 
 
 def _verify_ising(tolerance: float) -> dict:
+    import numpy as np
+
+    from . import ising
+
     deviations = []
     cases = [
         ising.IsingParams(N=2, J=1.0, h_z=0.0, h_x=0.0),
@@ -233,38 +279,59 @@ def _verify_ising(tolerance: float) -> dict:
     )
 
 
-# name -> (check, default tolerance); a check's other conditions ignore --tol
-_VERIFIERS: Dict[str, Tuple[Callable[[float], dict], float]] = {
-    "steinberg": (_verify_steinberg, EXACT_TOL),
-    "e8-factorization": (
-        lambda tol: _verify_factorization(
-            gabrielov.e8_factorization, gabrielov.conjugation_report_e8, tol
-        ),
-        EXACT_TOL,
-    ),
-    "e6-factorization": (
-        lambda tol: _verify_factorization(
-            gabrielov.e6_factorization, gabrielov.conjugation_report_e6, tol
-        ),
-        EXACT_TOL,
-    ),
-    "gamma-alpha": (_verify_gamma_alpha, EXACT_TOL),
-    "root-image": (_verify_root_image, EXACT_TOL),
-    "e8-eigvecs": (
-        lambda tol: _verify_eigvecs(RootSystemId("E", 8), 4, spectral.e8_eigenvector, tol),
-        spectral.IDENTITY_TOL,
-    ),
-    "e6-eigvecs": (
-        lambda tol: _verify_eigvecs(RootSystemId("E", 6), 3, spectral.e6_eigenvector, tol),
-        spectral.IDENTITY_TOL,
-    ),
-    "pf-zamolodchikov": (_verify_pf, spectral.IDENTITY_TOL),
-    "q-spectrum": (_verify_q_spectrum, qdeform.Q_SPECTRUM_TOL),
-    "q-certificate": (_verify_q_certificate, qdeform.CERTIFICATE_TOL),
-    "ising-symmetry": (_verify_ising, EXACT_TOL),
-}
+# the parser's choices, known without loading numpy; _verifiers() runs them
+VERIFY_NAMES = (
+    "steinberg",
+    "e8-factorization",
+    "e6-factorization",
+    "gamma-alpha",
+    "root-image",
+    "e8-eigvecs",
+    "e6-eigvecs",
+    "pf-zamolodchikov",
+    "q-spectrum",
+    "q-certificate",
+    "ising-symmetry",
+    "all",
+)
 
-VERIFY_NAMES = tuple(_VERIFIERS) + ("all",)
+
+def _verifiers() -> Dict[str, Tuple[Callable[[float], dict], float]]:
+    """name -> (check, default tolerance), in VERIFY_NAMES order; a check's
+    other conditions ignore --tol.  Each check reads module attributes when
+    it runs, not when this table is built."""
+    from . import gabrielov, qdeform, spectral
+    from .rootsys import RootSystemId
+
+    return {
+        "steinberg": (_verify_steinberg, EXACT_TOL),
+        "e8-factorization": (
+            lambda tol: _verify_factorization(
+                gabrielov.e8_factorization, gabrielov.conjugation_report_e8, tol
+            ),
+            EXACT_TOL,
+        ),
+        "e6-factorization": (
+            lambda tol: _verify_factorization(
+                gabrielov.e6_factorization, gabrielov.conjugation_report_e6, tol
+            ),
+            EXACT_TOL,
+        ),
+        "gamma-alpha": (_verify_gamma_alpha, EXACT_TOL),
+        "root-image": (_verify_root_image, EXACT_TOL),
+        "e8-eigvecs": (
+            lambda tol: _verify_eigvecs(RootSystemId("E", 8), 4, spectral.e8_eigenvector, tol),
+            spectral.IDENTITY_TOL,
+        ),
+        "e6-eigvecs": (
+            lambda tol: _verify_eigvecs(RootSystemId("E", 6), 3, spectral.e6_eigenvector, tol),
+            spectral.IDENTITY_TOL,
+        ),
+        "pf-zamolodchikov": (_verify_pf, spectral.IDENTITY_TOL),
+        "q-spectrum": (_verify_q_spectrum, qdeform.Q_SPECTRUM_TOL),
+        "q-certificate": (_verify_q_certificate, qdeform.CERTIFICATE_TOL),
+        "ising-symmetry": (_verify_ising, EXACT_TOL),
+    }
 
 
 def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
@@ -274,11 +341,12 @@ def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tolerance must be finite and non-negative")
-    if name != "all" and name not in _VERIFIERS:
+    if name not in VERIFY_NAMES:
         raise ValueError(f"unknown verification {name!r}")
+    verifiers = _verifiers()
     reports = []
-    for n in _VERIFIERS if name == "all" else [name]:
-        check, default = _VERIFIERS[n]
+    for n in verifiers if name == "all" else [name]:
+        check, default = verifiers[n]
         reports.append({"name": n, **check(default if tol is None else tol)})
     return reports
 
@@ -299,6 +367,9 @@ def _print_reports(reports: List[dict], as_json: bool) -> None:
 
 
 def _cmd_catalog(args) -> int:
+    from . import rootsys
+    from .rootsys import RootSystemId
+
     rid = RootSystemId.parse(args.system)
     data = rootsys.root_system(rid)
     if args.json:
@@ -333,6 +404,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
+    import numpy as np
+
+    from . import qdeform, rootsys, spectral
+    from .rootsys import RootSystemId
+
     rid = RootSystemId.parse(args.system)
     if args.q is None:
         pairs = spectral.cartan_spectrum(rid)
@@ -375,6 +451,8 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_ising(args) -> int:
+    from . import ising
+
     params = ising.IsingParams(N=args.n, J=args.J, h_z=args.hz, h_x=args.hx)
     if args.bands and not args.out:
         raise ValueError("--bands requires --out (CSV goes to the file, fits to stdout)")
@@ -436,8 +514,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _default_blas_threads(command: str) -> None:
+    """One OpenBLAS thread for every command but ``ising`` (module docstring).
+
+    Only a process that has not loaded numpy yet, and whose environment
+    names no thread count, is changed.
+    """
+    if command == "ising" or "numpy" in sys.modules:
+        return
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _default_blas_threads(args.command)
     try:
         return args.func(args)
     except ValueError as exc:

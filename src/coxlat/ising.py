@@ -214,7 +214,8 @@ def dispersion_probe(params: IsingParams, band_count: int) -> dict:
         if len(pts) < 2:
             raise ValueError(f"insufficient momentum points for band {j}")
         x = np.array([(2 * math.sin(p / 2)) ** 2 for p, _ in pts])
-        y = np.array([e for _, e in pts]) ** 2  # overflows to inf, not OverflowError
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.array([e for _, e in pts]) ** 2  # overflows to inf, not OverflowError
         design = np.vstack([np.ones_like(x), x]).T
         (m2, c), *_ = np.linalg.lstsq(design, y, rcond=None)
         mass = math.sqrt(max(m2, 0.0))

@@ -127,9 +127,11 @@ def conjugation_certificate(D: QDeformedCartan, q: float) -> dict:
     n = D.rank
     rq = math.sqrt(q)
     Aprime = rq * A + (1 - rq) ** 2 * np.eye(n)
-    # numpy overflows to inf (and underflows to 0) where a float power raises
-    s = np.power(q, np.array(D.exponent_vector) / 2.0)
-    lhs = (s[:, None] * Aprime) / s[None, :]
+    # numpy overflows to inf (and underflows to 0) where a float power raises;
+    # the non-finite deviation that follows is the caller's to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.power(q, np.array(D.exponent_vector) / 2.0)
+        lhs = (s[:, None] * Aprime) / s[None, :]
     dev = float(np.max(np.abs(lhs - evaluate(D, q))))
     return {
         "q": q,
