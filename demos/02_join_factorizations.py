@@ -21,7 +21,7 @@ from coxlat.gabrielov import (
     e8_factorization,
     root_image_count,
 )
-from coxlat.intmat import det_exact, matrix_order
+from coxlat.intmat import det_exact, matrix_order, transpose
 from coxlat.lattice import coxeter, join, standard_polarization
 from coxlat.rootsys import RootSystemId, cartan_matrix
 
@@ -40,7 +40,7 @@ for identity, dev in deviations.items():
     print(f"  {identity:24s} deviation {dev}")
 print("  tree relabeling:", TREE_RELABELING)
 print("  change of basis G:")
-for row in G.T:
+for row in transpose(G):
     print("   ", [int(v) for v in row])
 
 # E6 from A3 * A2 * A1, same machinery

@@ -21,7 +21,7 @@ from coxlat.gabrielov import (
     join_cartan,
     parse_word,
 )
-from coxlat.intmat import det_exact, iidentity, mat_eq
+from coxlat.intmat import det_exact, iidentity
 from coxlat.rootsys import RootSystemId
 
 A_star = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
@@ -30,8 +30,8 @@ print("ambient Gram determinant:", det_exact(A_star))
 
 # one move and its inverse
 moved = alpha(start, 3)
-print("alpha_3 changes the basis:", not mat_eq(moved.basis, start.basis))
-print("beta_4 undoes alpha_3:    ", mat_eq(beta(moved, 4).basis, start.basis))
+print("alpha_3 changes the basis:", moved.basis != start.basis)
+print("beta_4 undoes alpha_3:    ", beta(moved, 4).basis == start.basis)
 print("inverse_move bookkeeping: ", inverse_move(("alpha", 3), 8))
 
 # unimodularity is preserved move by move
@@ -43,13 +43,13 @@ print("after a 5-letter word, basis determinant:", det_exact(b.basis))
 # negating rows 1 and 2 equals six applications of alpha_1
 left = apply_word(start, GAMMA_SQUARE_WORD)
 right = apply_word(start, ALPHA1_SIX_WORD)
-print("gamma2 gamma1 == alpha_1^6 from the standard basis:",
-      mat_eq(left.basis, right.basis))
+print("gamma2 gamma1 == alpha_1^6 from the standard basis:", left.basis == right.basis)
 
 # ... and it is genuinely basis-dependent
-B = iidentity(8)
-B[0, 1], B[0, 7], B[1, 7], B[2, 3], B[6, 7] = 2, -4, -2, -1, 2
+# (matrices are tuples of int rows: build one from lists)
+B = [list(row) for row in iidentity(8)]
+B[0][1], B[0][7], B[1][7], B[2][3], B[6][7] = 2, -4, -2, -1, 2
 scrambled = BasedLattice(A_star, B)
 print("same identity from a scrambled basis:",
-      mat_eq(apply_word(scrambled, GAMMA_SQUARE_WORD).basis,
-             apply_word(scrambled, ALPHA1_SIX_WORD).basis))
+      apply_word(scrambled, GAMMA_SQUARE_WORD).basis
+      == apply_word(scrambled, ALPHA1_SIX_WORD).basis)

@@ -47,8 +47,6 @@ print("certificate deviation:", f"{cert['max_abs_deviation']:.2e}")
 
 # deformations are defined for trees only
 try:
-    from coxlat.intmat import as_imatrix
-
-    deform(as_imatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
+    deform([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 except ValueError as exc:
     print("cycle rejected:", exc)

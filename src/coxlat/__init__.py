@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``intmat``    exact integer matrix helpers (object-dtype numpy)
+- ``intmat``    exact integer matrices as tuples of int rows (no numpy)
 - ``rootsys``   ADE catalog: Cartan matrices, exponents, Cartan-tree levels and colorings
 - ``lattice``   polarized lattices, Coxeter elements, joins, Steinberg splits
 - ``gabrielov`` basis moves, tensor-basis factorizations, Weyl-word checks

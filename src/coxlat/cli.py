@@ -8,8 +8,10 @@ identities are serialized as JSON integers (never through floating
 point) and complex numbers as [re, im] pairs.
 
 Importing this module loads only the standard library.  ``main`` parses
-the request first; each command then imports the coxlat modules it uses,
-and numpy with them.  A command other than ``ising`` factors nothing
+the request first; each command then imports the coxlat modules it uses.
+The exact layer (intmat, rootsys, lattice, gabrielov) runs on Python ints,
+so ``catalog`` and the exact ``verify`` checks never load numpy; float
+work loads it.  A command other than ``ising`` factors nothing
 larger than the 256 x 256 oracle of ``verify ising-symmetry`` (every
 Cartan matrix has rank at most 8), where an OpenBLAS thread pool only
 spins, so before numpy loads ``main`` defaults ``OPENBLAS_NUM_THREADS``
@@ -25,10 +27,8 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    from .rootsys import RootSystemId
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 __all__ = ["main", "run_verification", "VERIFY_NAMES"]
 
@@ -41,23 +41,23 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def to_jsonable(x):
-    """Recursive conversion to JSON-safe values with exact integers."""
-    import numpy as np
-
+    """Recursive conversion to JSON-safe values with exact integers.  numpy
+    values are converted only once numpy is loaded: nothing else holds one."""
     if isinstance(x, (bool, str)) or x is None:
         return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, np.ndarray):
-        return [to_jsonable(row) for row in x]
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
+    np = sys.modules.get("numpy")
+    if isinstance(x, int) or np and isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, float) or np and isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, complex) or np and isinstance(x, np.complexfloating):
+        return [float(x.real), float(x.imag)]
+    if np and isinstance(x, np.ndarray):
+        return [to_jsonable(row) for row in x]
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
@@ -75,8 +75,11 @@ GOLDEN_TOL = 1e-12
 REPAIR_MAX_LEN = 12
 
 
-def _report(deviation: float, tolerance: float, details: str, ok: bool = True) -> dict:
-    """A check record without its name, which run_verification puts first."""
+def _report(deviation: float, tol: Optional[float], default: float, details: str,
+            ok: bool = True) -> dict:
+    """A check record without its name (run_verification puts it first),
+    graded against tol, or against the check's default when tol is None."""
+    tolerance = default if tol is None else tol
     return {
         "status": "pass" if ok and deviation <= tolerance else "fail",
         "deviation": deviation,
@@ -92,9 +95,9 @@ def _worst(deviations) -> float:
     return float(np.max(deviations))
 
 
-def _verify_steinberg(tolerance: float) -> dict:
+def _verify_steinberg(tol: Optional[float]) -> dict:
     from . import lattice, rootsys
-    from .intmat import deviation, iidentity
+    from .intmat import add, deviation, iidentity, matmul
     from .rootsys import CATALOG_IDS
 
     dev = 0
@@ -104,20 +107,23 @@ def _verify_steinberg(tolerance: float) -> dict:
         I = iidentity(rid.rank)
         dev = max(
             dev,
-            deviation(C_B + C_W, 2 * I - A),
-            deviation(C_B @ C_B, I),
-            deviation(C_W @ C_W, I),
+            deviation(add(C_B, C_W), add(add(I, I), A, -1)),
+            deviation(matmul(C_B, C_B), I),
+            deviation(matmul(C_W, C_W), I),
         )
     return _report(
         float(dev),
-        tolerance,
+        tol, EXACT_TOL,
         f"C_B + C_W = 2I - A over {len(CATALOG_IDS)} systems (exact)",
     )
 
 
-def _verify_factorization(fact: Callable, conj: Callable, tolerance: float) -> dict:
-    _, deviations = fact()
-    crep = conj()
+def _verify_factorization(system: str, tol: Optional[float]) -> dict:
+    """The e8- or e6-factorization record; system is "e8" or "e6"."""
+    from . import gabrielov
+
+    _, deviations = getattr(gabrielov, f"{system}_factorization")()
+    crep = getattr(gabrielov, f"conjugation_report_{system}")()
     shown = {**deviations, **crep["deviations"]}
     parts = [f"{label}: {'pass' if dev == 0 else 'fail'}" for label, dev in shown.items()]
     # the conjugator identity graded is the one listed last: the reference
@@ -130,13 +136,13 @@ def _verify_factorization(fact: Callable, conj: Callable, tolerance: float) -> d
         parts.append("reference conjugator failed as written; no repair word found")
     return _report(
         float(max(*deviations.values(), conj_dev)),
-        tolerance,
+        tol, EXACT_TOL,
         "; ".join(parts),
         ok=word is None or len(word) <= REPAIR_MAX_LEN,
     )
 
 
-def _verify_gamma_alpha(tolerance: float) -> dict:
+def _verify_gamma_alpha(tol: Optional[float]) -> dict:
     from . import gabrielov
     from .intmat import deviation, iidentity
     from .rootsys import RootSystemId
@@ -148,28 +154,31 @@ def _verify_gamma_alpha(tolerance: float) -> dict:
     right = gabrielov.apply_word(start, gabrielov.ALPHA1_SIX_WORD)
     return _report(
         float(deviation(left.basis, right.basis)),
-        tolerance,
+        tol, EXACT_TOL,
         "gamma2·gamma1 = alpha1^6 from the standard rank-8 basis (exact)",
     )
 
 
-def _verify_root_image(tolerance: float) -> dict:
+def _verify_root_image(tol: Optional[float]) -> dict:
     from . import gabrielov
 
     count, all_norm_2 = gabrielov.root_image_count()
     return _report(
         float(abs(count - 60)),
-        tolerance,
+        tol, EXACT_TOL,
         f"240 root triples -> {count} distinct images, all norm 2: {all_norm_2}",
         ok=(count == 60 and all_norm_2),
     )
 
 
-def _verify_eigvecs(rid: RootSystemId, a_range: int, builder: Callable, tolerance: float) -> dict:
+def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
+    """The closed-form eigenvectors of system ("E8" or "E6"), a in 1..a_range."""
     import numpy as np
 
     from . import rootsys, spectral
 
+    rid = rootsys.RootSystemId.parse(system)
+    closed_form = getattr(spectral, f"{system.lower()}_eigenvector")
     A = np.array(rootsys.cartan_matrix(rid), dtype=float)
     h, exps = rootsys.exponents(rid)
     residuals = []
@@ -177,20 +186,20 @@ def _verify_eigvecs(rid: RootSystemId, a_range: int, builder: Callable, toleranc
     for a in range(1, a_range + 1):
         for b in (1, 2):
             lam = spectral.eigenvalue_for_angles(a * math.pi / (a_range + 1), b * math.pi / 3)
-            residuals.append(spectral.residual(A, builder(a, b), lam))
+            residuals.append(spectral.residual(A, closed_form(a, b), lam))
             lams.append(lam)
     worst = _worst(residuals)
     target = [4 * math.sin(k * math.pi / (2 * h)) ** 2 for k in exps]
     spec_dev = _worst([abs(l - t) for l, t in zip(sorted(lams), target)])
     return _report(
         _worst([worst, spec_dev]),
-        tolerance,
+        tol, spectral.IDENTITY_TOL,
         f"{len(lams)} closed-form vectors, worst residual {worst:.3e}, "
         f"eigenvalue-set deviation {spec_dev:.3e}",
     )
 
 
-def _verify_pf(tolerance: float) -> dict:
+def _verify_pf(tol: Optional[float]) -> dict:
     import numpy as np
 
     from . import rootsys, spectral
@@ -207,7 +216,7 @@ def _verify_pf(tolerance: float) -> dict:
     ok = rounded == (1.0, 1.62, 1.99, 2.40, 2.96, 3.22, 3.89, 4.78) and golden_err <= GOLDEN_TOL
     return _report(
         _worst([dev_sorted, dev_closed]),
-        tolerance,
+        tol, spectral.IDENTITY_TOL,
         f"sorted-vector deviation {dev_sorted:.3e}, closed-form deviation "
         f"{dev_closed:.3e}, rounds to {rounded}, golden-ratio error {golden_err:.3e}",
         ok=ok,
@@ -226,17 +235,17 @@ def _q_grid_worst(measure: Callable) -> float:
     return _worst(deviations)
 
 
-def _verify_q_spectrum(tolerance: float) -> dict:
+def _verify_q_spectrum(tol: Optional[float]) -> dict:
     from . import qdeform
 
     return _report(
         _q_grid_worst(qdeform.q_spectrum),
-        tolerance,
+        tol, qdeform.Q_SPECTRUM_TOL,
         f"multiset law over {len(Q_SYSTEMS)} systems x q in {Q_GRID}",
     )
 
 
-def _verify_q_certificate(tolerance: float) -> dict:
+def _verify_q_certificate(tol: Optional[float]) -> dict:
     from . import qdeform, rootsys
     from .rootsys import RootSystemId
 
@@ -244,14 +253,14 @@ def _verify_q_certificate(tolerance: float) -> dict:
     e8_exp = qdeform.deform(rootsys.cartan_matrix(RootSystemId("E", 8))).exponent_vector
     return _report(
         worst,
-        tolerance,
+        tol, qdeform.CERTIFICATE_TOL,
         f"diagonal conjugation over {len(Q_SYSTEMS)} systems x q in {Q_GRID}; "
         f"E8 exponent vector {list(e8_exp)}",
         ok=e8_exp == (0, 1, 1, 2, 3, 4, 5, 6),
     )
 
 
-def _verify_ising(tolerance: float) -> dict:
+def _verify_ising(tol: Optional[float]) -> dict:
     import numpy as np
 
     from . import ising
@@ -273,65 +282,30 @@ def _verify_ising(tolerance: float) -> dict:
     deviations.append(np.max(np.abs(np.sort(np.diag(Hc)) - ising.classical_energies(classical))))
     return _report(
         _worst(deviations),
-        tolerance,
+        tol, EXACT_TOL,
         f"H symmetric, [H,T] = 0, classical diagonal matches brute force "
         f"({len(cases)} parameter sets, exact)",
     )
 
 
-# the parser's choices, known without loading numpy; _verifiers() runs them
-VERIFY_NAMES = (
-    "steinberg",
-    "e8-factorization",
-    "e6-factorization",
-    "gamma-alpha",
-    "root-image",
-    "e8-eigvecs",
-    "e6-eigvecs",
-    "pf-zamolodchikov",
-    "q-spectrum",
-    "q-certificate",
-    "ising-symmetry",
-    "all",
-)
-
-
-def _verifiers() -> Dict[str, Tuple[Callable[[float], dict], float]]:
-    """name -> (check, default tolerance), in VERIFY_NAMES order; a check's
-    other conditions ignore --tol.  Each check reads module attributes when
-    it runs, not when this table is built."""
-    from . import gabrielov, qdeform, spectral
-    from .rootsys import RootSystemId
-
-    return {
-        "steinberg": (_verify_steinberg, EXACT_TOL),
-        "e8-factorization": (
-            lambda tol: _verify_factorization(
-                gabrielov.e8_factorization, gabrielov.conjugation_report_e8, tol
-            ),
-            EXACT_TOL,
-        ),
-        "e6-factorization": (
-            lambda tol: _verify_factorization(
-                gabrielov.e6_factorization, gabrielov.conjugation_report_e6, tol
-            ),
-            EXACT_TOL,
-        ),
-        "gamma-alpha": (_verify_gamma_alpha, EXACT_TOL),
-        "root-image": (_verify_root_image, EXACT_TOL),
-        "e8-eigvecs": (
-            lambda tol: _verify_eigvecs(RootSystemId("E", 8), 4, spectral.e8_eigenvector, tol),
-            spectral.IDENTITY_TOL,
-        ),
-        "e6-eigvecs": (
-            lambda tol: _verify_eigvecs(RootSystemId("E", 6), 3, spectral.e6_eigenvector, tol),
-            spectral.IDENTITY_TOL,
-        ),
-        "pf-zamolodchikov": (_verify_pf, spectral.IDENTITY_TOL),
-        "q-spectrum": (_verify_q_spectrum, qdeform.Q_SPECTRUM_TOL),
-        "q-certificate": (_verify_q_certificate, qdeform.CERTIFICATE_TOL),
-        "ising-symmetry": (_verify_ising, EXACT_TOL),
-    }
+# name -> check(tol), in run order.  A check imports the modules it runs
+# when it runs, so an exact check loads no numpy; it grades its deviation
+# against tol, or its own default tolerance when tol is None, and its other
+# conditions ignore tol.
+_CHECKS: Dict[str, Callable[[Optional[float]], dict]] = {
+    "steinberg": _verify_steinberg,
+    "e8-factorization": partial(_verify_factorization, "e8"),
+    "e6-factorization": partial(_verify_factorization, "e6"),
+    "gamma-alpha": _verify_gamma_alpha,
+    "root-image": _verify_root_image,
+    "e8-eigvecs": partial(_verify_eigvecs, "E8", 4),
+    "e6-eigvecs": partial(_verify_eigvecs, "E6", 3),
+    "pf-zamolodchikov": _verify_pf,
+    "q-spectrum": _verify_q_spectrum,
+    "q-certificate": _verify_q_certificate,
+    "ising-symmetry": _verify_ising,
+}
+VERIFY_NAMES = (*_CHECKS, "all")
 
 
 def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
@@ -343,12 +317,7 @@ def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
         raise ValueError("tolerance must be finite and non-negative")
     if name not in VERIFY_NAMES:
         raise ValueError(f"unknown verification {name!r}")
-    verifiers = _verifiers()
-    reports = []
-    for n in verifiers if name == "all" else [name]:
-        check, default = verifiers[n]
-        reports.append({"name": n, **check(default if tol is None else tol)})
-    return reports
+    return [{"name": n, **_CHECKS[n](tol)} for n in (_CHECKS if name == "all" else [name])]
 
 
 def _print_reports(reports: List[dict], as_json: bool) -> None:
@@ -406,7 +375,7 @@ def _cmd_verify(args) -> int:
 def _cmd_eigen(args) -> int:
     import numpy as np
 
-    from . import qdeform, rootsys, spectral
+    from . import rootsys, spectral
     from .rootsys import RootSystemId
 
     rid = RootSystemId.parse(args.system)
@@ -429,6 +398,8 @@ def _cmd_eigen(args) -> int:
             ]
             print(_json_text(payload))
         return 0
+    from . import qdeform
+
     D = qdeform.deform(rootsys.cartan_matrix(rid))
     spec = qdeform.q_spectrum(D, args.q)
     cert = qdeform.conjugation_certificate(D, args.q)
@@ -454,6 +425,9 @@ def _cmd_ising(args) -> int:
     from . import ising
 
     params = ising.IsingParams(N=args.n, J=args.J, h_z=args.hz, h_x=args.hx)
+    # every entry and level of H is bounded by ||H||_inf <= N·(J + h_z + h_x)
+    if not math.isfinite(args.n * (args.J + args.hz + args.hx)):
+        raise ValueError("N*(J + h_z + h_x) is not finite, so H would overflow")
     if args.bands and not args.out:
         raise ValueError("--bands requires --out (CSV goes to the file, fits to stdout)")
     levels = ising.momentum_spectrum(params)
@@ -465,8 +439,11 @@ def _cmd_ising(args) -> int:
     # fit and serialize first: a failed band fit must leave no CSV behind
     fit = _json_text(ising.dispersion_probe(params, args.bands)) if args.bands else None
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(csv)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(csv)
     if fit is not None:

@@ -13,7 +13,8 @@ map TREE_RELABELING, and satisfies
 exactly; each factorization report checks both identities and G against
 the reference matrix.  Also here: Weyl-word evaluation (a one-letter
 word is a simple reflection), a breadth-first conjugator search, and the
-240-to-60 root-image count.
+240-to-60 root-image count.  Matrices are intmat's tuples of int rows,
+and no numpy is imported.
 
 Convention flags (frozen after exact validation against the Gram
 identities above): SIGN_CONVENTION = -1 in the alpha/beta formulas, and
@@ -26,11 +27,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import add, mul, sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .intmat import as_imatrix, det_exact, deviation, frac_inverse, iidentity
+from .intmat import (IMatrix, as_imatrix, det_exact, deviation, frac_inverse, iidentity,
+                     kron, matmul, transpose)
 from .lattice import coxeter, join, standard_polarization
 from .rootsys import RootSystemId, cartan_matrix
 
@@ -54,7 +56,6 @@ __all__ = [
     "conjugation_report_e8",
     "conjugation_report_e6",
     "root_image_count",
-    "an_roots",
     "E8_WORD",
     "E6_WORD",
     "GAMMA_SQUARE_WORD",
@@ -81,25 +82,35 @@ Move = Tuple[str, int]  # ("alpha" | "beta" | "gamma", m)
 class BasedLattice:
     """Ordered basis (rows) of a lattice with a fixed ambient form."""
 
-    ambient_gram: np.ndarray
-    basis: np.ndarray
+    ambient_gram: IMatrix
+    basis: IMatrix
 
     def __post_init__(self):
         A = as_imatrix(self.ambient_gram)
         B = as_imatrix(self.basis)
         object.__setattr__(self, "ambient_gram", A)
         object.__setattr__(self, "basis", B)
-        if A.shape != B.shape:
+        if len(A) != len(B):
             raise ValueError("basis must be square of the ambient rank")
         if det_exact(B) not in (1, -1):
             raise ValueError("basis must be unimodular")
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[0]
+        return len(self.basis)
 
-    def gram(self) -> np.ndarray:
-        return self.basis @ self.ambient_gram @ self.basis.T
+    def gram(self) -> IMatrix:
+        return matmul(self.basis, self.ambient_gram, transpose(self.basis))
+
+
+def _pairing(A: IMatrix, u, v) -> int:
+    """uᵗ·A·v."""
+    return sum(a * sum(map(mul, row, v)) for a, row in zip(u, A) if a)
+
+
+def _with_rows(b: BasedLattice, rows: Dict[int, Tuple[int, ...]]) -> BasedLattice:
+    """b with basis row k replaced by rows[k] (0-based); later keys win."""
+    return BasedLattice(b.ambient_gram, tuple(rows.get(k, x) for k, x in enumerate(b.basis)))
 
 
 def _wrap(m: int, rank: int) -> int:
@@ -110,30 +121,24 @@ def alpha(b: BasedLattice, m: int) -> BasedLattice:
     """Row m <- x_{m+1} + SIGN_CONVENTION·(x_{m+1},x_m)·x_m, row m+1 <- x_m (cyclic)."""
     r = b.rank
     i, j = _wrap(m, r) - 1, _wrap(m + 1, r) - 1
-    c = b.basis[j] @ b.ambient_gram @ b.basis[i]
-    new = b.basis.copy()
-    new[i] = b.basis[j] + SIGN_CONVENTION * c * b.basis[i]
-    new[j] = b.basis[i]
-    return BasedLattice(b.ambient_gram, new)
+    xi, xj = b.basis[i], b.basis[j]
+    c = SIGN_CONVENTION * _pairing(b.ambient_gram, xj, xi)
+    return _with_rows(b, {i: tuple(p + c * q for p, q in zip(xj, xi)), j: xi})
 
 
 def beta(b: BasedLattice, m: int) -> BasedLattice:
     """Row m-1 <- x_m, row m <- x_{m-1} + SIGN_CONVENTION·(x_{m-1},x_m)·x_m (cyclic)."""
     r = b.rank
     i, j = _wrap(m - 1, r) - 1, _wrap(m, r) - 1
-    c = b.basis[i] @ b.ambient_gram @ b.basis[j]
-    new = b.basis.copy()
-    new[i] = b.basis[j]
-    new[j] = b.basis[i] + SIGN_CONVENTION * c * b.basis[j]
-    return BasedLattice(b.ambient_gram, new)
+    xi, xj = b.basis[i], b.basis[j]
+    c = SIGN_CONVENTION * _pairing(b.ambient_gram, xi, xj)
+    return _with_rows(b, {i: xj, j: tuple(p + c * q for p, q in zip(xi, xj))})
 
 
 def gamma(b: BasedLattice, m: int) -> BasedLattice:
     """Negate row m."""
     i = _wrap(m, b.rank) - 1
-    new = b.basis.copy()
-    new[i] = -b.basis[i]
-    return BasedLattice(b.ambient_gram, new)
+    return _with_rows(b, {i: tuple(-v for v in b.basis[i])})
 
 
 _MOVES = {"alpha": alpha, "beta": beta, "gamma": gamma}
@@ -223,20 +228,29 @@ E6_CHANGE_OF_BASIS = as_imatrix(
 )
 
 
-def _reflection(A: np.ndarray, i: int) -> np.ndarray:
-    """Matrix of s_i on simple-root coordinates (columns are images)."""
-    n = A.shape[0]
-    if not 1 <= i <= n:
-        raise ValueError(f"reflection index {i} out of range")
-    S = iidentity(n)
-    S[i - 1, :] = S[i - 1, :] - A[i - 1, :]
-    return S
+def _reflect(Mt: IMatrix, A: IMatrix, i: int) -> IMatrix:
+    """The columns of M·s_i, given the columns Mt of M (0-based i).
+
+    s_i is I with row i replaced by row i of I - A (its columns are images
+    on simple-root coordinates), so column c of M·s_i is column c of M
+    minus A[i][c] times column i: only i and its neighbors change.
+    """
+    cols = list(Mt)
+    for c, a in enumerate(A[i]):
+        if a:
+            cols[c] = tuple([x - a * y for x, y in zip(Mt[c], Mt[i])])
+    return tuple(cols)
 
 
-def weyl_apply(rid: RootSystemId, word: Sequence[int]) -> np.ndarray:
+def weyl_apply(rid: RootSystemId, word: Sequence[int]) -> IMatrix:
     """Product of simple reflections, rightmost letter acting first."""
     A = cartan_matrix(rid)
-    return reduce(lambda M, i: M @ _reflection(A, i), word, iidentity(A.shape[0]))
+    Mt = iidentity(len(A))
+    for i in word:
+        if not 1 <= i <= len(A):
+            raise ValueError(f"reflection index {i} out of range")
+        Mt = _reflect(Mt, A, i - 1)
+    return transpose(Mt)
 
 
 # Weyl group elements find_conjugator may discover: all of W(E6)
@@ -252,26 +266,33 @@ def find_conjugator(rid: RootSystemId, C1, C2) -> Optional[List[int]]:
     more than BFS_MAX_NODES group elements, so it is exhaustive for E6 and
     below and bounded in memory on larger groups.
     """
-    n = rid.rank
     A = cartan_matrix(rid)
-    C1 = np.array(as_imatrix(C1), dtype=np.int64)
-    C2 = np.array(as_imatrix(C2), dtype=np.int64)
-    gens = [np.array(_reflection(A, i), dtype=np.int64) for i in range(1, n + 1)]
-    ident = np.eye(n, dtype=np.int64)
-    seen = {ident.tobytes()}
+    C1, C2t = as_imatrix(C1), transpose(as_imatrix(C2))
+    # the search runs on the columns Mt of M = w (see _reflect)
+    ident = iidentity(len(A))
+    seen = {ident}
     queue = deque([(ident, ())])
     while queue:
-        M, word = queue.popleft()
-        if np.array_equal(C1 @ M, M @ C2):
+        Mt, word = queue.popleft()
+        M = transpose(Mt)
+        # C1·M = M·C2, column by column: most M already differ in column 1
+        if all(
+            [sum(map(mul, r, col)) for r in C1] == [sum(map(mul, r, c2)) for r in M]
+            for col, c2 in zip(Mt, C2t)
+        ):
             return list(word)
-        for i, S in enumerate(gens, start=1):
-            M2 = M @ S
-            key = M2.tobytes()
-            if key not in seen:
+        j = word[-1] - 1 if word else -1
+        for i in range(len(A)):
+            # w·s_j·s_i was reached before this pop, as w when i = j and as
+            # w·s_i·s_j when i < j and s_i, s_j commute: skip building it
+            if i == j or i < j and A[i][j] == 0:
+                continue
+            Mt2 = _reflect(Mt, A, i)
+            if Mt2 not in seen:
                 if len(seen) >= BFS_MAX_NODES:
                     return None
-                seen.add(key)
-                queue.append((M2, word + (i,)))
+                seen.add(Mt2)
+                queue.append((Mt2, word + (i + 1,)))
     return None
 
 
@@ -280,15 +301,15 @@ def _join_polarized(ids: Sequence[RootSystemId]):
     return reduce(join, lats)
 
 
-def join_cartan(ids: Sequence[RootSystemId]) -> np.ndarray:
+def join_cartan(ids: Sequence[RootSystemId]) -> IMatrix:
     """Gram matrix of the join of standard polarizations (tensor basis)."""
     return _join_polarized(ids).A
 
 
-def join_coxeter(ids: Sequence[RootSystemId]) -> np.ndarray:
+def join_coxeter(ids: Sequence[RootSystemId]) -> IMatrix:
     """Kronecker product of the factor Coxeter elements C1 ⊗ C2 ⊗ ..."""
     mats = [coxeter(standard_polarization(cartan_matrix(rid))) for rid in ids]
-    return reduce(np.kron, mats)
+    return reduce(kron, mats)
 
 
 def _factorization(ids, word, target: RootSystemId, cg_word, reference_G):
@@ -298,12 +319,12 @@ def _factorization(ids, word, target: RootSystemId, cg_word, reference_G):
     based = apply_word(BasedLattice(lat.A, iidentity(n)), word)
     # column TREE_RELABELING[k] of G is mutated basis row k
     inv = {v: k for k, v in TREE_RELABELING.items()}
-    G = based.basis[[inv.get(i, i) - 1 for i in range(1, n + 1)], :].T
+    G = transpose([based.basis[inv.get(i, i) - 1] for i in range(1, n + 1)])
     Ginv = frac_inverse(G)
     return G, {
-        "G^t A_* G = A": deviation(G.T @ lat.A @ G, cartan_matrix(target)),
+        "G^t A_* G = A": deviation(matmul(transpose(G), lat.A, G), cartan_matrix(target)),
         "G^{-1} C_* G = C_G": deviation(
-            Ginv @ join_coxeter(ids) @ G, weyl_apply(target, cg_word)
+            matmul(Ginv, join_coxeter(ids), G), weyl_apply(target, cg_word)
         ),
         "G = reference matrix": deviation(G, reference_G),
     }
@@ -338,7 +359,7 @@ def conjugation_report_e8() -> dict:
     w = weyl_apply(rid, E8_CONJUGATOR_WORD)
     return {
         "word": list(E8_CONJUGATOR_WORD),
-        "deviations": {"w^{-1} C_BW w = C_G": deviation(C_bw @ w, w @ C_g)},
+        "deviations": {"w^{-1} C_BW w = C_G": deviation(matmul(C_bw, w), matmul(w, C_g))},
     }
 
 
@@ -355,13 +376,13 @@ def conjugation_report_e6() -> dict:
     C_bw = weyl_apply(rid, E6_CBW_WORD)
     C_g = weyl_apply(rid, E6_CG_WORD)
     v = weyl_apply(rid, E6_CONJUGATOR_WORD)
-    dev = deviation(C_bw @ v, v @ C_g)
+    dev = deviation(matmul(C_bw, v), matmul(v, C_g))
     deviations = {"v^{-1} C_BW v = C_G": dev}
     repaired = find_conjugator(rid, C_bw, C_g) if dev else None
     if repaired is not None:
         w = weyl_apply(rid, repaired)
         label = f"repaired w^{{-1}} C_BW w = C_G (word {repaired})"
-        deviations[label] = deviation(C_bw @ w, w @ C_g)
+        deviations[label] = deviation(matmul(C_bw, w), matmul(w, C_g))
     return {
         "word": list(E6_CONJUGATOR_WORD),
         "deviations": deviations,
@@ -369,23 +390,26 @@ def conjugation_report_e6() -> dict:
     }
 
 
-def an_roots(n: int) -> List[np.ndarray]:
-    """All n(n+1) roots of A_n in simple-root coordinates.
+def _contract_roots(rows: Sequence[Tuple[int, ...]], n: int) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Contract the last tensor axis of rows, a factor A_n, with each root of A_n.
 
-    Enumerated from the e_i - e_j model (1 <= i != j <= n+1):
-    e_i - e_j with i < j is alpha_i + ... + alpha_{j-1}.
+    rows are vectors in tensor order (last axis fastest), so each run U of
+    n consecutive rows is one fiber of that axis.  The roots of A_n are
+    e_i - e_j (0 <= i != j <= n), which in simple-root coordinates is
+    α_{i+1} + ... + α_j, negated when i > j.  With the prefix sums
+    P_m = U_1 + ... + U_m, its contraction is P_j - P_i.
     """
-    out = []
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i == j:
-                continue
-            v = np.zeros(n, dtype=object)
-            lo, hi = min(i, j), max(i, j)
-            for k in range(lo, hi):
-                v[k - 1] = 1 if i < j else -1
-            out.append(v)
-    return out
+    zero = (0,) * len(rows[0])
+    points = [
+        list(accumulate(rows[s:s + n], lambda p, u: tuple(map(add, p, u)), initial=zero))
+        for s in range(0, len(rows), n)
+    ]
+    return [
+        tuple(tuple(map(sub, P[j], P[i])) for P in points)
+        for i in range(n + 1)
+        for j in range(n + 1)
+        if i != j
+    ]
 
 
 def root_image_count() -> Tuple[int, bool]:
@@ -394,20 +418,16 @@ def root_image_count() -> Tuple[int, bool]:
     Each of the 240 triples (x, y, z) maps to G⁻¹·(x ⊗ y ⊗ z); returns
     the number of distinct images and whether all have squared norm 2
     under A(E8).  (General vectors don't survive the join this way; the
-    240 root triples land on exactly 60 E8 roots.)  The map and the norms
-    are int64 products; OverflowError if G⁻¹ is too large for them to
-    be exact.
+    240 root triples land on exactly 60 E8 roots.)  The map is contracted
+    one tensor factor at a time, last factor first, so no x ⊗ y ⊗ z is
+    formed; everything is exact.
     """
     G, _ = e8_factorization()
-    Ginv = frac_inverse(G)
     A8 = cartan_matrix(RootSystemId("E", 8))
-    # tensor entries are 0 or ±1, so |image entry| <= the largest row sum
-    # of |G⁻¹| and |norm| <= that squared times the sum of |A(E8)|
-    row = max(sum(abs(v) for v in r) for r in Ginv)
-    if row * row * sum(abs(v) for v in A8.flat) >= 2**63:
-        raise OverflowError("G^{-1} too large for exact int64 root images")
-    roots = [np.array(an_roots(n), dtype=np.int64) for n in (4, 2, 1)]
-    F = np.einsum("ai,bj,ck->abcijk", *roots).reshape(-1, G.shape[0])
-    V = F @ np.array(Ginv, dtype=np.int64).T
-    norms = np.einsum("pi,ij,pj->p", V, np.array(A8, dtype=np.int64), V)
-    return len(set(map(tuple, V.tolist()))), bool((norms == 2).all())
+    # row f is G⁻¹·e_f, the image of tensor basis vector f
+    partial = [transpose(frac_inverse(G))]
+    for n in (1, 2):  # the factors A1 and A2, last first
+        partial = [c for rows in partial for c in _contract_roots(rows, n)]
+    # contracting A4 leaves one row: the image itself
+    images = {v for rows in partial for (v,) in _contract_roots(rows, 4)}
+    return len(images), all(_pairing(A8, v, v) == 2 for v in images)

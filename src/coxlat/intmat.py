@@ -1,23 +1,29 @@
 """Exact integer matrix arithmetic on small dense matrices.
 
-All exact-arithmetic modules in this package represent matrices as square
-numpy arrays of dtype=object holding Python ints.  Python integers never
-overflow, and numpy's object matmul dispatches to exact Python arithmetic,
-so every identity checked through this module is an exact statement.  The
-lattices here are unimodular, so inverses stay integral: frac_inverse
-rejects any matrix without an integer inverse.
+All exact-arithmetic modules in this package represent a matrix as a
+tuple of row tuples of Python ints.  Python integers never overflow, so
+every identity checked through this module is an exact statement, and
+equal matrices compare equal with == and hash alike.  On tuples, + joins
+and * repeats, so all matrix arithmetic goes through the helpers here.
+The lattices here are unimodular, so inverses stay integral: frac_inverse
+rejects any matrix without an integer inverse.  No numpy is imported.
 """
 
 from __future__ import annotations
 
-from operator import index
-
-import numpy as np
+from functools import cache, reduce
+from itertools import chain
+from operator import index, sub
+from typing import Tuple
 
 __all__ = [
+    "IMatrix",
     "as_imatrix",
     "iidentity",
-    "mat_eq",
+    "matmul",
+    "transpose",
+    "kron",
+    "add",
     "deviation",
     "is_symmetric",
     "frac_inverse",
@@ -26,46 +32,74 @@ __all__ = [
     "matrix_order",
 ]
 
+IMatrix = Tuple[Tuple[int, ...], ...]
 
-def as_imatrix(data) -> np.ndarray:
-    """Build a square object-dtype matrix of Python ints.
+
+def as_imatrix(data) -> IMatrix:
+    """Build a square matrix of Python ints from rows of integers.
 
     Entries must be ints, numpy integers or bools; anything else (a float,
     a rational) raises TypeError.
     """
-    M = np.array(data, dtype=object)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    flat = M.ravel()
-    flat[:] = [index(v) for v in flat.tolist()]
+    M = tuple([tuple(map(index, row)) for row in data])
+    if set(map(len, M)) - {len(M)}:
+        raise ValueError(f"expected a square matrix, got row lengths {[len(r) for r in M]}")
     return M
 
 
-def iidentity(n: int) -> np.ndarray:
-    M = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        M[i, i] = 1
-    return M
+@cache
+def iidentity(n: int) -> IMatrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def mat_eq(A: np.ndarray, B: np.ndarray) -> bool:
-    """Exact entrywise equality."""
-    return A.shape == B.shape and bool(np.equal(A, B).all())
+def _mul2(A: IMatrix, B: IMatrix) -> IMatrix:
+    # row r of A·B is the sum of A[r][k]·B[k] over the nonzero A[r][k]
+    zero = (0,) * (len(B[0]) if B else 0)
+    out = []
+    for row in A:
+        acc = zero
+        for a, b in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
-def deviation(lhs: np.ndarray, rhs: np.ndarray) -> int:
+def matmul(*factors: IMatrix) -> IMatrix:
+    """The product of the factors, left to right."""
+    return reduce(_mul2, factors)
+
+
+def transpose(M) -> IMatrix:
+    return tuple(zip(*M))
+
+
+def kron(A: IMatrix, B: IMatrix) -> IMatrix:
+    """Kronecker product, first factor major."""
+    return tuple(tuple(a * b for a in ra for b in rb) for ra in A for rb in B)
+
+
+def add(A: IMatrix, B: IMatrix, c: int = 1) -> IMatrix:
+    """A + c·B."""
+    return tuple([tuple([a + c * b for a, b in zip(ra, rb)]) for ra, rb in zip(A, B)])
+
+
+def deviation(lhs: IMatrix, rhs: IMatrix) -> int:
     """Largest |entry| of lhs - rhs, an exact integer (0 iff they are equal).
 
     Entries must be integers: a float difference raises TypeError.
     """
-    return max((abs(index(v)) for v in (lhs - rhs).flat), default=0)
+    if list(map(len, lhs)) != list(map(len, rhs)):
+        raise ValueError("deviation of matrices of different shapes")
+    diffs = map(sub, chain.from_iterable(lhs), chain.from_iterable(rhs))
+    return max(map(abs, map(index, diffs)), default=0)
 
 
-def is_symmetric(A: np.ndarray) -> bool:
-    return mat_eq(A, A.T)
+def is_symmetric(A: IMatrix) -> bool:
+    return A == transpose(A)
 
 
-def frac_inverse(M: np.ndarray) -> np.ndarray:
+def frac_inverse(M: IMatrix) -> IMatrix:
     """Exact integer inverse of a unimodular integer matrix.
 
     Runs fraction-free Gauss-Jordan on [M | I]: each step's division by the
@@ -73,8 +107,8 @@ def frac_inverse(M: np.ndarray) -> np.ndarray:
     with d = ±det M.  So the right block times d is M⁻¹ when d = ±1; a
     singular or non-unimodular M raises ValueError.
     """
-    n = M.shape[0]
-    rows = [[index(v) for v in M[i]] + [int(i == j) for j in range(n)] for i in range(n)]
+    n = len(M)
+    rows = [list(map(index, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(M)]
     prev = 1
     for k in range(n):
         if rows[k][k] == 0:
@@ -91,16 +125,13 @@ def frac_inverse(M: np.ndarray) -> np.ndarray:
         prev = p
     if prev not in (1, -1):
         raise ValueError(f"det = ±{abs(prev)}: no integer inverse")
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        out[i] = [prev * v for v in rows[i][n:]]
-    return out
+    return tuple(tuple(prev * v for v in r[n:]) for r in rows)
 
 
-def det_exact(M: np.ndarray) -> int:
+def det_exact(M: IMatrix) -> int:
     """Exact integer determinant via fraction-free Bareiss elimination."""
-    n = M.shape[0]
-    a = [[index(v) for v in M[i]] for i in range(n)]
+    n = len(M)
+    a = [list(map(index, r)) for r in M]
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -119,28 +150,29 @@ def det_exact(M: np.ndarray) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def char_poly(M: np.ndarray) -> list:
+def char_poly(M: IMatrix) -> list:
     """Coefficients of det(xI - M), highest degree first, exact.
 
-    Integer Faddeev-LeVerrier: M_k = M·M_{k-1} + c_{n-k+1}·I and
+    Integer Faddeev-LeVerrier: M_1 = I, M_{k+1} = M·M_k + c_{n-k}·I and
     c_{n-k} = -tr(M·M_k)/k, where each division is exact.
     """
-    I = iidentity(M.shape[0])
+    n = len(M)
+    I = iidentity(n)
     coeffs = [1]
-    MMk = 0 * I  # M·M_0 with M_0 = 0
-    for k in range(1, M.shape[0] + 1):
-        MMk = M @ (MMk + coeffs[-1] * I)
-        coeffs.append(-sum(index(v) for v in MMk.diagonal()) // k)
+    Mk = I
+    for k in range(1, n + 1):
+        MMk = matmul(M, Mk)
+        coeffs.append(-sum(index(MMk[i][i]) for i in range(n)) // k)
+        Mk = add(MMk, I, coeffs[-1])
     return coeffs
 
 
-def matrix_order(M: np.ndarray, cap: int = 1000) -> int:
+def matrix_order(M: IMatrix, cap: int = 1000) -> int:
     """Smallest h >= 1 with M^h = I, exact; raises if none found within cap."""
-    n = M.shape[0]
-    I = iidentity(n)
+    I = iidentity(len(M))
     P = M
     for h in range(1, cap + 1):
-        if mat_eq(P, I):
+        if P == I:
             return h
-        P = P @ M
+        P = matmul(P, M)
     raise ValueError(f"order not found <= {cap}")

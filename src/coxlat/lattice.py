@@ -2,12 +2,12 @@
 
 A polarized lattice is a pair (A, L) with A = L + Lᵗ and L unimodular
 (det L = ±1, as for the Seifert form of an isolated singularity); the
-Coxeter automorphism C = -L⁻¹Lᵗ is then an integer matrix, returned as a
-plain object array (intmat.matrix_order gives its order).  Everything
-here is exact integer arithmetic on object arrays; floating point never
-enters.  The standard polarization is unit upper triangular, joins keep L
-unimodular, and gauge transforms are base changes in GL_n(Z).  Includes
-the Kronecker join product and the black/white decomposition
+Coxeter automorphism C = -L⁻¹Lᵗ is then an integer matrix
+(intmat.matrix_order gives its order).  Everything here is exact integer
+arithmetic on intmat's tuple matrices; floating point never enters.  The
+standard polarization is unit upper triangular, joins keep L unimodular,
+and gauge transforms are base changes in GL_n(Z).  Includes the
+Kronecker join product and the black/white decomposition
 C_B + C_W = 2I - A of a Cartan tree, whose colors are rootsys.coloring(A).
 """
 
@@ -16,16 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from .intmat import (
-    as_imatrix,
-    det_exact,
-    frac_inverse,
-    iidentity,
-    is_symmetric,
-    mat_eq,
-)
+from .intmat import (IMatrix, add, as_imatrix, det_exact, frac_inverse, iidentity,
+                     is_symmetric, kron, matmul, transpose)
 from .rootsys import coloring
 
 __all__ = [
@@ -44,26 +36,26 @@ __all__ = [
 class PolarizedLattice:
     """Lattice with symmetric form A and unimodular Seifert form L, A = L + Lᵗ."""
 
-    A: np.ndarray
-    L: np.ndarray
+    A: IMatrix
+    L: IMatrix
 
     def __post_init__(self):
         A = as_imatrix(self.A)
         L = as_imatrix(self.L)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "L", L)
-        if A.shape != L.shape:
+        if len(A) != len(L):
             raise ValueError("A and L must have equal shape")
         if not is_symmetric(A):
             raise ValueError("A must be symmetric")
-        if not mat_eq(A, L + L.T):
+        if A != add(L, transpose(L)):
             raise ValueError("A = L + L^t violated")
         if det_exact(L) not in (1, -1):
             raise ValueError("L must be unimodular (det L = ±1)")
 
     @property
     def rank(self) -> int:
-        return self.A.shape[0]
+        return len(self.A)
 
 
 def standard_polarization(A) -> PolarizedLattice:
@@ -71,29 +63,30 @@ def standard_polarization(A) -> PolarizedLattice:
     A = as_imatrix(A)
     if not is_symmetric(A):
         raise ValueError("A must be symmetric")
-    n = A.shape[0]
-    L = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        if A[i, i] % 2 != 0:
-            raise ValueError("diagonal entries must be even")
-        L[i, i] = A[i, i] // 2
-        for j in range(i + 1, n):
-            L[i, j] = A[i, j]
+    if any(row[i] % 2 for i, row in enumerate(A)):
+        raise ValueError("diagonal entries must be even")
+    L = tuple(
+        tuple(0 if j < i else a // 2 if j == i else a for j, a in enumerate(row))
+        for i, row in enumerate(A)
+    )
     return PolarizedLattice(A=A, L=L)
 
 
-def coxeter(P: PolarizedLattice) -> np.ndarray:
-    """C = -L⁻¹Lᵗ, an integer matrix since L is unimodular."""
-    return -(frac_inverse(P.L) @ P.L.T)
+def coxeter(P: PolarizedLattice) -> IMatrix:
+    """C = -L⁻¹Lᵗ, an integer matrix since L is unimodular.
+
+    Computed as I - L⁻¹A, which is the same matrix because Lᵗ = A - L.
+    """
+    return add(iidentity(P.rank), matmul(frac_inverse(P.L), P.A), -1)
 
 
 def orthogonality_check(A, C) -> bool:
     """True iff CᵗAC = A exactly."""
     A = as_imatrix(A)
     C = as_imatrix(C)
-    if A.shape != C.shape:
+    if len(A) != len(C):
         raise ValueError("dimension mismatch")
-    return mat_eq(C.T @ A @ C, A)
+    return matmul(transpose(C), A, C) == A
 
 
 def gauge_transform(P: PolarizedLattice, M) -> PolarizedLattice:
@@ -101,7 +94,8 @@ def gauge_transform(P: PolarizedLattice, M) -> PolarizedLattice:
     M = as_imatrix(M)
     if det_exact(M) not in (1, -1):
         raise ValueError("M must be unimodular (det M = ±1)")
-    return PolarizedLattice(A=M.T @ P.A @ M, L=M.T @ P.L @ M)
+    Mt = transpose(M)
+    return PolarizedLattice(A=matmul(Mt, P.A, M), L=matmul(Mt, P.L, M))
 
 
 def join(P1: PolarizedLattice, P2: PolarizedLattice) -> PolarizedLattice:
@@ -110,11 +104,11 @@ def join(P1: PolarizedLattice, P2: PolarizedLattice) -> PolarizedLattice:
     The basis is lexicographic: e_i ⊗ f_j comes before e_k ⊗ f_l iff
     (i, j) < (k, l).  The Coxeter element of the product is -C1 ⊗ C2.
     """
-    L = np.kron(P1.L, P2.L)
-    return PolarizedLattice(A=L + L.T, L=L)
+    L = kron(P1.L, P2.L)
+    return PolarizedLattice(A=add(L, transpose(L)), L=L)
 
 
-def steinberg_decomposition(A) -> Tuple[np.ndarray, np.ndarray]:
+def steinberg_decomposition(A) -> Tuple[IMatrix, IMatrix]:
     """Black/white factors of the bipartite Coxeter element of a Cartan tree.
 
     C_B = I - P_B·A and C_W = I - P_W·A, with P_B (resp. P_W) the
@@ -126,12 +120,16 @@ def steinberg_decomposition(A) -> Tuple[np.ndarray, np.ndarray]:
     for that factor.
     """
     A = as_imatrix(A)
-    I = iidentity(A.shape[0])
-    P_B = np.diag(np.array([int(c == "black") for c in coloring(A).values()], dtype=object))
-    return I - P_B @ A, I - (I - P_B) @ A
+    black = [c == "black" for c in coloring(A).values()]
+    I = iidentity(len(A))
+    # row i of I - A is the simple reflection s_i's row; the rest stay rows of I
+    R = add(I, A, -1)
+    C_B = tuple(r if b else e for r, e, b in zip(R, I, black))
+    C_W = tuple(e if b else r for r, e, b in zip(R, I, black))
+    return C_B, C_W
 
 
-def bipartite_coxeter(A) -> np.ndarray:
+def bipartite_coxeter(A) -> IMatrix:
     """The black/white Coxeter element C_W·C_B (black reflections act first).
 
     This is the order used by the eigenvector phase rules (white
@@ -139,4 +137,4 @@ def bipartite_coxeter(A) -> np.ndarray:
     conjugate by either factor.
     """
     C_B, C_W = steinberg_decomposition(A)
-    return C_W @ C_B
+    return matmul(C_W, C_B)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
-from .intmat import as_imatrix
+from .intmat import IMatrix, as_imatrix
 from .rootsys import tree_levels
 from .spectral import IDENTITY_TOL, residual
 
@@ -47,36 +48,33 @@ CERTIFICATE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QDeformedCartan:
-    """Unit-triangular split A = L + U with the tree exponent vector."""
+    """Unit-triangular split A = L + U (exact) with the tree exponent vector;
+    evaluate(D, 1.0) is A in floats."""
 
-    L: np.ndarray
-    U: np.ndarray
+    L: IMatrix
+    U: IMatrix
     exponent_vector: Tuple[int, ...]
 
     @property
     def rank(self) -> int:
-        return self.L.shape[0]
+        return len(self.L)
 
-    @property
-    def A(self) -> np.ndarray:
-        return self.L + self.U
+    @cached_property
+    def _float_parts(self) -> np.ndarray:
+        """L and U as one read-only float array, converted once per record."""
+        parts = np.array((self.L, self.U), dtype=float)
+        parts.flags.writeable = False
+        return parts
 
 
 def deform(A) -> QDeformedCartan:
     """Split a generalized Cartan matrix (tree graph) into L + U."""
     A = as_imatrix(A)
-    n = A.shape[0]
     ks = tree_levels(A)
-    L = np.zeros((n, n), dtype=object)
-    U = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        L[i, i] = 1
-        U[i, i] = 1
-        for j in range(n):
-            if i > j:
-                L[i, j] = A[i, j]
-            elif i < j:
-                U[i, j] = A[i, j]
+    L = tuple(tuple(1 if j == i else a if j < i else 0 for j, a in enumerate(r))
+              for i, r in enumerate(A))
+    U = tuple(tuple(1 if j == i else a if j > i else 0 for j, a in enumerate(r))
+              for i, r in enumerate(A))
     return QDeformedCartan(L=L, U=U, exponent_vector=ks)
 
 
@@ -90,7 +88,8 @@ def _check_q(q: float) -> float:
 def evaluate(D: QDeformedCartan, q: float) -> np.ndarray:
     """qL + U as a float matrix."""
     q = _check_q(q)
-    return q * np.array(D.L, dtype=float) + np.array(D.U, dtype=float)
+    L, U = D._float_parts
+    return q * L + U
 
 
 def q_eigenvalue(lam: float, q: float) -> float:
@@ -106,7 +105,7 @@ def q_eigenvector(x, D: QDeformedCartan, q: float) -> np.ndarray:
     """
     q = _check_q(q)
     x = np.asarray(x, dtype=complex)
-    A = np.array(D.A, dtype=float)
+    A = evaluate(D, 1.0)  # A(1) = L + U = A
     lam = float((np.conj(x) @ (A @ x)).real / (np.conj(x) @ x).real)
     if residual(A, x, lam) > IDENTITY_TOL:
         raise ValueError("x is not an eigenvector of A to tolerance")
@@ -123,7 +122,7 @@ def conjugation_certificate(D: QDeformedCartan, q: float) -> dict:
     constructively for this q.
     """
     q = _check_q(q)
-    A = np.array(D.A, dtype=float)
+    A = evaluate(D, 1.0)  # A(1) = L + U = A
     n = D.rank
     rq = math.sqrt(q)
     Aprime = rq * A + (1 - rq) ** 2 * np.eye(n)
@@ -159,7 +158,7 @@ def q_spectrum(D: QDeformedCartan, q: float) -> dict:
     so the two sides never share a routine.
     """
     q = _check_q(q)
-    A = np.array(D.A, dtype=float)
+    A = evaluate(D, 1.0)  # A(1) = L + U = A
     lams = np.linalg.eigvalsh(A) if np.array_equal(A, A.T) else np.linalg.eigvals(A)
     predicted = q_eigenvalue(lams, q).astype(complex)
     predicted = predicted[np.lexsort((predicted.imag, predicted.real))]

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "RootSystemId",
     "RootSystemData",
@@ -65,7 +63,7 @@ class RootSystemData:
 
     id: RootSystemId
     rank: int
-    cartan: np.ndarray
+    cartan: Tuple[Tuple[int, ...], ...]
     edges: Tuple[Tuple[int, int], ...]
     h: int
     exponents: Tuple[int, ...]
@@ -85,16 +83,16 @@ def dynkin_edges(rid: RootSystemId) -> List[Tuple[int, int]]:
     return chain + [(2, 4)]
 
 
-def cartan_matrix(rid: RootSystemId) -> np.ndarray:
-    """Simply-laced Cartan matrix: 2 on the diagonal, -1 at tree edges."""
+def cartan_matrix(rid: RootSystemId) -> Tuple[Tuple[int, ...], ...]:
+    """Simply-laced Cartan matrix: 2 on the diagonal, -1 at tree edges.
+
+    Rows are tuples of ints, the exact matrix type of intmat.
+    """
     n = rid.rank
-    A = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        A[i, i] = 2
+    A = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i, j in dynkin_edges(rid):
-        A[i - 1, j - 1] = -1
-        A[j - 1, i - 1] = -1
-    return A
+        A[i - 1][j - 1] = A[j - 1][i - 1] = -1
+    return tuple(map(tuple, A))
 
 
 def exponents(rid: RootSystemId) -> Tuple[int, List[int]]:
@@ -122,15 +120,15 @@ def tree_levels(A) -> Tuple[int, ...]:
     A is a Cartan tree or this raises ValueError: a diagonal entry other
     than 2, an asymmetric zero pattern, or a graph that is not a tree.
     """
-    n = A.shape[0]
+    n = len(A)
     adj: Dict[int, List[int]] = {v: [] for v in range(n)}
     for i in range(n):
-        if A[i, i] != 2:
+        if A[i][i] != 2:
             raise ValueError("diagonal entries must equal 2")
         for j in range(i + 1, n):
-            if (A[i, j] != 0) != (A[j, i] != 0):
+            if (A[i][j] != 0) != (A[j][i] != 0):
                 raise ValueError("off-diagonal zero pattern must be symmetric")
-            if A[i, j] != 0:
+            if A[i][j] != 0:
                 adj[i].append(j)
                 adj[j].append(i)
     if sum(map(len, adj.values())) != 2 * (n - 1):

@@ -225,6 +225,23 @@ def test_ising_nonfinite_levels_exit_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_ising_near_max_couplings_are_served(capsys):
+    # ||H||_inf <= N·(J + h_z + h_x) stays finite here, so H and its levels do
+    for flags in (["--J", "1e307"], ["--hx", "1e300"]):
+        assert main(["ising", "--n", "8", *flags]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2**8
+
+
+def test_ising_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "levels.csv"
+    for bands in ("0", "1"):
+        assert main(["ising", "--n", "8", "--bands", bands, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error:") and str(target) in line
+
+
 @pytest.mark.parametrize(
     "name, module, attr, fake",
     [

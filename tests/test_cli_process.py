@@ -59,6 +59,30 @@ def test_import_loads_no_numpy():
     assert state["modules"] == ["coxlat.cli"]
 
 
+# the exact layer runs on Python ints: these requests never import numpy
+EXACT_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.lattice", "coxlat.rootsys"]
+GABRIELOV_MODULES = ["coxlat.cli", "coxlat.gabrielov", "coxlat.intmat", "coxlat.lattice",
+                     "coxlat.rootsys"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [pytest.param(argv, modules, id=" ".join(argv)) for argv, modules in
+     [(["catalog", s, "--json"], ["coxlat.cli", "coxlat.rootsys"])
+      for s in ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+                "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8")]
+     + [(["catalog", "E8"], ["coxlat.cli", "coxlat.rootsys"]),
+        (["verify", "steinberg", "--json"], EXACT_MODULES)]
+     + [(["verify", name, "--json"], GABRIELOV_MODULES)
+        for name in ("e8-factorization", "e6-factorization", "gamma-alpha", "root-image")]],
+)
+def test_exact_requests_load_no_numpy(argv, modules):
+    state = _probe(argv)
+    assert state["code"] == 0
+    assert not state["numpy"]
+    assert state["modules"] == modules
+
+
 @pytest.mark.parametrize(
     "preset, expected",
     [
@@ -69,11 +93,13 @@ def test_import_loads_no_numpy():
     ],
     ids=["default", "omp-preset", "goto-preset", "openblas-preset"],
 )
-def test_catalog_runs_on_one_blas_thread_unless_told(preset, expected):
-    state = _probe(["catalog", "A2", "--json"], **preset)
+def test_eigen_runs_on_one_blas_thread_unless_told(preset, expected):
+    state = _probe(["eigen", "A2"], **preset)
     assert state["code"] == 0
     assert state["numpy"]
-    assert state["modules"] == ["coxlat.cli", "coxlat.rootsys"]
+    # no --q: qdeform stays unloaded
+    assert state["modules"] == ["coxlat.cli", "coxlat.gabrielov", "coxlat.intmat",
+                                "coxlat.lattice", "coxlat.rootsys", "coxlat.spectral"]
     assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset,
                             "OPENBLAS_NUM_THREADS": expected}
     if expected == "1" and state["tasks"] is not None:
@@ -94,8 +120,14 @@ def test_ising_keeps_the_default_pool(tmp_path):
     [
         ["eigen", "E8", "--q", "1e200"],
         ["ising", "--n", "2", "--J", "1e300", "--bands", "1", "--out", "{out}"],
+        # couplings whose Hamiltonian overflows are refused before it is built
+        ["ising", "--n", "8", "--J", "1e308"],
+        ["ising", "--n", "8", "--hx", "1e308"],
+        ["ising", "--n", "8", "--hz", "1e308"],
+        ["ising", "--n", "8", "--J", "5e307", "--hz", "5e307"],
+        ["ising", "--n", "8", "--J", "1e308", "--hx", "1e308"],
     ],
-    ids=["eigen-q", "ising-bands"],
+    ids=["eigen-q", "ising-bands", "ising-J", "ising-hx", "ising-hz", "ising-J-hz", "ising-J-hx"],
 )
 def test_overflow_prints_one_error_line(tmp_path, argv):
     out = tmp_path / "levels.csv"

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +41,7 @@ from coxlat.gabrielov import (
     weyl_apply,
 )
 from coxlat import gabrielov
-from coxlat.intmat import det_exact, frac_inverse, iidentity, mat_eq, matrix_order
+from coxlat.intmat import as_imatrix, det_exact, frac_inverse, iidentity, matmul, matrix_order, transpose
 from coxlat.rootsys import RootSystemId, dynkin_edges
 
 A_STAR = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
@@ -60,20 +60,20 @@ def test_alpha_hand_check():
     # A2 ambient, identity basis: alpha_1 sends (x1, x2) -> (x2 - (x2,x1) x1, x1)
     A2 = join_cartan([RootSystemId("A", 2)])
     b = alpha(BasedLattice(A2, iidentity(2)), 1)
-    assert b.basis.tolist() == [[1, 1], [1, 0]]
+    assert b.basis == ((1, 1), (1, 0))
     # moves never change the abstract lattice: Gram determinant is preserved
     assert det_exact(b.gram()) == det_exact(A2)
 
 
 def test_gamma_is_an_involution():
     b = _standard()
-    assert mat_eq(gamma(gamma(b, 3), 3).basis, b.basis)
+    assert gamma(gamma(b, 3), 3).basis == b.basis
 
 
 def test_cyclic_indexing():
     # index m wraps modulo the rank: alpha_9 == alpha_1 on rank 8
     b = _standard()
-    assert mat_eq(alpha(b, 9).basis, alpha(b, 1).basis)
+    assert alpha(b, 9).basis == alpha(b, 1).basis
 
 
 _moves = st.tuples(
@@ -87,19 +87,19 @@ _moves = st.tuples(
 def test_move_inverse_property(prefix, move):
     b = apply_word(_standard(), list(prefix))
     undone = apply_word(b, [inverse_move(move, 8), move])  # rightmost acts first
-    assert mat_eq(undone.basis, b.basis)
+    assert undone.basis == b.basis
 
 
 def test_beta_undoes_alpha_explicitly():
     b = _standard()
-    assert mat_eq(beta(alpha(b, 3), 4).basis, b.basis)
+    assert beta(alpha(b, 3), 4).basis == b.basis
 
 
 def test_mutation_word_yields_unimodular_basis():
     # det = ±1 after every move of both words, in the order they act
     for ids, word in (("A4 A2 A1", E8_WORD), ("A3 A2 A1", E6_WORD)):
         A = join_cartan([RootSystemId.parse(x) for x in ids.split()])
-        b = BasedLattice(A, iidentity(A.shape[0]))
+        b = BasedLattice(A, iidentity(len(A)))
         for move in reversed(word):
             b = apply_word(b, [move])
             assert det_exact(b.basis) in (1, -1)
@@ -111,26 +111,26 @@ FACTORIZATION_IDENTITIES = ["G^t A_* G = A", "G^{-1} C_* G = C_G", "G = referenc
 def test_e8_factorization_report():
     G, deviations = e8_factorization()
     assert deviations == dict.fromkeys(FACTORIZATION_IDENTITIES, 0)
-    assert mat_eq(G, E8_CHANGE_OF_BASIS)
+    assert G == E8_CHANGE_OF_BASIS
     # exact identities restated independently of the report
     A_e8 = join_cartan([RootSystemId("E", 8)])
-    assert mat_eq(G.T @ A_STAR @ G, A_e8)
+    assert matmul(transpose(G), A_STAR, G) == A_e8
     C_star = join_coxeter([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
     C_g = weyl_apply(RootSystemId("E", 8), E8_CG_WORD)
-    assert mat_eq(frac_inverse(G) @ C_star @ G, C_g)
+    assert matmul(frac_inverse(G), C_star, G) == C_g
 
 
 def test_e6_factorization_report():
     G, deviations = e6_factorization()
     assert deviations == dict.fromkeys(FACTORIZATION_IDENTITIES, 0)
-    assert mat_eq(G, E6_CHANGE_OF_BASIS)
+    assert G == E6_CHANGE_OF_BASIS
 
 
 def _tree_isomorphisms(gram, target):
     """Every bijection (mutated row -> Dynkin vertex, 0-based) that maps the
     edges of the mutated Gram tree onto the Dynkin tree, by trying all n!."""
-    n = gram.shape[0]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i, j] != 0]
+    n = len(gram)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i][j] != 0]
     dynkin = {frozenset((u - 1, v - 1)) for u, v in dynkin_edges(target)}
     return [
         perm
@@ -152,17 +152,18 @@ def test_tree_relabeling_is_the_only_compatible_one(ids, word, target, cg_word, 
     ids = [RootSystemId.parse(x) for x in ids.split()]
     target = RootSystemId.parse(target)
     A = join_cartan(ids)
-    based = apply_word(BasedLattice(A, iidentity(A.shape[0])), word)
+    based = apply_word(BasedLattice(A, iidentity(len(A))), word)
     C_star = join_coxeter(ids)
     C_g = weyl_apply(target, cg_word)
     isos = _tree_isomorphisms(based.gram(), target)
     assert len(isos) == n_isomorphisms
     compatible = []
     for perm in isos:
-        G = np.empty_like(based.basis)
-        G[list(perm)] = based.basis  # row perm[k] of Gᵗ is mutated row k
-        G = G.T
-        if mat_eq(frac_inverse(G) @ C_star @ G, C_g):
+        Gt = [None] * len(perm)
+        for k, row in zip(perm, based.basis):
+            Gt[k] = row  # row perm[k] of Gᵗ is mutated row k
+        G = transpose(Gt)
+        if matmul(frac_inverse(G), C_star, G) == C_g:
             compatible.append({k + 1: v + 1 for k, v in enumerate(perm) if k != v})
     assert compatible == [TREE_RELABELING]
 
@@ -170,29 +171,29 @@ def test_tree_relabeling_is_the_only_compatible_one(ids, word, target, cg_word, 
 def test_gamma_square_equals_alpha_sixth_from_standard_basis():
     left = apply_word(_standard(), GAMMA_SQUARE_WORD)
     right = apply_word(_standard(), ALPHA1_SIX_WORD)
-    assert mat_eq(left.basis, right.basis)
+    assert left.basis == right.basis
 
 
 def test_gamma_square_alpha_sixth_needs_the_standard_basis():
     # the identity is basis-dependent: a generic unimodular start breaks it
-    B = iidentity(8)
-    B[0, 1], B[0, 7], B[1, 7], B[2, 3], B[6, 7] = 2, -4, -2, -1, 2
-    b = BasedLattice(A_STAR, B)
+    B = [list(row) for row in iidentity(8)]
+    B[0][1], B[0][7], B[1][7], B[2][3], B[6][7] = 2, -4, -2, -1, 2
+    b = BasedLattice(A_STAR, as_imatrix(B))
     left = apply_word(b, GAMMA_SQUARE_WORD)
     right = apply_word(b, ALPHA1_SIX_WORD)
-    assert not mat_eq(left.basis, right.basis)
+    assert left.basis != right.basis
 
 
 def test_simple_reflections_a2():
     rid = RootSystemId("A", 2)
-    assert weyl_apply(rid, (1,)).tolist() == [[-1, 1], [0, 1]]
-    assert weyl_apply(rid, (2,)).tolist() == [[1, 0], [1, -1]]
+    assert weyl_apply(rid, (1,)) == ((-1, 1), (0, 1))
+    assert weyl_apply(rid, (2,)) == ((1, 0), (1, -1))
     s1s2 = weyl_apply(rid, (1, 2))
-    assert s1s2.tolist() == [[0, -1], [1, -1]]  # the standard Coxeter element
+    assert s1s2 == ((0, -1), (1, -1))  # the standard Coxeter element
 
 
 def test_weyl_apply_empty_word_is_identity():
-    assert mat_eq(weyl_apply(RootSystemId("E", 6), ()), iidentity(6))
+    assert weyl_apply(RootSystemId("E", 6), ()) == iidentity(6)
 
 
 def test_bipartite_word_has_coxeter_order():
@@ -221,7 +222,7 @@ def test_e6_conjugator_fails_as_written_and_is_repaired():
     C_bw, C_g = weyl_apply(rid, E6_CBW_WORD), weyl_apply(rid, E6_CG_WORD)
     for word, exact in ((E6_CONJUGATOR_WORD, False), ([3, 1, 6], True)):
         w = weyl_apply(rid, word)
-        assert mat_eq(C_bw @ w, w @ C_g) == exact
+        assert (matmul(C_bw, w) == matmul(w, C_g)) == exact
 
 
 def test_find_conjugator_smallest_word():
@@ -248,15 +249,49 @@ def test_find_conjugator_gives_up_past_the_node_budget(monkeypatch):
     assert find_conjugator(rid, C_bw, C_g) is None
 
 
+def _plain_bfs_conjugator(rid, C1, C2):
+    """Oracle for find_conjugator: BFS that builds every child, words in shortlex order."""
+    gens = [weyl_apply(rid, (i,)) for i in range(1, rid.rank + 1)]
+    ident = iidentity(rid.rank)
+    seen, queue = {ident}, deque([(ident, ())])
+    while queue:
+        M, word = queue.popleft()
+        if matmul(C1, M) == matmul(M, C2):
+            return list(word)
+        for i, S in enumerate(gens, start=1):
+            M2 = matmul(M, S)
+            if M2 not in seen:
+                seen.add(M2)
+                queue.append((M2, word + (i,)))
+    return None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["A3", "A4", "D4"]),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=6),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=6),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=6),
+)
+def test_find_conjugator_matches_plain_bfs(name, c_word, w_word, other_word):
+    # the skipped children change neither the word found nor None
+    rid = RootSystemId.parse(name)
+    C1, w, other = (weyl_apply(rid, [(i - 1) % rid.rank + 1 for i in word])
+                    for word in (c_word, w_word, other_word))
+    for C2 in (matmul(frac_inverse(w), C1, w), other):
+        assert find_conjugator(rid, C1, C2) == _plain_bfs_conjugator(rid, C1, C2)
+
+
 def test_root_image_count():
     assert root_image_count() == (60, True)
 
 
-def test_root_image_count_refuses_inexact_int64(monkeypatch):
-    # a shear by 2**31 puts -2**31 into G⁻¹: the norms could overflow int64
+def test_root_image_count_is_exact_past_int64(monkeypatch):
+    # a shear by 2**31 puts -2**31 into G⁻¹, so the norms pass 2**63: the
+    # images stay 60 distinct vectors, and Python ints keep their norms exact
     G, deviations = e8_factorization()
-    S = iidentity(8)
-    S[0, 1] = 2**31
-    monkeypatch.setattr(gabrielov, "e8_factorization", lambda: (G @ S, deviations))
-    with pytest.raises(OverflowError):
-        root_image_count()
+    S = [list(row) for row in iidentity(8)]
+    S[0][1] = 2**31
+    sheared = matmul(G, as_imatrix(S))
+    monkeypatch.setattr(gabrielov, "e8_factorization", lambda: (sheared, deviations))
+    assert root_image_count() == (60, False)

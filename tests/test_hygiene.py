@@ -65,3 +65,18 @@ def test_all_names_resolve():
             f"{path.name}: {n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)
         ]
     assert missing == []
+
+
+def test_exact_layer_imports_no_numpy_at_module_level():
+    # catalog and the exact verify checks run without loading numpy
+    found = []
+    for stem in ("intmat", "rootsys", "lattice", "gabrielov"):
+        tree = ast.parse((SRC / f"{stem}.py").read_text())
+        for node in tree.body:
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            found += [f"{stem}: {n}" for n in names if n.split(".")[0] == "numpy"]
+    assert found == []

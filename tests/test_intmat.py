@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlat.intmat import (
+    add,
     as_imatrix,
     char_poly,
     det_exact,
@@ -19,8 +20,10 @@ from coxlat.intmat import (
     frac_inverse,
     iidentity,
     is_symmetric,
-    mat_eq,
+    kron,
+    matmul,
     matrix_order,
+    transpose,
 )
 from coxlat.rootsys import RootSystemId, cartan_matrix
 
@@ -37,21 +40,34 @@ def test_as_imatrix_rejects_fractions():
     for bad in (Fraction(1, 2), Fraction(2, 1)):
         with pytest.raises(TypeError):
             as_imatrix([[bad, 0], [0, 1]])
-    M = as_imatrix([[np.int64(2), -1], [-1, True]])
-    assert all(type(v) is int for v in M.flat)
-    assert M.tolist() == [[2, -1], [-1, 1]]
+    M = as_imatrix(np.array([[2, -1], [-1, 1]]))
+    assert all(type(v) is int for row in M for v in row)
+    assert as_imatrix([[np.int64(2), -1], [-1, True]]) == M == ((2, -1), (-1, 1))
     # det_exact and frac_inverse refuse to truncate what as_imatrix would reject
     with pytest.raises(TypeError):
-        det_exact(np.array([[0.5]], dtype=object))
+        det_exact(((0.5,),))
     with pytest.raises(TypeError):
-        frac_inverse(np.array([[Fraction(1, 2)]], dtype=object))
+        frac_inverse(((Fraction(1, 2),),))
 
 
 def test_identity_and_eq():
     I3 = iidentity(3)
-    assert mat_eq(I3, I3)
+    assert I3 == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert is_symmetric(I3)
-    assert not mat_eq(I3, as_imatrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]]))
+    assert I3 != as_imatrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+
+
+def test_arithmetic_helpers_hand_checked():
+    # on tuples + would concatenate and * repeat: the helpers are entrywise
+    A = as_imatrix([[1, 2], [3, 4]])
+    B = as_imatrix([[0, 1], [1, 0]])
+    assert matmul(A, B) == ((2, 1), (4, 3))
+    assert matmul(A, B, A) == ((5, 8), (13, 20))
+    assert transpose(A) == ((1, 3), (2, 4))
+    assert add(A, B) == ((1, 3), (4, 4))
+    assert add(A, B, -3) == ((1, -1), (0, 4))
+    assert kron(A, B) == ((0, 1, 0, 2), (1, 0, 2, 0), (0, 3, 0, 4), (3, 0, 4, 0))
+    assert all(type(v) is int for row in matmul(A, A) for v in row)
 
 
 def test_deviation_is_exact():
@@ -61,15 +77,15 @@ def test_deviation_is_exact():
     assert type(d) is int and d == 10**20
     # a float difference is not an exact deviation
     with pytest.raises(TypeError):
-        deviation(np.array([[0.5]], dtype=object), np.array([[0]], dtype=object))
+        deviation(((0.5,),), ((0,),))
 
 
 def test_frac_inverse_known_2x2():
     M = as_imatrix([[2, 1], [1, 1]])
     Minv = frac_inverse(M)
-    assert mat_eq(Minv, as_imatrix([[1, -1], [-1, 2]]))
-    assert all(type(v) is int for v in Minv.flat)
-    assert mat_eq(M @ Minv, iidentity(2))
+    assert Minv == ((1, -1), (-1, 2))
+    assert all(type(v) is int for row in Minv for v in row)
+    assert matmul(M, Minv) == iidentity(2)
 
 
 def test_frac_inverse_singular_raises():
@@ -129,16 +145,17 @@ _unimodular_steps = st.lists(
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(min_value=1, max_value=5), _unimodular_steps)
 def test_frac_inverse_of_unimodular_is_exact(n, steps):
-    M = iidentity(n)
+    rows = [list(r) for r in iidentity(n)]
     for i, j, c in steps:
         i, j = i % n, j % n
         if i != j:
-            M[i, :] = M[i, :] + c * M[j, :]
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         else:
-            M[i, :] = -M[i, :]
+            rows[i] = [-a for a in rows[i]]
+    M = as_imatrix(rows)
     Minv = frac_inverse(M)
-    assert all(type(v) is int for v in Minv.flat)
-    assert mat_eq(Minv @ M, iidentity(n))
+    assert all(type(v) is int for row in Minv for v in row)
+    assert matmul(Minv, M) == iidentity(n)
 
 
 # det A(A_n) = n+1; D_n -> 4; E6 -> 3; E7 -> 2; E8 -> 1 (classical values)
@@ -167,12 +184,13 @@ def test_char_poly_matches_determinant():
 @given(_int_matrices())
 def test_char_poly_matches_determinant_at_integer_points(rows):
     M = as_imatrix(rows)
-    n = M.shape[0]
+    n = len(M)
     coeffs = char_poly(M)
     assert all(type(c) is int for c in coeffs)
     for x in range(n + 1):
         value = sum(c * x ** (n - i) for i, c in enumerate(coeffs))
-        assert value == det_exact(x * iidentity(n) - M)
+        xI = tuple(tuple(x * v for v in row) for row in iidentity(n))
+        assert value == det_exact(add(xI, M, -1))
 
 
 def test_matrix_order():
