@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from coxlat.gabrielov import (
     TREE_RELABELING,
-    conjugation_report_e6,
-    conjugation_report_e8,
+    conjugation_report,
     e6_factorization,
     e8_factorization,
     root_image_count,
@@ -48,9 +47,9 @@ _, deviations6 = e6_factorization()
 print("\nE6 factorization deviations:", list(deviations6.values()))
 
 # conjugating words between the bipartite and factorized Coxeter elements
-rep8 = conjugation_report_e8()
+rep8 = conjugation_report("E8")
 print(f"\nE8 conjugator {rep8['word']}: deviations {rep8['deviations']}")
-rep6 = conjugation_report_e6()
+rep6 = conjugation_report("E6")
 print(f"E6 conjugator {rep6['word']}: deviations {rep6['deviations']}")
 if rep6["repaired_word"] is not None:
     print(f"  repaired by BFS: {rep6['repaired_word']}")

@@ -5,7 +5,7 @@ Subpackage map:
 - ``intmat``    exact integer matrices as tuples of int rows (no numpy)
 - ``rootsys``   ADE catalog: Cartan matrices, exponents, Cartan-tree levels and colorings
 - ``lattice``   polarized lattices, Coxeter elements, joins, Steinberg splits
-- ``gabrielov`` basis moves, tensor-basis factorizations, Weyl-word checks
+- ``gabrielov`` basis moves, the E8/E6 join records and factorizations, Weyl-word checks
 - ``spectral``  closed-form eigenvectors, Cartan/Coxeter transfer, PF vector
 - ``qdeform``   one-parameter deformation A(q) and its spectrum law
 - ``ising``     transverse-field Ising chain with momentum resolution

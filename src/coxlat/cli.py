@@ -41,23 +41,22 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 
 def to_jsonable(x):
-    """Recursive conversion to JSON-safe values with exact integers.  numpy
-    values are converted only once numpy is loaded: nothing else holds one."""
+    """Recursive conversion to JSON-safe values with exact integers and
+    complex numbers as [re, im].  Payloads hold Python scalars only (numpy's
+    float64 and complex128 are float and complex); any other type, a numpy
+    integer or array included, raises TypeError."""
     if isinstance(x, (bool, str)) or x is None:
         return x
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
-    np = sys.modules.get("numpy")
-    if isinstance(x, int) or np and isinstance(x, np.integer):
+    if isinstance(x, int):
         return int(x)
-    if isinstance(x, float) or np and isinstance(x, np.floating):
+    if isinstance(x, float):
         return float(x)
-    if isinstance(x, complex) or np and isinstance(x, np.complexfloating):
+    if isinstance(x, complex):
         return [float(x.real), float(x.imag)]
-    if np and isinstance(x, np.ndarray):
-        return [to_jsonable(row) for row in x]
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
@@ -118,21 +117,21 @@ def _verify_steinberg(tol: Optional[float]) -> dict:
     )
 
 
-def _verify_factorization(system: str, tol: Optional[float]) -> dict:
-    """The e8- or e6-factorization record; system is "e8" or "e6"."""
+def _verify_factorization(target: str, tol: Optional[float]) -> dict:
+    """The e8- or e6-factorization record; target is "E8" or "E6"."""
     from . import gabrielov
 
-    _, deviations = getattr(gabrielov, f"{system}_factorization")()
-    crep = getattr(gabrielov, f"conjugation_report_{system}")()
+    _, deviations = getattr(gabrielov, f"{target.lower()}_factorization")()
+    crep = gabrielov.conjugation_report(target)
     shown = {**deviations, **crep["deviations"]}
     parts = [f"{label}: {'pass' if dev == 0 else 'fail'}" for label, dev in shown.items()]
     # the conjugator identity graded is the one listed last: the reference
     # word as written, or the BFS repair that replaces it when it fails
     *_, conj_dev = crep["deviations"].values()
-    word = crep.get("repaired_word")
+    word = crep["repaired_word"]
     if word is not None:
         parts.append(f"reference conjugator failed as written; repaired word {word}")
-    elif "repaired_word" in crep and conj_dev > 0:
+    elif conj_dev > 0:
         parts.append("reference conjugator failed as written; no repair word found")
     return _report(
         float(max(*deviations.values(), conj_dev)),
@@ -145,17 +144,15 @@ def _verify_factorization(system: str, tol: Optional[float]) -> dict:
 def _verify_gamma_alpha(tol: Optional[float]) -> dict:
     from . import gabrielov
     from .intmat import deviation, iidentity
-    from .rootsys import RootSystemId
 
-    ids = [RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)]
-    A_star = gabrielov.join_cartan(ids)
-    start = gabrielov.BasedLattice(A_star, iidentity(8))
+    A_star = gabrielov.join_cartan(gabrielov.JOINS["E8"].factors)
+    start = gabrielov.BasedLattice(A_star, iidentity(len(A_star)))
     left = gabrielov.apply_word(start, gabrielov.GAMMA_SQUARE_WORD)
     right = gabrielov.apply_word(start, gabrielov.ALPHA1_SIX_WORD)
     return _report(
         float(deviation(left.basis, right.basis)),
         tol, EXACT_TOL,
-        "gamma2·gamma1 = alpha1^6 from the standard rank-8 basis (exact)",
+        f"gamma2·gamma1 = alpha1^6 from the standard rank-{len(A_star)} basis (exact)",
     )
 
 
@@ -294,8 +291,8 @@ def _verify_ising(tol: Optional[float]) -> dict:
 # conditions ignore tol.
 _CHECKS: Dict[str, Callable[[Optional[float]], dict]] = {
     "steinberg": _verify_steinberg,
-    "e8-factorization": partial(_verify_factorization, "e8"),
-    "e6-factorization": partial(_verify_factorization, "e6"),
+    "e8-factorization": partial(_verify_factorization, "E8"),
+    "e6-factorization": partial(_verify_factorization, "E6"),
     "gamma-alpha": _verify_gamma_alpha,
     "root-image": _verify_root_image,
     "e8-eigvecs": partial(_verify_eigvecs, "E8", 4),

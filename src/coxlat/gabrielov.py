@@ -2,19 +2,21 @@
 
 The engine acts on ordered bases of a lattice with a fixed ambient
 bilinear form: alpha/beta moves replace a basis vector by its reflection
-partner and swap adjacent positions, gamma flips a sign.  Composing the
-right move word turns the factorized basis of A4*A2*A1 into an E8 root
-basis (and A3*A2*A1 into E6).  The change-of-basis matrix G is the
-mutated basis with its rows renumbered to Bourbaki's labels by the pinned
-map TREE_RELABELING, and satisfies
+partner and swap adjacent positions, gamma flips a sign.  JOINS holds one
+Join record per target: a move word turns the factorized basis of
+A4*A2*A1 into an E8 root basis (and A3*A2*A1 into E6), with the Coxeter
+words, the reference conjugator and the reference G alongside.  The
+change-of-basis matrix G is the mutated basis with its rows renumbered to
+Bourbaki's labels by the pinned map TREE_RELABELING, and satisfies
 
     Gᵗ·A_*·G = A(E8)   and   G⁻¹·C_*·G = C_G(E8)
 
 exactly; each factorization report checks both identities and G against
-the reference matrix.  Also here: Weyl-word evaluation (a one-letter
-word is a simple reflection), a breadth-first conjugator search, and the
-240-to-60 root-image count.  Matrices are intmat's tuples of int rows,
-and no numpy is imported.
+the reference matrix, and conjugation_report checks the reference
+conjugator.  Also here: Weyl-word evaluation (a one-letter word is a
+simple reflection), a breadth-first conjugator search, and the 240-to-60
+root-image count.  Matrices are intmat's tuples of int rows, and no numpy
+is imported.
 
 Convention flags (frozen after exact validation against the Gram
 identities above): SIGN_CONVENTION = -1 in the alpha/beta formulas, and
@@ -51,24 +53,15 @@ __all__ = [
     "BFS_MAX_NODES",
     "join_cartan",
     "join_coxeter",
+    "Join",
+    "JOINS",
     "e8_factorization",
     "e6_factorization",
-    "conjugation_report_e8",
-    "conjugation_report_e6",
+    "conjugation_report",
     "root_image_count",
-    "E8_WORD",
-    "E6_WORD",
     "GAMMA_SQUARE_WORD",
     "ALPHA1_SIX_WORD",
-    "E8_CG_WORD",
-    "E6_CG_WORD",
-    "E8_CBW_WORD",
-    "E6_CBW_WORD",
-    "E8_CONJUGATOR_WORD",
-    "E6_CONJUGATOR_WORD",
     "TREE_RELABELING",
-    "E8_CHANGE_OF_BASIS",
-    "E6_CHANGE_OF_BASIS",
 ]
 
 # Frozen by validating all four (sign, order) pairs against the exact
@@ -176,25 +169,9 @@ def apply_word(b: BasedLattice, word: Sequence[Move]) -> BasedLattice:
     return b
 
 
-# E8: turns the factorized basis of A4*A2*A1 into an E8 root basis.
-E8_WORD = parse_word("g2 g1 b4 b3 a3 a4 b4 a5 a6 a7 a1 a2 a3 a4 b6 b3 a1")
-# E6: same for A3*A2*A1.
-E6_WORD = parse_word("g4 g1 a1 a2 a3 a4 b6 b3 a1")
 # the two sides of the rank-8 move identity gamma2·gamma1 = alpha1^6
 GAMMA_SQUARE_WORD = parse_word("g2 g1")
 ALPHA1_SIX_WORD = parse_word("a1 a1 a1 a1 a1 a1")
-
-# Coxeter words in Bourbaki numbering
-E8_CG_WORD = (1, 3, 4, 2, 5, 6, 7, 8)
-E6_CG_WORD = (1, 3, 4, 2, 5, 6)
-E8_CBW_WORD = (1, 4, 6, 8, 2, 3, 5, 7)
-E6_CBW_WORD = (1, 4, 6, 2, 3, 5)
-# w with w⁻¹·C_BW(E8)·w = C_G(E8), exact.
-E8_CONJUGATOR_WORD = (7, 5, 3, 2, 6, 4, 5, 1, 3, 2, 4, 1, 3, 2, 1, 2)
-# Reference conjugator word for E6.  As written it contains the cancelling
-# pair s3∘s3 and misses the exact identity; conjugation_report_e6 gives its
-# deviation together with the shortest word BFS finds in its place.
-E6_CONJUGATOR_WORD = (5, 3, 2, 4, 1, 3, 3, 1, 2)
 
 # label map from the mutation ordering of the E8/E6 tree to Bourbaki's
 # (unlisted labels are fixed).  It is forced: for both words it is the only
@@ -202,30 +179,73 @@ E6_CONJUGATOR_WORD = (5, 3, 2, 4, 1, 3, 3, 1, 2)
 # carries C_* to C_G, which the tests confirm by enumerating all of them.
 TREE_RELABELING = {2: 3, 3: 4, 4: 2}
 
-# reference change-of-basis matrices (columns = Bourbaki simple roots
-# written in the factorized tensor basis)
-E8_CHANGE_OF_BASIS = as_imatrix(
-    [
-        [0, 0, 0, 1, -1, 0, 0, 0],
-        [-1, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, -1, 1, 0, 0, 0, 0],
-        [-1, 1, -1, 0, 0, 1, 0, 0],
-        [0, 1, -1, 0, 0, 0, 1, 0],
-        [-1, 1, -1, 0, 0, 0, 1, 0],
-        [0, 1, -1, 0, 0, 0, 0, 1],
-        [0, 1, -1, 0, 0, 0, 0, 0],
-    ]
-)
-E6_CHANGE_OF_BASIS = as_imatrix(
-    [
-        [0, -1, 1, 0, 0, 0],
-        [-1, 0, 1, 0, 0, 0],
-        [0, -1, 0, 1, 0, 0],
-        [-1, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-        [-1, 0, 0, 0, 0, 1],
-    ]
-)
+
+@dataclass(frozen=True)
+class Join:
+    """A join of A_n factors and the root system its move word makes.
+
+    The move word turns the tensor basis of the join of the factors into
+    simple roots of target.  cg_word and cbw_word are the Gabrielov and
+    bipartite Coxeter words of target (Bourbaki numbering); conjugator_word
+    is the reference Weyl word x with x⁻¹·C_BW·x = C_G, printed in reports
+    as conjugator_name; change_of_basis is the reference G (columns =
+    simple roots of target written in the tensor basis).  Data only.
+    """
+
+    target: RootSystemId
+    factors: Tuple[RootSystemId, ...]
+    word: Tuple[Move, ...]
+    cg_word: Tuple[int, ...]
+    cbw_word: Tuple[int, ...]
+    conjugator_word: Tuple[int, ...]
+    conjugator_name: str
+    change_of_basis: IMatrix
+
+
+# target name -> its join.  E6's reference conjugator as written contains
+# the cancelling pair s3∘s3 and misses the exact identity, so its report
+# also carries the shortest word BFS finds in its place.
+JOINS: Dict[str, Join] = {
+    str(j.target): j
+    for j in (
+        Join(
+            target=RootSystemId("E", 8),
+            factors=tuple(map(RootSystemId.parse, ("A4", "A2", "A1"))),
+            word=parse_word("g2 g1 b4 b3 a3 a4 b4 a5 a6 a7 a1 a2 a3 a4 b6 b3 a1"),
+            cg_word=(1, 3, 4, 2, 5, 6, 7, 8),
+            cbw_word=(1, 4, 6, 8, 2, 3, 5, 7),
+            conjugator_word=(7, 5, 3, 2, 6, 4, 5, 1, 3, 2, 4, 1, 3, 2, 1, 2),
+            conjugator_name="w",
+            change_of_basis=as_imatrix([
+                [0, 0, 0, 1, -1, 0, 0, 0],
+                [-1, 1, 0, 0, 0, 0, 0, 0],
+                [0, 0, -1, 1, 0, 0, 0, 0],
+                [-1, 1, -1, 0, 0, 1, 0, 0],
+                [0, 1, -1, 0, 0, 0, 1, 0],
+                [-1, 1, -1, 0, 0, 0, 1, 0],
+                [0, 1, -1, 0, 0, 0, 0, 1],
+                [0, 1, -1, 0, 0, 0, 0, 0],
+            ]),
+        ),
+        Join(
+            target=RootSystemId("E", 6),
+            factors=tuple(map(RootSystemId.parse, ("A3", "A2", "A1"))),
+            word=parse_word("g4 g1 a1 a2 a3 a4 b6 b3 a1"),
+            cg_word=(1, 3, 4, 2, 5, 6),
+            cbw_word=(1, 4, 6, 2, 3, 5),
+            conjugator_word=(5, 3, 2, 4, 1, 3, 3, 1, 2),
+            conjugator_name="v",
+            change_of_basis=as_imatrix([
+                [0, -1, 1, 0, 0, 0],
+                [-1, 0, 1, 0, 0, 0],
+                [0, -1, 0, 1, 0, 0],
+                [-1, 0, 0, 0, 1, 0],
+                [0, 0, 0, 0, 0, 1],
+                [-1, 0, 0, 0, 0, 1],
+            ]),
+        ),
+    )
+}
 
 
 def _reflect(Mt: IMatrix, A: IMatrix, i: int) -> IMatrix:
@@ -312,79 +332,60 @@ def join_coxeter(ids: Sequence[RootSystemId]) -> IMatrix:
     return reduce(kron, mats)
 
 
-def _factorization(ids, word, target: RootSystemId, cg_word, reference_G):
-    """Shared engine for the E8 and E6 factorizations."""
-    lat = _join_polarized(ids)
+def _factorization(j: Join):
+    """Change of basis G from the tensor basis of j's join to simple roots of j.target.
+
+    Returns (G, deviations): the exact deviations of Gᵗ·A_*·G = A,
+    G⁻¹·C_*·G = C_G and G = reference matrix, keyed by identity.
+    """
+    lat = _join_polarized(j.factors)
     n = lat.rank
-    based = apply_word(BasedLattice(lat.A, iidentity(n)), word)
+    based = apply_word(BasedLattice(lat.A, iidentity(n)), j.word)
     # column TREE_RELABELING[k] of G is mutated basis row k
     inv = {v: k for k, v in TREE_RELABELING.items()}
     G = transpose([based.basis[inv.get(i, i) - 1] for i in range(1, n + 1)])
     Ginv = frac_inverse(G)
     return G, {
-        "G^t A_* G = A": deviation(matmul(transpose(G), lat.A, G), cartan_matrix(target)),
+        "G^t A_* G = A": deviation(matmul(transpose(G), lat.A, G), cartan_matrix(j.target)),
         "G^{-1} C_* G = C_G": deviation(
-            matmul(Ginv, join_coxeter(ids), G), weyl_apply(target, cg_word)
+            matmul(Ginv, join_coxeter(j.factors), G), weyl_apply(j.target, j.cg_word)
         ),
-        "G = reference matrix": deviation(G, reference_G),
+        "G = reference matrix": deviation(G, j.change_of_basis),
     }
 
 
 def e8_factorization():
-    """Change of basis G from the A4*A2*A1 tensor basis to E8 simple roots.
-
-    Returns (G, deviations): the exact deviations of Gᵗ·A_*·G = A(E8),
-    G⁻¹·C_*·G = C_G(E8) = s1s3s4s2s5s6s7s8, and G = reference matrix,
-    keyed by identity.
-    """
-    ids = [RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)]
-    return _factorization(
-        ids, E8_WORD, RootSystemId("E", 8), E8_CG_WORD, E8_CHANGE_OF_BASIS
-    )
+    """_factorization of A4*A2*A1 into E8, where C_G = s1s3s4s2s5s6s7s8."""
+    return _factorization(JOINS["E8"])
 
 
 def e6_factorization():
-    """E6 analogue of e8_factorization, from the A3*A2*A1 tensor basis."""
-    ids = [RootSystemId("A", 3), RootSystemId("A", 2), RootSystemId("A", 1)]
-    return _factorization(
-        ids, E6_WORD, RootSystemId("E", 6), E6_CG_WORD, E6_CHANGE_OF_BASIS
-    )
+    """_factorization of A3*A2*A1 into E6."""
+    return _factorization(JOINS["E6"])
 
 
-def conjugation_report_e8() -> dict:
-    """Exact deviation of w⁻¹·C_BW(E8)·w = C_G(E8) for the reference 16-letter w."""
-    rid = RootSystemId("E", 8)
-    C_bw = weyl_apply(rid, E8_CBW_WORD)
-    C_g = weyl_apply(rid, E8_CG_WORD)
-    w = weyl_apply(rid, E8_CONJUGATOR_WORD)
-    return {
-        "word": list(E8_CONJUGATOR_WORD),
-        "deviations": {"w^{-1} C_BW w = C_G": deviation(matmul(C_bw, w), matmul(w, C_g))},
-    }
+def conjugation_report(target: str) -> dict:
+    """Deviation of the reference conjugator of JOINS[target], and its BFS repair.
 
-
-def conjugation_report_e6() -> dict:
-    """Deviation of the reference E6 conjugator as written, and its BFS repair.
-
-    The reference word misses the identity (it contains the cancelling
-    pair s3∘s3), so the report also carries the shortest word w that
-    find_conjugator returns in its place ("repaired_word", None when the
-    reference word is exact or no word is found) and w's deviation,
-    listed last.
+    "word" is the reference word x as written and "deviations" starts with
+    the exact deviation of x⁻¹·C_BW·x = C_G.  When that fails, the report
+    also carries the shortest word w that find_conjugator returns in its
+    place ("repaired_word", None when x is exact or no word is found) and
+    w's deviation, listed last.
     """
-    rid = RootSystemId("E", 6)
-    C_bw = weyl_apply(rid, E6_CBW_WORD)
-    C_g = weyl_apply(rid, E6_CG_WORD)
-    v = weyl_apply(rid, E6_CONJUGATOR_WORD)
-    dev = deviation(matmul(C_bw, v), matmul(v, C_g))
-    deviations = {"v^{-1} C_BW v = C_G": dev}
-    repaired = find_conjugator(rid, C_bw, C_g) if dev else None
+    j = JOINS[target]
+    C_bw = weyl_apply(j.target, j.cbw_word)
+    C_g = weyl_apply(j.target, j.cg_word)
+    x = weyl_apply(j.target, j.conjugator_word)
+    dev = deviation(matmul(C_bw, x), matmul(x, C_g))
+    deviations = {f"{j.conjugator_name}^{{-1}} C_BW {j.conjugator_name} = C_G": dev}
+    repaired = find_conjugator(j.target, C_bw, C_g) if dev else None
     if repaired is not None:
-        w = weyl_apply(rid, repaired)
+        w = weyl_apply(j.target, repaired)
         label = f"repaired w^{{-1}} C_BW w = C_G (word {repaired})"
         deviations[label] = deviation(matmul(C_bw, w), matmul(w, C_g))
     return {
-        "word": list(E6_CONJUGATOR_WORD),
+        "word": list(j.conjugator_word),
         "deviations": deviations,
         "repaired_word": repaired,
     }
@@ -423,11 +424,13 @@ def root_image_count() -> Tuple[int, bool]:
     formed; everything is exact.
     """
     G, _ = e8_factorization()
-    A8 = cartan_matrix(RootSystemId("E", 8))
+    j = JOINS["E8"]
+    first, *rest = (rid.rank for rid in j.factors)
     # row f is G⁻¹·e_f, the image of tensor basis vector f
     partial = [transpose(frac_inverse(G))]
-    for n in (1, 2):  # the factors A1 and A2, last first
+    for n in reversed(rest):  # the later factors, last first
         partial = [c for rows in partial for c in _contract_roots(rows, n)]
-    # contracting A4 leaves one row: the image itself
-    images = {v for rows in partial for (v,) in _contract_roots(rows, 4)}
-    return len(images), all(_pairing(A8, v, v) == 2 for v in images)
+    # contracting the first factor leaves one row: the image itself
+    images = {v for rows in partial for (v,) in _contract_roots(rows, first)}
+    A = cartan_matrix(j.target)
+    return len(images), all(_pairing(A, v, v) == 2 for v in images)

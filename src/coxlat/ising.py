@@ -57,7 +57,8 @@ class IsingParams:
     h_x: float = 0.0
 
     def __post_init__(self):
-        if self.N < 2 or 2**self.N > MAX_STATES:
+        # compare N before exponentiating: 2**N of a huge N exhausts memory
+        if self.N < 2 or self.N > MAX_STATES.bit_length() - 1:
             raise ValueError(f"N must satisfy 2 <= N and 2^N <= {MAX_STATES}")
         if not all(math.isfinite(x) for x in (self.J, self.h_z, self.h_x)):
             raise ValueError("J, h_z and h_x must be finite")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
@@ -187,15 +186,14 @@ def join_exponent_arithmetic(ids: Sequence[RootSystemId]) -> Tuple[int, List[int
     """
     if not ids:
         raise ValueError("need at least one root system id")
-    fracs = [Fraction(0)]
+    H = math.lcm(*(exponents(rid)[0] for rid in ids))
+    # each argument is s/H with 0 <= s < H; dividing by g = gcd(H, every s) reduces them
+    sums = [0]
     for rid in ids:
         h, exps = exponents(rid)
-        fracs = [f + Fraction(k, h) for f in fracs for k in exps]
-    fracs = [f - math.floor(f) for f in fracs]
-    hout = 1
-    for f in fracs:
-        hout = hout * f.denominator // math.gcd(hout, f.denominator)
-    return hout, sorted(int(f * hout) for f in fracs)
+        sums = [(s + k * (H // h)) % H for s in sums for k in exps]
+    g = math.gcd(H, *sums)
+    return H // g, sorted(s // g for s in sums)
 
 
 CATALOG_IDS: Tuple[RootSystemId, ...] = tuple(

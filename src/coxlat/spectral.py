@@ -23,12 +23,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .gabrielov import (
-    E8_CONJUGATOR_WORD,
-    e8_factorization,
-    weyl_apply,
-)
-from .intmat import frac_inverse
 from .lattice import bipartite_coxeter
 from .rootsys import RootSystemId, coloring, root_system
 
@@ -275,20 +269,26 @@ def factorized_coxeter_eigenvector(k4: int, k2: int) -> np.ndarray:
     x_* = X_{C(A4)}(k4·pi/5) ⊗ X_{C(A2)}(k2·pi/3) ⊗ (1) is an eigenvector
     of C(A4)⊗C(A2)⊗C(A1) for mu = e^{2i alpha}, alpha = theta+gamma+pi/2;
     G⁻¹ carries it to the E8 simple-root basis and w conjugates the
-    Gabrielov Coxeter element into the bipartite one.
+    Gabrielov Coxeter element into the bipartite one.  The factors and w
+    are those of gabrielov.JOINS["E8"], imported here so that the rest of
+    this module loads no move engine.
     """
-    if not (1 <= k4 <= 4 and 1 <= k2 <= 2):
-        raise ValueError("need 1 <= k4 <= 4 and 1 <= k2 <= 2")
-    theta = k4 * math.pi / 5
-    gam = k2 * math.pi / 3
+    from . import gabrielov
+    from .intmat import frac_inverse
+
+    j = gabrielov.JOINS["E8"]
+    n4, n2, n1 = (rid.rank for rid in j.factors)
+    if not (1 <= k4 <= n4 and 1 <= k2 <= n2):
+        raise ValueError(f"need 1 <= k4 <= {n4} and 1 <= k2 <= {n2}")
+    theta = k4 * math.pi / (n4 + 1)
+    gam = k2 * math.pi / (n2 + 1)
     x_star = np.kron(
-        np.kron(an_coxeter_eigenvector(4, theta), an_coxeter_eigenvector(2, gam)),
-        an_coxeter_eigenvector(1, 0.0),
+        np.kron(an_coxeter_eigenvector(n4, theta), an_coxeter_eigenvector(n2, gam)),
+        an_coxeter_eigenvector(n1, 0.0),
     )
-    G, _ = e8_factorization()
+    G, _ = gabrielov.e8_factorization()
     Ginv = np.array(frac_inverse(G), dtype=float)
-    rid = RootSystemId("E", 8)
-    w = np.array(weyl_apply(rid, E8_CONJUGATOR_WORD), dtype=float)
+    w = np.array(gabrielov.weyl_apply(j.target, j.conjugator_word), dtype=float)
     return w @ (Ginv @ x_star)
 
 

@@ -40,7 +40,7 @@ def test_criterion_01_e8_gram_identity(capsys):
     t0 = time.perf_counter()
     G, _ = gabrielov.e8_factorization()
     elapsed = time.perf_counter() - t0
-    printed_ok = G == gabrielov.E8_CHANGE_OF_BASIS
+    printed_ok = G == gabrielov.JOINS["E8"].change_of_basis
     _record(capsys, 1, "e8-gram-identity", _passes("e8-factorization") and printed_ok and elapsed < 1.0)
 
 
@@ -52,7 +52,7 @@ def test_criterion_03_e6_analogues(capsys):
     t0 = time.perf_counter()
     G, _ = gabrielov.e6_factorization()
     elapsed = time.perf_counter() - t0
-    ok = _passes("e6-factorization") and G == gabrielov.E6_CHANGE_OF_BASIS and elapsed < 1.0
+    ok = _passes("e6-factorization") and G == gabrielov.JOINS["E6"].change_of_basis and elapsed < 1.0
     _record(capsys, 3, "e6-analogues", ok)
 
 

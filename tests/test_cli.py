@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -112,6 +113,30 @@ def test_verify_all_deterministic(capsys):
     reports = json.loads(out1)["reports"]
     assert [r["name"] for r in reports] == list(VERIFY_NAMES[:-1])
     assert all(r["status"] == "pass" for r in reports)
+
+
+# the text lines of the exact records in `coxlat verify all`, byte for byte
+EXACT_RECORD_LINES = [
+    "PASS steinberg            deviation=0.000e+00 tol=0.0e+00  "
+    "C_B + C_W = 2I - A over 16 systems (exact)",
+    "PASS e8-factorization     deviation=0.000e+00 tol=0.0e+00  "
+    "G^t A_* G = A: pass; G^{-1} C_* G = C_G: pass; G = reference matrix: pass; "
+    "w^{-1} C_BW w = C_G: pass",
+    "PASS e6-factorization     deviation=0.000e+00 tol=0.0e+00  "
+    "G^t A_* G = A: pass; G^{-1} C_* G = C_G: pass; G = reference matrix: pass; "
+    "v^{-1} C_BW v = C_G: fail; repaired w^{-1} C_BW w = C_G (word [3, 1, 6]): pass; "
+    "reference conjugator failed as written; repaired word [3, 1, 6]",
+    "PASS gamma-alpha          deviation=0.000e+00 tol=0.0e+00  "
+    "gamma2·gamma1 = alpha1^6 from the standard rank-8 basis (exact)",
+    "PASS root-image           deviation=0.000e+00 tol=0.0e+00  "
+    "240 root triples -> 60 distinct images, all norm 2: True",
+]
+
+
+def test_exact_verify_records_print_byte_for_byte(capsys):
+    code, out = _run(capsys, "verify", "all")
+    assert code == 0
+    assert out.splitlines()[:len(EXACT_RECORD_LINES)] == EXACT_RECORD_LINES
 
 
 def test_run_verification_rejects_unknown():
@@ -264,7 +289,8 @@ def test_nan_deviation_fails_the_check(monkeypatch, capsys, name, module, attr, 
 
 def test_wrong_e8_word_fails_its_record(monkeypatch, capsys):
     # a failed Gram identity is a failed record, not an exception
-    monkeypatch.setattr(gabrielov, "E8_WORD", gabrielov.E8_WORD[1:])
+    e8 = gabrielov.JOINS["E8"]
+    monkeypatch.setitem(gabrielov.JOINS, "E8", dataclasses.replace(e8, word=e8.word[1:]))
     [report] = run_verification("e8-factorization")
     assert report["status"] == "fail"
     assert report["deviation"] > 0
@@ -280,7 +306,8 @@ def test_wrong_e8_word_fails_its_record(monkeypatch, capsys):
 
 
 def test_exact_e6_conjugator_needs_no_repair(monkeypatch):
-    monkeypatch.setattr(gabrielov, "E6_CONJUGATOR_WORD", (3, 1, 6))
+    monkeypatch.setitem(gabrielov.JOINS, "E6",
+                        dataclasses.replace(gabrielov.JOINS["E6"], conjugator_word=(3, 1, 6)))
     [report] = run_verification("e6-factorization")
     assert report["status"] == "pass"
     assert report["deviation"] == 0
@@ -311,13 +338,27 @@ def test_e6_repair_longer_than_the_limit_fails(monkeypatch):
     assert "repaired word [3, 1, 6]" in report["details"]
 
 
+def test_broken_e8_conjugator_is_repaired_like_e6(monkeypatch):
+    # the BFS repair belongs to no one join: any reference word that fails gets it
+    e8 = gabrielov.JOINS["E8"]
+    monkeypatch.setitem(gabrielov.JOINS, "E8",
+                        dataclasses.replace(e8, conjugator_word=e8.conjugator_word[1:]))
+    [report] = run_verification("e8-factorization")
+    assert report["status"] == "pass"
+    assert report["deviation"] == 0
+    assert "w^{-1} C_BW w = C_G: fail; repaired w^{-1} C_BW w = C_G" in report["details"]
+    assert report["details"].endswith(
+        "reference conjugator failed as written; repaired word [3, 1, 6, 7, 8, 7]"
+    )
+
+
 def test_to_jsonable_exact_and_complex():
     big = 10**30
     assert to_jsonable(big) == big
-    assert to_jsonable(np.int64(7)) == 7
     assert to_jsonable(1 + 2j) == [1.0, 2.0]
-    arr = np.array([[2, -1], [-1, 2]], dtype=object)
-    assert to_jsonable(arr) == [[2, -1], [-1, 2]]
+    # payloads hold Python scalars only: a numpy integer is refused, not converted
+    with pytest.raises(TypeError):
+        to_jsonable(np.int64(7))
 
 
 _SYSTEMS = st.sampled_from(

@@ -29,6 +29,7 @@ task_dir = "/proc/self/task"
 print(json.dumps({
     "code": code,
     "numpy": "numpy" in sys.modules,
+    "fractions": "fractions" in sys.modules,
     "modules": sorted(m for m in sys.modules if m.startswith("coxlat.")),
     "env": {var: os.environ.get(var) for var in %r},
     "tasks": len(os.listdir(task_dir)) if os.path.isdir(task_dir) else None,
@@ -80,6 +81,7 @@ def test_exact_requests_load_no_numpy(argv, modules):
     state = _probe(argv)
     assert state["code"] == 0
     assert not state["numpy"]
+    assert not state["fractions"]
     assert state["modules"] == modules
 
 
@@ -97,9 +99,11 @@ def test_eigen_runs_on_one_blas_thread_unless_told(preset, expected):
     state = _probe(["eigen", "A2"], **preset)
     assert state["code"] == 0
     assert state["numpy"]
-    # no --q: qdeform stays unloaded
-    assert state["modules"] == ["coxlat.cli", "coxlat.gabrielov", "coxlat.intmat",
-                                "coxlat.lattice", "coxlat.rootsys", "coxlat.spectral"]
+    assert not state["fractions"]
+    # no --q: qdeform stays unloaded, and spectral loads the move engine only
+    # for the factorized E8 eigenvector, which eigen never builds
+    assert state["modules"] == ["coxlat.cli", "coxlat.intmat", "coxlat.lattice",
+                                "coxlat.rootsys", "coxlat.spectral"]
     assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset,
                             "OPENBLAS_NUM_THREADS": expected}
     if expected == "1" and state["tasks"] is not None:

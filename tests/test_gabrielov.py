@@ -11,24 +11,14 @@ from hypothesis import strategies as st
 
 from coxlat.gabrielov import (
     ALPHA1_SIX_WORD,
-    E6_CBW_WORD,
-    E6_CG_WORD,
-    E6_CHANGE_OF_BASIS,
-    E6_CONJUGATOR_WORD,
-    E6_WORD,
-    E8_CHANGE_OF_BASIS,
-    E8_CBW_WORD,
-    E8_CG_WORD,
-    E8_CONJUGATOR_WORD,
-    E8_WORD,
     GAMMA_SQUARE_WORD,
+    JOINS,
     TREE_RELABELING,
     BasedLattice,
     alpha,
     apply_word,
     beta,
-    conjugation_report_e6,
-    conjugation_report_e8,
+    conjugation_report,
     e6_factorization,
     e8_factorization,
     find_conjugator,
@@ -97,10 +87,10 @@ def test_beta_undoes_alpha_explicitly():
 
 def test_mutation_word_yields_unimodular_basis():
     # det = ±1 after every move of both words, in the order they act
-    for ids, word in (("A4 A2 A1", E8_WORD), ("A3 A2 A1", E6_WORD)):
-        A = join_cartan([RootSystemId.parse(x) for x in ids.split()])
+    for j in JOINS.values():
+        A = join_cartan(j.factors)
         b = BasedLattice(A, iidentity(len(A)))
-        for move in reversed(word):
+        for move in reversed(j.word):
             b = apply_word(b, [move])
             assert det_exact(b.basis) in (1, -1)
 
@@ -111,19 +101,19 @@ FACTORIZATION_IDENTITIES = ["G^t A_* G = A", "G^{-1} C_* G = C_G", "G = referenc
 def test_e8_factorization_report():
     G, deviations = e8_factorization()
     assert deviations == dict.fromkeys(FACTORIZATION_IDENTITIES, 0)
-    assert G == E8_CHANGE_OF_BASIS
+    assert G == JOINS["E8"].change_of_basis
     # exact identities restated independently of the report
     A_e8 = join_cartan([RootSystemId("E", 8)])
     assert matmul(transpose(G), A_STAR, G) == A_e8
     C_star = join_coxeter([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
-    C_g = weyl_apply(RootSystemId("E", 8), E8_CG_WORD)
+    C_g = weyl_apply(RootSystemId("E", 8), JOINS["E8"].cg_word)
     assert matmul(frac_inverse(G), C_star, G) == C_g
 
 
 def test_e6_factorization_report():
     G, deviations = e6_factorization()
     assert deviations == dict.fromkeys(FACTORIZATION_IDENTITIES, 0)
-    assert G == E6_CHANGE_OF_BASIS
+    assert G == JOINS["E6"].change_of_basis
 
 
 def _tree_isomorphisms(gram, target):
@@ -139,23 +129,15 @@ def _tree_isomorphisms(gram, target):
     ]
 
 
-@pytest.mark.parametrize(
-    "ids,word,target,cg_word,n_isomorphisms",
-    [
-        ("A4 A2 A1", E8_WORD, "E8", E8_CG_WORD, 1),
-        ("A3 A2 A1", E6_WORD, "E6", E6_CG_WORD, 2),
-    ],
-    ids=["E8", "E6"],
-)
-def test_tree_relabeling_is_the_only_compatible_one(ids, word, target, cg_word, n_isomorphisms):
+@pytest.mark.parametrize("target,n_isomorphisms", [("E8", 1), ("E6", 2)], ids=["E8", "E6"])
+def test_tree_relabeling_is_the_only_compatible_one(target, n_isomorphisms):
     # reference oracle for the pinned relabeling the factorizations use
-    ids = [RootSystemId.parse(x) for x in ids.split()]
-    target = RootSystemId.parse(target)
-    A = join_cartan(ids)
-    based = apply_word(BasedLattice(A, iidentity(len(A))), word)
-    C_star = join_coxeter(ids)
-    C_g = weyl_apply(target, cg_word)
-    isos = _tree_isomorphisms(based.gram(), target)
+    j = JOINS[target]
+    A = join_cartan(j.factors)
+    based = apply_word(BasedLattice(A, iidentity(len(A))), j.word)
+    C_star = join_coxeter(j.factors)
+    C_g = weyl_apply(j.target, j.cg_word)
+    isos = _tree_isomorphisms(based.gram(), j.target)
     assert len(isos) == n_isomorphisms
     compatible = []
     for perm in isos:
@@ -197,21 +179,22 @@ def test_weyl_apply_empty_word_is_identity():
 
 
 def test_bipartite_word_has_coxeter_order():
-    C = weyl_apply(RootSystemId("E", 8), E8_CBW_WORD)
+    C = weyl_apply(RootSystemId("E", 8), JOINS["E8"].cbw_word)
     assert matrix_order(C) == 30
 
 
 def test_e8_conjugator_exact():
-    rep = conjugation_report_e8()
+    rep = conjugation_report("E8")
     assert rep == {
-        "word": list(E8_CONJUGATOR_WORD),
+        "word": list(JOINS["E8"].conjugator_word),
         "deviations": {"w^{-1} C_BW w = C_G": 0},
+        "repaired_word": None,
     }
 
 
 def test_e6_conjugator_fails_as_written_and_is_repaired():
-    rep = conjugation_report_e6()
-    assert rep["word"] == list(E6_CONJUGATOR_WORD)
+    rep = conjugation_report("E6")
+    assert rep["word"] == list(JOINS["E6"].conjugator_word)
     assert rep["repaired_word"] == [3, 1, 6]
     assert len(rep["repaired_word"]) <= 12
     written, repaired = rep["deviations"].items()
@@ -219,8 +202,8 @@ def test_e6_conjugator_fails_as_written_and_is_repaired():
     assert repaired == ("repaired w^{-1} C_BW w = C_G (word [3, 1, 6])", 0)
     # both deviations restated independently of the report
     rid = RootSystemId("E", 6)
-    C_bw, C_g = weyl_apply(rid, E6_CBW_WORD), weyl_apply(rid, E6_CG_WORD)
-    for word, exact in ((E6_CONJUGATOR_WORD, False), ([3, 1, 6], True)):
+    C_bw, C_g = weyl_apply(rid, JOINS["E6"].cbw_word), weyl_apply(rid, JOINS["E6"].cg_word)
+    for word, exact in ((JOINS["E6"].conjugator_word, False), ([3, 1, 6], True)):
         w = weyl_apply(rid, word)
         assert (matmul(C_bw, w) == matmul(w, C_g)) == exact
 
@@ -241,7 +224,7 @@ def test_find_conjugator_no_solution():
 
 def test_find_conjugator_gives_up_past_the_node_budget(monkeypatch):
     rid = RootSystemId("E", 6)
-    C_bw, C_g = weyl_apply(rid, E6_CBW_WORD), weyl_apply(rid, E6_CG_WORD)
+    C_bw, C_g = weyl_apply(rid, JOINS["E6"].cbw_word), weyl_apply(rid, JOINS["E6"].cg_word)
     assert gabrielov.BFS_MAX_NODES > 51_840  # |W(E6)|: every E6 search completes
     assert find_conjugator(rid, C_bw, C_g) == [3, 1, 6]
     # the words of length <= 2 alone are more than 20 elements

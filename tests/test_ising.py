@@ -37,6 +37,18 @@ def test_params_validation():
     assert 2 ** IsingParams(N=14).N == MAX_STATES
 
 
+def test_huge_n_is_refused_before_2_to_the_n():
+    # 2**N at N = 10**8 alone is a 13 MB int: N is checked before any power
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"2\\^N <= {MAX_STATES}"):
+            IsingParams(N=10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_n2_classical_diagonal_frozen():
     # two sites, both bonds of the periodic ring counted: diag(-2, 2, 2, -2)
     H = build_hamiltonian(IsingParams(N=2))

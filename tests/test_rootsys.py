@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,3 +149,28 @@ def test_join_exponent_arithmetic_e6():
     h, exps = join_exponent_arithmetic(ids)
     assert h == 12
     assert exps == [1, 4, 5, 7, 8, 11]
+
+
+def _fraction_join_exponents(ids):
+    """Oracle: the sums k_1/h_1 + ... + k_m/h_m as Fractions mod 1, written
+    over the least common denominator of their reduced forms."""
+    fracs = [Fraction(0)]
+    for rid in ids:
+        h, exps = exponents(rid)
+        fracs = [f + Fraction(k, h) for f in fracs for k in exps]
+    fracs = [f - math.floor(f) for f in fracs]
+    hout = math.lcm(*(f.denominator for f in fracs))
+    return hout, sorted(int(f * hout) for f in fracs)
+
+
+_SMALL_IDS = [rid for rid in CATALOG_IDS if rid.rank <= 4]
+
+
+@pytest.mark.parametrize("first", CATALOG_IDS, ids=str)
+def test_join_exponent_arithmetic_matches_fractions(first):
+    # first alone, first with every catalog id, and (ranks <= 4) every triple
+    joins = [(first,)] + [(first, rid) for rid in CATALOG_IDS]
+    if first.rank <= 4:
+        joins += [(first, b, c) for b in _SMALL_IDS for c in _SMALL_IDS]
+    for ids in joins:
+        assert join_exponent_arithmetic(ids) == _fraction_join_exponents(ids), ids
