@@ -44,7 +44,7 @@ for a in (1, 2, 3, 4):
 x_long = e8_eigenvector(2, 1, form="long")
 x_simple = e8_eigenvector(2, 1)
 print("long vs simplified form, max diff:",
-      float(np.max(np.abs(normalize_eigvec(x_long) - normalize_eigvec(x_simple)))))
+      max(abs(a - b) for a, b in zip(normalize_eigvec(x_long), normalize_eigvec(x_simple))))
 
 # phase dressing: Cartan eigenvector -> bipartite Coxeter eigenvector.
 # (a,b) = (4,2) is the positive (Perron-Frobenius) vector with eigenvalue

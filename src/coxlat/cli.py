@@ -9,15 +9,14 @@ point) and complex numbers as [re, im] pairs.
 
 Importing this module loads only the standard library.  ``main`` parses
 the request first; each command then imports the coxlat modules it uses.
-The exact layer (intmat, rootsys, lattice, gabrielov) runs on Python ints,
-so ``catalog`` and the exact ``verify`` checks never load numpy; float
-work loads it.  A command other than ``ising`` factors nothing
-larger than the 256 x 256 oracle of ``verify ising-symmetry`` (every
-Cartan matrix has rank at most 8), where an OpenBLAS thread pool only
-spins, so before numpy loads ``main`` defaults ``OPENBLAS_NUM_THREADS``
-to 1.  ``ising`` blocks grow with N and keep the default pool.  A thread
-count already set in the environment wins, and a caller that has loaded
-numpy is left as it is.
+The exact layer (intmat, rootsys, lattice, gabrielov) runs on Python ints
+and the rank-8 float layer (spectral, qdeform) on Python floats, so only
+``ising`` and ``verify ising-symmetry`` (hence ``verify all``) load numpy.
+That check factors nothing larger than its 256 x 256 oracle, where an
+OpenBLAS thread pool only spins, so before numpy loads ``main`` defaults
+``OPENBLAS_NUM_THREADS`` to 1 for every command but ``ising``, whose blocks
+grow with N and keep the default pool.  A thread count already set in the
+environment wins, and a caller that has loaded numpy is left as it is.
 """
 
 from __future__ import annotations
@@ -88,10 +87,8 @@ def _report(deviation: float, tol: Optional[float], default: float, details: str
 
 
 def _worst(deviations) -> float:
-    """Largest deviation; a NaN anywhere makes the result NaN (which fails)."""
-    import numpy as np
-
-    return float(np.max(deviations))
+    """Largest deviation; a NaN at any position makes the result NaN (which fails)."""
+    return float(max(deviations, key=lambda d: (math.isnan(d), d)))
 
 
 def _verify_steinberg(tol: Optional[float]) -> dict:
@@ -170,13 +167,11 @@ def _verify_root_image(tol: Optional[float]) -> dict:
 
 def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
     """The closed-form eigenvectors of system ("E8" or "E6"), a in 1..a_range."""
-    import numpy as np
-
     from . import rootsys, spectral
 
     rid = rootsys.RootSystemId.parse(system)
     closed_form = getattr(spectral, f"{system.lower()}_eigenvector")
-    A = np.array(rootsys.cartan_matrix(rid), dtype=float)
+    A = rootsys.cartan_matrix(rid)
     h, exps = rootsys.exponents(rid)
     residuals = []
     lams = []
@@ -197,18 +192,15 @@ def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
 
 
 def _verify_pf(tol: Optional[float]) -> dict:
-    import numpy as np
-
     from . import rootsys, spectral
     from .rootsys import RootSystemId
 
-    A = rootsys.cartan_matrix(RootSystemId("E", 8))
-    v = np.sort(spectral.perron_frobenius(np.array(A, dtype=float)))
+    v = sorted(spectral.perron_frobenius(rootsys.cartan_matrix(RootSystemId("E", 8))))
     zam = spectral.zamolodchikov_vector(1.0)
-    dev_sorted = _worst(np.abs(v - zam))
-    closed = spectral.pf_closed_form()
-    dev_closed = _worst(np.abs(np.sort(closed) / np.min(closed) - zam))
-    rounded = tuple(round(float(t), 2) for t in v)
+    dev_sorted = _worst([abs(a - z) for a, z in zip(v, zam)])
+    closed = sorted(spectral.pf_closed_form())
+    dev_closed = _worst([abs(c / closed[0] - z) for c, z in zip(closed, zam)])
+    rounded = tuple(round(t, 2) for t in v)
     golden_err = abs(v[1] / v[0] - (1 + math.sqrt(5)) / 2)
     ok = rounded == (1.0, 1.62, 1.99, 2.40, 2.96, 3.22, 3.89, 4.78) and golden_err <= GOLDEN_TOL
     return _report(
@@ -272,8 +264,9 @@ def _verify_ising(tol: Optional[float]) -> dict:
     ]
     for params in cases:
         H = ising.build_hamiltonian(params)
-        T = ising.translation_operator(params.N).astype(float)
-        deviations += [np.max(np.abs(H - H.T)), np.max(np.abs(T @ H - H @ T))]
+        # T sends state b to perm[b], so T·H - H·T has the entries of H[perm][:, perm] - H
+        perm = np.array([ising._rotl(b, params.N) for b in range(1 << params.N)])
+        deviations += [np.max(np.abs(H - H.T)), np.max(np.abs(H[np.ix_(perm, perm)] - H))]
     classical = ising.IsingParams(N=6, J=1.0, h_z=0.4, h_x=0.0)
     Hc = ising.build_hamiltonian(classical)
     deviations.append(np.max(np.abs(np.sort(np.diag(Hc)) - ising.classical_energies(classical))))
@@ -286,7 +279,7 @@ def _verify_ising(tol: Optional[float]) -> dict:
 
 
 # name -> check(tol), in run order.  A check imports the modules it runs
-# when it runs, so an exact check loads no numpy; it grades its deviation
+# when it runs, so only ising-symmetry loads numpy; it grades its deviation
 # against tol, or its own default tolerance when tol is None, and its other
 # conditions ignore tol.
 _CHECKS: Dict[str, Callable[[Optional[float]], dict]] = {
@@ -370,8 +363,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    import numpy as np
-
     from . import rootsys, spectral
     from .rootsys import RootSystemId
 
@@ -388,7 +379,7 @@ def _cmd_eigen(args) -> int:
                     "k": p.k,
                     "h": p.h,
                     "lambda": p.lam,
-                    "vector": [to_jsonable(complex(v)) for v in np.atleast_1d(p.vector)],
+                    "vector": [to_jsonable(complex(v)) for v in p.vector],
                     "residual": p.residual,
                 }
                 for p in pairs
@@ -401,7 +392,7 @@ def _cmd_eigen(args) -> int:
     spec = qdeform.q_spectrum(D, args.q)
     cert = qdeform.conjugation_certificate(D, args.q)
     h, exps = rootsys.exponents(rid)
-    eigenvalues = [float(v.real) for v in np.atleast_1d(spec["eigenvalues"])]
+    eigenvalues = [v.real for v in spec["eigenvalues"]]
     if args.format == "csv":
         print("k,h,lambda")
         for k, lam in zip(exps, eigenvalues):

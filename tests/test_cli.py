@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from coxlat import cli, gabrielov, qdeform, spectral
 from coxlat.cli import VERIFY_NAMES, main, run_verification, to_jsonable
-from coxlat.rootsys import CATALOG_IDS
+from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix
 
 
 def _run(capsys, *argv):
@@ -285,6 +285,57 @@ def test_nan_deviation_fails_the_check(monkeypatch, capsys, name, module, attr, 
     capsys.readouterr()
     assert main(["verify", name, "--json"]) == 1
     assert _strict_loads(capsys.readouterr().out)["deviation"] is None
+
+
+@pytest.mark.parametrize("where", [0, 4, -1], ids=["first", "middle", "last"])
+def test_nan_anywhere_makes_the_maximum_nan(monkeypatch, where):
+    # Python's max([1.0, nan]) is 1.0: the float layer's maxima must not drop a NaN
+    values = [1.0, 2.0, 3.0, 0.5, 4.0, 0.25, 2.5, 1.5, 3.5]
+    values[where] = math.nan
+    assert math.isnan(cli._worst(values))
+    A = [[2.0 if i == j else 0.0 for j in range(len(values))] for i in range(len(values))]
+    A[where][where] = math.nan
+    assert math.isnan(spectral.residual(A, [1.0] * len(values), 2.0))
+    D = qdeform.deform(cartan_matrix(RootSystemId("E", 8)))
+    real = qdeform.evaluate
+    rows = [list(r) for r in real(D, 2.0)]
+    rows[where][where] = math.nan
+
+    def evaluate(D, q):
+        return rows if q == 2.0 else real(D, q)
+
+    monkeypatch.setattr(qdeform, "evaluate", evaluate)
+    assert math.isnan(qdeform.conjugation_certificate(D, 2.0)["max_abs_deviation"])
+
+
+# `eigen X --q Q` at the ends of the float range: the systems that are served
+# (exit 0); every other one exits 2 with EXTREME_Q_ERROR.  The deformed matrix
+# or its certificate leaves the float range there, and nothing may crash.
+EXTREME_Q_SERVED = {
+    "5e-324": {"A1", "A2", "A3", "D4"},
+    "1e-300": {"A1", "A2", "A3", "D4"},
+    "1e-200": {"A1", "A2", "A3", "A4", "D4", "D5"},
+    "1e-20": {str(rid) for rid in CATALOG_IDS},
+    "1e20": {str(rid) for rid in CATALOG_IDS},
+    "1e200": {"A1", "A2"},
+    "1e300": {"A1"},
+    "1.7e308": {"A1"},
+}
+EXTREME_Q_ERROR = "error: the result is not finite, so it has no strict JSON form"
+
+
+@pytest.mark.parametrize("q", EXTREME_Q_SERVED)
+@pytest.mark.parametrize("system", [str(rid) for rid in CATALOG_IDS])
+def test_extreme_q_keeps_its_exit_codes(capsys, system, q):
+    code = main(["eigen", system, "--q", q])
+    captured = capsys.readouterr()
+    if system in EXTREME_Q_SERVED[q]:
+        assert code == 0 and captured.err == ""
+        payload = _strict_loads(captured.out)
+        assert len(payload["eigenvalues"]) == int(system[1:])
+    else:
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [EXTREME_Q_ERROR]
 
 
 def test_wrong_e8_word_fails_its_record(monkeypatch, capsys):

@@ -60,6 +60,8 @@ def test_import_loads_no_numpy():
     assert state["modules"] == ["coxlat.cli"]
 
 
+SYSTEMS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+           "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8")
 # the exact layer runs on Python ints: these requests never import numpy
 EXACT_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.lattice", "coxlat.rootsys"]
 GABRIELOV_MODULES = ["coxlat.cli", "coxlat.gabrielov", "coxlat.intmat", "coxlat.lattice",
@@ -69,15 +71,40 @@ GABRIELOV_MODULES = ["coxlat.cli", "coxlat.gabrielov", "coxlat.intmat", "coxlat.
 @pytest.mark.parametrize(
     "argv, modules",
     [pytest.param(argv, modules, id=" ".join(argv)) for argv, modules in
-     [(["catalog", s, "--json"], ["coxlat.cli", "coxlat.rootsys"])
-      for s in ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
-                "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8")]
+     [(["catalog", s, "--json"], ["coxlat.cli", "coxlat.rootsys"]) for s in SYSTEMS]
      + [(["catalog", "E8"], ["coxlat.cli", "coxlat.rootsys"]),
         (["verify", "steinberg", "--json"], EXACT_MODULES)]
      + [(["verify", name, "--json"], GABRIELOV_MODULES)
         for name in ("e8-factorization", "e6-factorization", "gamma-alpha", "root-image")]],
 )
 def test_exact_requests_load_no_numpy(argv, modules):
+    state = _probe(argv)
+    assert state["code"] == 0
+    assert not state["numpy"]
+    assert not state["fractions"]
+    assert state["modules"] == modules
+
+
+# the rank-8 float layer runs on Python floats: neither do these.  spectral
+# loads the move engine only for the factorized E8 eigenvector, which none builds
+SPECTRAL_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.lattice", "coxlat.rootsys",
+                    "coxlat.spectral"]
+QDEFORM_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.lattice", "coxlat.qdeform",
+                   "coxlat.rootsys", "coxlat.spectral"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [pytest.param(argv, modules, id=" ".join(argv)) for argv, modules in
+     [(["eigen", s, *fmt], SPECTRAL_MODULES)
+      for s in SYSTEMS for fmt in ([], ["--format", "csv"])]
+     + [(["eigen", s, "--q", "2.0"], QDEFORM_MODULES) for s in SYSTEMS]
+     + [(["verify", name, "--json"], SPECTRAL_MODULES)
+        for name in ("e8-eigvecs", "e6-eigvecs", "pf-zamolodchikov")]
+     + [(["verify", name, "--json"], QDEFORM_MODULES)
+        for name in ("q-spectrum", "q-certificate")]],
+)
+def test_float_requests_load_no_numpy(argv, modules):
     state = _probe(argv)
     assert state["code"] == 0
     assert not state["numpy"]
@@ -95,15 +122,13 @@ def test_exact_requests_load_no_numpy(argv, modules):
     ],
     ids=["default", "omp-preset", "goto-preset", "openblas-preset"],
 )
-def test_eigen_runs_on_one_blas_thread_unless_told(preset, expected):
-    state = _probe(["eigen", "A2"], **preset)
+def test_ising_symmetry_runs_on_one_blas_thread_unless_told(preset, expected):
+    # the one verify check that still loads numpy, for its 256 x 256 oracle
+    state = _probe(["verify", "ising-symmetry", "--json"], **preset)
     assert state["code"] == 0
     assert state["numpy"]
     assert not state["fractions"]
-    # no --q: qdeform stays unloaded, and spectral loads the move engine only
-    # for the factorized E8 eigenvector, which eigen never builds
-    assert state["modules"] == ["coxlat.cli", "coxlat.intmat", "coxlat.lattice",
-                                "coxlat.rootsys", "coxlat.spectral"]
+    assert state["modules"] == ["coxlat.cli", "coxlat.ising"]
     assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset,
                             "OPENBLAS_NUM_THREADS": expected}
     if expected == "1" and state["tasks"] is not None:

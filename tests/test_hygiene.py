@@ -67,16 +67,30 @@ def test_all_names_resolve():
     assert missing == []
 
 
+def _numpy_imports(stem: str, nodes) -> list:
+    found = []
+    for node in nodes:
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        found += [f"{stem}:{node.lineno}: {n}" for n in names if n.split(".")[0] == "numpy"]
+    return found
+
+
 def test_exact_layer_imports_no_numpy_at_module_level():
     # catalog and the exact verify checks run without loading numpy
     found = []
     for stem in ("intmat", "rootsys", "lattice", "gabrielov"):
-        tree = ast.parse((SRC / f"{stem}.py").read_text())
-        for node in tree.body:
-            names = []
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            found += [f"{stem}: {n}" for n in names if n.split(".")[0] == "numpy"]
+        found += _numpy_imports(stem, ast.parse((SRC / f"{stem}.py").read_text()).body)
+    assert found == []
+
+
+def test_float_layer_imports_no_numpy_anywhere():
+    # eigen and the rank-8 float checks run without loading numpy: no import of
+    # it at module level or in a function body
+    found = []
+    for stem in ("spectral", "qdeform"):
+        found += _numpy_imports(stem, ast.walk(ast.parse((SRC / f"{stem}.py").read_text())))
     assert found == []

@@ -136,8 +136,8 @@ def test_q_eigenvector_transport():
     A = np.array(cartan_matrix(RootSystemId.parse("A4")), dtype=float)
     lams, vecs = np.linalg.eigh(A)
     for lam, x in zip(lams, vecs.T):
-        y = q_eigenvector(x, D, q)
-        Aq = evaluate(D, q)
+        y = np.array(q_eigenvector(x, D, q))
+        Aq = np.array(evaluate(D, q))
         lam_q = q_eigenvalue(lam, q)
         assert np.max(np.abs(Aq @ y - lam_q * y)) < 1e-8
 
