@@ -9,14 +9,10 @@ point) and complex numbers as [re, im] pairs.
 
 Importing this module loads only the standard library.  ``main`` parses
 the request first; each command then imports the coxlat modules it uses.
-The exact layer (intmat, rootsys, lattice, gabrielov) runs on Python ints
-and the rank-8 float layer (spectral, qdeform) on Python floats, so only
-``ising`` and ``verify ising-symmetry`` (hence ``verify all``) load numpy.
-That check factors nothing larger than its 256 x 256 oracle, where an
-OpenBLAS thread pool only spins, so before numpy loads ``main`` defaults
-``OPENBLAS_NUM_THREADS`` to 1 for every command but ``ising``, whose blocks
-grow with N and keep the default pool.  A thread count already set in the
-environment wins, and a caller that has loaded numpy is left as it is.
+The exact layer (intmat, rootsys, lattice, gabrielov) runs on Python ints,
+the rank-8 float layer (spectral, qdeform) on Python floats, and
+``verify ising-symmetry`` reads the entries of the Ising Hamiltonian as a
+dict, so only ``ising``, which solves the momentum blocks, loads numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from functools import partial
 from typing import Callable, Dict, List, Optional
@@ -35,8 +30,6 @@ Q_GRID = (0.25, 0.5, 2.0, 4.0)
 Q_SYSTEMS = tuple(
     [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "E6", "E7", "E8"]
 )
-# OpenBLAS reads the first of these that is set when numpy loads
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def to_jsonable(x):
@@ -249,9 +242,13 @@ def _verify_q_certificate(tol: Optional[float]) -> dict:
     )
 
 
-def _verify_ising(tol: Optional[float]) -> dict:
-    import numpy as np
+def _entry_deviation(X: dict, Y: dict) -> float:
+    """max |X - Y| over the union of the keys of two sparse matrices, a missing
+    key read as 0.0."""
+    return _worst([abs(X.get(key, 0.0) - Y.get(key, 0.0)) for key in X.keys() | Y.keys()])
 
+
+def _verify_ising(tol: Optional[float]) -> dict:
     from . import ising
 
     deviations = []
@@ -263,13 +260,18 @@ def _verify_ising(tol: Optional[float]) -> dict:
         ising.IsingParams(N=8, J=1.0, h_z=0.25, h_x=1.0),
     ]
     for params in cases:
-        H = ising.build_hamiltonian(params)
-        # T sends state b to perm[b], so T·H - H·T has the entries of H[perm][:, perm] - H
-        perm = np.array([ising._rotl(b, params.N) for b in range(1 << params.N)])
-        deviations += [np.max(np.abs(H - H.T)), np.max(np.abs(H[np.ix_(perm, perm)] - H))]
+        H = ising.hamiltonian_entries(params)
+        # T sends state b to perm[b], so T·H·T^-1 has H[b, c] at (perm[b], perm[c])
+        perm = [ising._rotl(b, params.N) for b in range(1 << params.N)]
+        deviations += [
+            _entry_deviation(H, {(c, r): v for (r, c), v in H.items()}),
+            _entry_deviation(H, {(perm[r], perm[c]): v for (r, c), v in H.items()}),
+        ]
     classical = ising.IsingParams(N=6, J=1.0, h_z=0.4, h_x=0.0)
-    Hc = ising.build_hamiltonian(classical)
-    deviations.append(np.max(np.abs(np.sort(np.diag(Hc)) - ising.classical_energies(classical))))
+    Hc = ising.hamiltonian_entries(classical)
+    diagonal = sorted(Hc.get((s, s), 0.0) for s in range(1 << classical.N))
+    deviations.append(
+        _worst([abs(d - e) for d, e in zip(diagonal, ising.classical_energies(classical))]))
     return _report(
         _worst(deviations),
         tol, EXACT_TOL,
@@ -279,9 +281,8 @@ def _verify_ising(tol: Optional[float]) -> dict:
 
 
 # name -> check(tol), in run order.  A check imports the modules it runs
-# when it runs, so only ising-symmetry loads numpy; it grades its deviation
-# against tol, or its own default tolerance when tol is None, and its other
-# conditions ignore tol.
+# when it runs, and none loads numpy; it grades its deviation against tol, or
+# its own default tolerance when tol is None, and its other conditions ignore tol.
 _CHECKS: Dict[str, Callable[[Optional[float]], dict]] = {
     "steinberg": _verify_steinberg,
     "e8-factorization": partial(_verify_factorization, "E8"),
@@ -479,21 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_blas_threads(command: str) -> None:
-    """One OpenBLAS thread for every command but ``ising`` (module docstring).
-
-    Only a process that has not loaded numpy yet, and whose environment
-    names no thread count, is changed.
-    """
-    if command == "ising" or "numpy" in sys.modules:
-        return
-    if not any(var in os.environ for var in BLAS_THREAD_VARS):
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _default_blas_threads(args.command)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -18,23 +18,27 @@ if pi(b) = b; if b < pi(b), columns b and pi(b) are (|b> + Theta|b>)/sqrt 2 and
 i(|b> - Theta|b>)/sqrt 2.  Theta fixes them, so U^H H U is real; E(r_a) is added
 after it.  No dense H or U is formed; `build_hamiltonian` is the oracle.
 
-This exists for property verification at desk scale — it makes no
-attempt at scaling-limit physics, and the dispersion fit is explicitly
-exploratory.
+`hamiltonian_entries` lists the nonzero entries of H on the standard library,
+and `verify ising-symmetry` reads them, so only the functions that densify H
+or solve it import numpy.  This exists for property verification at desk
+scale — it makes no attempt at scaling-limit physics, and the dispersion fit
+is explicitly exploratory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IsingParams",
     "MomentumLevel",
     "MAX_STATES",
+    "hamiltonian_entries",
     "build_hamiltonian",
     "translation_operator",
     "classical_energies",
@@ -45,8 +49,8 @@ __all__ = [
 ]
 
 MAX_STATES = 16384
-# grid points of the h_x scan in critical_field
-_CRITICAL_SCAN_POINTS = 2001
+# intervals of the h_x scan in critical_field
+_CRITICAL_SCAN_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -83,19 +87,34 @@ def _sz(b: int, site: int, N: int) -> int:
     return 1 - 2 * ((b >> (N - site)) & 1)
 
 
-def _diagonal(params: IsingParams) -> np.ndarray:
-    """Diagonal of H, -J·(bond sum) - h_z·(magnetization), for every state."""
-    N = params.N
-    states = np.arange(1 << N)
-    sz = 1 - 2 * ((states[:, None] >> np.arange(N)) & 1)
-    bonds = (sz * np.roll(sz, 1, axis=1)).sum(axis=1)
-    return -params.J * bonds - params.h_z * sz.sum(axis=1)
+def _diagonal(params: IsingParams) -> List[float]:
+    """Diagonal of H, -J·(bond sum) - h_z·(magnetization), for every state.
+
+    A state b with w domain walls (the bits of b xor rotl(b)) and m down spins
+    (its set bits) has bond sum N - 2w and magnetization N - 2m.
+    """
+    N, J, h_z = params.N, float(params.J), float(params.h_z)
+    bonds = [-J * (N - 2 * w) for w in range(N + 1)]
+    field = [h_z * (N - 2 * m) for m in range(N + 1)]
+    return [bonds[(b ^ _rotl(b, N)).bit_count()] - field[b.bit_count()] for b in range(1 << N)]
+
+
+def hamiltonian_entries(params: IsingParams) -> Dict[Tuple[int, int], float]:
+    """The nonzero entries {(row, col): value} of H: E(s) at (s, s) for every
+    state s (kept even where E(s) is 0), and -h_x at (s xor 2^n, s) when h_x > 0."""
+    N, h_x = params.N, float(params.h_x)
+    entries = {(s, s): e for s, e in enumerate(_diagonal(params))}
+    if h_x:
+        entries.update(((s ^ (1 << n), s), -h_x) for s in range(1 << N) for n in range(N))
+    return entries
 
 
 def build_hamiltonian(params: IsingParams) -> np.ndarray:
-    """Dense 2^N x 2^N real-symmetric matrix of H."""
+    """Dense 2^N x 2^N real-symmetric matrix of H (the numpy oracle)."""
+    import numpy as np
+
     states = np.arange(1 << params.N)
-    H = np.diag(_diagonal(params))
+    H = np.diag(np.array(_diagonal(params)))
     for n in range(params.N):
         H[states ^ (1 << n), states] -= params.h_x
     return H
@@ -103,6 +122,8 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
 
 def translation_operator(N: int) -> np.ndarray:
     """Permutation matrix of the cyclic shift sending site n+1 to site n."""
+    import numpy as np
+
     dim = 1 << N
     T = np.zeros((dim, dim), dtype=int)
     for b in range(dim):
@@ -110,20 +131,22 @@ def translation_operator(N: int) -> np.ndarray:
     return T
 
 
-def classical_energies(params: IsingParams) -> np.ndarray:
+def classical_energies(params: IsingParams) -> List[float]:
     """Sorted diagonal energies at h_x = 0 (brute-force bitstring sum)."""
     N, J, h_z = params.N, params.J, params.h_z
     out = []
     for b in range(1 << N):
         bonds = sum(_sz(b, n, N) * _sz(b, n % N + 1, N) for n in range(1, N + 1))
         mag = sum(_sz(b, n, N) for n in range(1, N + 1))
-        out.append(-J * bonds - h_z * mag)
-    return np.sort(np.array(out, dtype=float))
+        out.append(float(-J * bonds - h_z * mag))
+    return sorted(out)
 
 
 def _orbit_table(N: int):
     """Per state s: representative r (smallest state of its T-orbit),
     shift m with T^m s = r, and orbit size d."""
+    import numpy as np
+
     states = np.arange(1 << N)
     rep, shift, size = states.copy(), np.zeros_like(states), np.full_like(states, N)
     image = states
@@ -150,8 +173,10 @@ def momentum_spectrum(
     come back sorted by (k, epsilon); the ground level is the single one with
     epsilon = 0 — its p is whatever the diagonalization says, not assumed.
     """
+    import numpy as np
+
     N = params.N
-    energy = _diagonal(params)
+    energy = np.array(_diagonal(params))
     rep, shift, size = _orbit_table(N)
     reps = np.flatnonzero(rep == np.arange(1 << N))
     orbit = np.searchsorted(reps, rep)
@@ -195,6 +220,8 @@ def dispersion_probe(params: IsingParams, band_count: int) -> dict:
     fit is linear least squares on epsilon^2.  Finite chains are far
     from the scaling limit: the output carries no pass/fail meaning.
     """
+    import numpy as np
+
     if band_count < 0:
         raise ValueError("band_count must be nonnegative")
     levels = momentum_spectrum(params)
@@ -249,6 +276,5 @@ def critical_field(J: float = 1.0) -> float:
     returns h_x = J under this Hamiltonian normalization (conventions
     that halve the fields quote J/2).
     """
-    grid = np.linspace(0.0, 2.0 * J, _CRITICAL_SCAN_POINTS)
-    gaps = [min(free_fermion_energy(J, h, p) for p in (0.0, math.pi)) for h in grid]
-    return float(grid[int(np.argmin(gaps))])
+    grid = [2 * J * i / _CRITICAL_SCAN_STEPS for i in range(_CRITICAL_SCAN_STEPS + 1)]
+    return min(grid, key=lambda h: min(free_fermion_energy(J, h, p) for p in (0.0, math.pi)))

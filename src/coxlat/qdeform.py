@@ -67,7 +67,9 @@ class QDeformedCartan:
     def cartan_eigenvalues(self) -> tuple:
         """The eigenvalues of A, solved once per record (symmetric A by jacobi_eigh)."""
         A = evaluate(self, 1.0)
-        return jacobi_eigh(A)[0] if A == tuple(zip(*A)) else general_eigenvalues(A)
+        if A == tuple(zip(*A)):
+            return jacobi_eigh(A, with_vectors=False)[0]
+        return general_eigenvalues(A)
 
 
 def deform(A) -> QDeformedCartan:

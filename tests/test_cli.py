@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat import cli, gabrielov, qdeform, spectral
+from coxlat import cli, gabrielov, ising, qdeform, spectral
 from coxlat.cli import VERIFY_NAMES, main, run_verification, to_jsonable
 from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix
 
@@ -137,6 +137,57 @@ def test_exact_verify_records_print_byte_for_byte(capsys):
     code, out = _run(capsys, "verify", "all")
     assert code == 0
     assert out.splitlines()[:len(EXACT_RECORD_LINES)] == EXACT_RECORD_LINES
+
+
+ISING_DETAILS = ("H symmetric, [H,T] = 0, classical diagonal matches brute force "
+                 "(5 parameter sets, exact)")
+
+
+def test_ising_symmetry_prints_byte_for_byte(capsys):
+    code, out = _run(capsys, "verify", "ising-symmetry")
+    assert code == 0
+    assert out == f"PASS ising-symmetry       deviation=0.000e+00 tol=0.0e+00  {ISING_DETAILS}\n"
+    code, out = _run(capsys, "verify", "ising-symmetry", "--json")
+    assert code == 0
+    assert out == (
+        '{\n  "name": "ising-symmetry",\n  "status": "pass",\n  "deviation": 0.0,\n'
+        f'  "tolerance": 0.0,\n  "details": "{ISING_DETAILS}"\n}}\n'
+    )
+
+
+def _break_symmetry_only(H, N):
+    # lower row 0 on the whole T-orbit {(0, 2^n)} of (0, 1), not on its transpose
+    for n in range(N):
+        H[0, 1 << n] = H.get((0, 1 << n), 0.0) - 1.0
+
+
+def _break_translation_only(H, N):
+    # one flip amplitude changed on both sides: symmetric, but (0, 1) and (0, 2) now differ
+    H[0, 1] = H[1, 0] = H.get((0, 1), 0.0) - 1.0
+
+
+def _perturb_diagonal_only(H, N):
+    # state 0 is its own T-orbit: symmetric and translation-invariant, only E(0) is off
+    H[0, 0] += 0.5
+
+
+@pytest.mark.parametrize("mutate", [_break_symmetry_only, _break_translation_only,
+                                    _perturb_diagonal_only])
+def test_ising_symmetry_fails_on_a_broken_entry(monkeypatch, capsys, mutate):
+    # each mutation breaks exactly one of the three conditions the check grades
+    real = ising.hamiltonian_entries
+
+    def entries(params):
+        H = real(params)
+        mutate(H, params.N)
+        return H
+
+    monkeypatch.setattr(ising, "hamiltonian_entries", entries)
+    [report] = run_verification("ising-symmetry")
+    assert report["status"] == "fail"
+    assert report["deviation"] > 0
+    assert main(["verify", "ising-symmetry"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL ising-symmetry")
 
 
 def test_run_verification_rejects_unknown():

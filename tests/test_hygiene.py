@@ -87,10 +87,15 @@ def test_exact_layer_imports_no_numpy_at_module_level():
     assert found == []
 
 
+def test_ising_imports_numpy_only_inside_functions():
+    # verify ising-symmetry reads stdlib entries; only densifying or solving H loads numpy
+    assert _numpy_imports("ising", ast.parse((SRC / "ising.py").read_text()).body) == []
+
+
 def test_float_layer_imports_no_numpy_anywhere():
-    # eigen and the rank-8 float checks run without loading numpy: no import of
-    # it at module level or in a function body
+    # eigen and every verify check run without loading numpy: no import of it
+    # at module level or in a function body of the float layer or the CLI
     found = []
-    for stem in ("spectral", "qdeform"):
+    for stem in ("spectral", "qdeform", "cli"):
         found += _numpy_imports(stem, ast.walk(ast.parse((SRC / f"{stem}.py").read_text())))
     assert found == []

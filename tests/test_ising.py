@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,11 @@ from coxlat.ising import (
     critical_field,
     dispersion_probe,
     free_fermion_energy,
+    hamiltonian_entries,
     momentum_spectrum,
     translation_operator,
 )
+from coxlat.ising import _diagonal
 
 
 def test_params_validation():
@@ -65,6 +68,43 @@ def test_hamiltonian_offdiagonal_structure():
                 assert H[b, c] == -0.5
             elif d > 1:
                 assert H[b, c] == 0.0
+
+
+def _seeded_fields(seed: int):
+    """J > 0 and h_z, h_x >= 0, with zero fields among them."""
+    rng = random.Random(seed)
+    return (rng.uniform(0.1, 3.0), rng.choice([0.0, rng.uniform(0.0, 2.0)]),
+            rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+
+
+def _vectorized_diagonal(params):
+    """The diagonal as a numpy sum over sites: the oracle of _diagonal."""
+    N = params.N
+    states = np.arange(1 << N)
+    sz = 1 - 2 * ((states[:, None] >> np.arange(N)) & 1)
+    bonds = (sz * np.roll(sz, 1, axis=1)).sum(axis=1)
+    return -params.J * bonds - params.h_z * sz.sum(axis=1)
+
+
+@pytest.mark.parametrize("N", range(2, 15))
+def test_diagonal_matches_the_vectorized_formula_bit_for_bit(N):
+    for seed in range(4):
+        params = IsingParams(N, *_seeded_fields(1000 * N + seed))
+        assert np.array(_diagonal(params)).tobytes() == _vectorized_diagonal(params).tobytes()
+
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_hamiltonian_entries_densify_to_the_oracle_bit_for_bit(N):
+    for seed in range(4):
+        params = IsingParams(N, *_seeded_fields(1000 * N + seed))
+        H = build_hamiltonian(params)
+        dense = np.zeros_like(H)
+        entries = hamiltonian_entries(params)
+        for (row, col), value in entries.items():
+            dense[row, col] = value
+        assert dense.tobytes() == H.tobytes()
+        # the diagonal, plus N spin flips per state when h_x > 0
+        assert len(entries) == 2**N * (1 + (N if params.h_x else 0))
 
 
 def test_translation_is_a_left_rotation():
@@ -155,7 +195,7 @@ def test_classical_limit_through_momentum_sectors():
     # momentum route reproduces the classical levels exactly
     params = IsingParams(N=4, J=1.0, h_z=0.3)
     eps = np.sort([l.epsilon for l in momentum_spectrum(params)])
-    cls = classical_energies(params)
+    cls = np.array(classical_energies(params))
     assert np.array_equal(eps, cls - cls[0])
 
 
@@ -211,6 +251,12 @@ def test_free_fermion_energy_values():
 def test_critical_field_is_j():
     assert abs(critical_field(J=1.0) - 1.0) < 0.05
     assert abs(critical_field(J=2.0) - 2.0) < 0.1
+
+
+def test_critical_field_lands_on_the_grid_point_j():
+    # the scan grid 2·J·i/2000 holds J itself at i = 1000, where the gap is 0
+    assert critical_field(1.0) == 1.0
+    assert critical_field(2.0) == 2.0
 
 
 def test_dispersion_probe_shape():

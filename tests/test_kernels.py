@@ -23,8 +23,10 @@ Q_GRID = (0.25, 0.5, 2.0, 4.0)
 
 def _check_eigh(A, tol=1e-13):
     """jacobi_eigh(A) against eigvalsh: values, ascending order, orthonormal
-    vectors, and A·v = lambda·v for each pair."""
+    vectors, and A·v = lambda·v for each pair; without vectors, the same values
+    bit for bit."""
     w, V = jacobi_eigh(A)
+    assert jacobi_eigh(A, with_vectors=False) == (w, None)
     An = np.array(A, dtype=float).reshape(len(A), len(A))
     scale = max(1.0, float(np.max(np.abs(An), initial=0.0)))
     assert list(w) == sorted(w)
