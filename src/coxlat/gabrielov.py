@@ -26,6 +26,7 @@ ambient form on current basis rows.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .intmat import (IMatrix, as_imatrix, det_exact, deviation, frac_inverse, iidentity,
                      kron, matmul, transpose)
 from .lattice import coxeter, join, standard_polarization
-from .rootsys import RootSystemId, cartan_matrix
+from .rootsys import RootSystemId, cartan_matrix, exponents
 
 __all__ = [
     "BasedLattice",
@@ -371,7 +372,9 @@ def conjugation_report(target: str) -> dict:
     the exact deviation of x⁻¹·C_BW·x = C_G.  When that fails, the report
     also carries the shortest word w that find_conjugator returns in its
     place ("repaired_word", None when x is exact or no word is found) and
-    w's deviation, listed last.
+    w's deviation, listed last.  "budget_exhausted" is True when no word was
+    found because the search stopped at BFS_MAX_NODES, and False when it
+    found one, searched the whole Weyl group, or did not run.
     """
     j = JOINS[target]
     C_bw = weyl_apply(j.target, j.cbw_word)
@@ -384,10 +387,15 @@ def conjugation_report(target: str) -> dict:
         w = weyl_apply(j.target, repaired)
         label = f"repaired w^{{-1}} C_BW w = C_G (word {repaired})"
         deviations[label] = deviation(matmul(C_bw, w), matmul(w, C_g))
+    # a search that finds nothing stops at the budget exactly when the group
+    # is larger: |W| is the product of the degrees m + 1 over the exponents m
+    budget_exhausted = bool(dev) and repaired is None and (
+        math.prod(m + 1 for m in exponents(j.target)[1]) > BFS_MAX_NODES)
     return {
         "word": list(j.conjugator_word),
         "deviations": deviations,
         "repaired_word": repaired,
+        "budget_exhausted": budget_exhausted,
     }
 
 

@@ -424,13 +424,25 @@ def test_e6_repair_past_the_bfs_budget_fails(monkeypatch, capsys):
     assert report["deviation"] > 0
     assert "repaired" not in report["details"]
     assert report["details"].endswith(
-        "reference conjugator failed as written; no repair word found"
+        "reference conjugator failed as written; repair search stopped at its budget "
+        "of 20 group elements"
     )
     capsys.readouterr()
     assert main(["verify", "all", "--json"]) == 1
     reports = _strict_loads(capsys.readouterr().out)["reports"]
     assert [r["name"] for r in reports] == list(VERIFY_NAMES[:-1])
     assert [r["name"] for r in reports if r["status"] == "fail"] == ["e6-factorization"]
+
+
+def test_e6_without_any_repair_word_fails(monkeypatch):
+    # C_G = I is conjugate to no Coxeter element: the search covers all of W(E6)
+    monkeypatch.setitem(gabrielov.JOINS, "E6",
+                        dataclasses.replace(gabrielov.JOINS["E6"], cg_word=()))
+    [report] = run_verification("e6-factorization")
+    assert report["status"] == "fail"
+    assert report["details"].endswith(
+        "reference conjugator failed as written; no word in W(E6) repairs it"
+    )
 
 
 def test_e6_repair_longer_than_the_limit_fails(monkeypatch):

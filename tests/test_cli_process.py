@@ -1,7 +1,8 @@
 """The CLI in fresh processes: what each command loads, its environment, its stderr.
 
 Every test starts a new interpreter with no thread-count variable in its
-environment, so a thread count that a command sets shows up in the probe.
+environment unless it presets one, so a thread count that a command sets
+shows up in the probe, along with the threads the process runs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ print(json.dumps({
     "fractions": "fractions" in sys.modules,
     "modules": sorted(m for m in sys.modules if m.startswith("coxlat.")),
     "env": {var: os.environ.get(var) for var in %r},
+    "tasks": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
 }))
 """ % (BLAS_THREAD_VARS,)
 
@@ -130,13 +132,53 @@ def test_verify_loads_no_numpy_and_sets_no_thread_count(argv, modules):
     assert state["env"] == dict.fromkeys(BLAS_THREAD_VARS)
 
 
-def test_ising_keeps_the_default_pool(tmp_path):
+def _ising(tmp_path, n, **preset):
     out = tmp_path / "levels.csv"
-    state = _probe(["ising", "--n", "8", "--hx", "1.2", "--hz", "0.2", "--out", str(out)])
+    state = _probe(["ising", "--n", str(n), "--hx", "1.2", "--hz", "0.2", "--out", str(out)],
+                   **preset)
     assert state["code"] == 0
-    assert state["env"] == dict.fromkeys(BLAS_THREAD_VARS)
     assert state["modules"] == ["coxlat.cli", "coxlat.ising"]
-    assert len(out.read_text().splitlines()) == 1 + 2**8
+    assert len(out.read_text().splitlines()) == 1 + 2**n
+    return state, out.read_bytes()
+
+
+def test_ising_below_the_crossover_runs_one_blas_thread(tmp_path):
+    state, _ = _ising(tmp_path, 8)
+    assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "1"}
+    if state["tasks"] is not None:  # no /proc: the thread count is not visible
+        assert state["tasks"] == 1
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_ising_keeps_a_preset_thread_count(tmp_path, var):
+    state, _ = _ising(tmp_path, 8, **{var: "2"})
+    assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), var: "2"}
+
+
+def test_ising_at_the_crossover_keeps_the_default_pool(tmp_path):
+    state, _ = _ising(tmp_path, 14)
+    assert state["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+
+
+def test_ising_csv_is_the_same_under_a_preset_single_thread(tmp_path):
+    _, csv = _ising(tmp_path, 11)
+    _, preset_csv = _ising(tmp_path, 11, OPENBLAS_NUM_THREADS="1")
+    assert csv == preset_csv
+
+
+def test_ising_without_numpy_names_the_extra(tmp_path):
+    out = tmp_path / "levels.csv"
+    code = ("import sys; sys.modules['numpy'] = None; import coxlat.cli; "
+            "sys.exit(coxlat.cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "ising", "--n", "8", "--hx", "1.2", "--out", str(out)],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "coxlat[ising]" in line
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

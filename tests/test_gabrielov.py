@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import deque
 
@@ -189,6 +190,7 @@ def test_e8_conjugator_exact():
         "word": list(JOINS["E8"].conjugator_word),
         "deviations": {"w^{-1} C_BW w = C_G": 0},
         "repaired_word": None,
+        "budget_exhausted": False,
     }
 
 
@@ -197,6 +199,7 @@ def test_e6_conjugator_fails_as_written_and_is_repaired():
     assert rep["word"] == list(JOINS["E6"].conjugator_word)
     assert rep["repaired_word"] == [3, 1, 6]
     assert len(rep["repaired_word"]) <= 12
+    assert rep["budget_exhausted"] is False
     written, repaired = rep["deviations"].items()
     assert written[0] == "v^{-1} C_BW v = C_G" and written[1] > 0
     assert repaired == ("repaired w^{-1} C_BW w = C_G (word [3, 1, 6])", 0)
@@ -230,6 +233,16 @@ def test_find_conjugator_gives_up_past_the_node_budget(monkeypatch):
     # the words of length <= 2 alone are more than 20 elements
     monkeypatch.setattr(gabrielov, "BFS_MAX_NODES", 20)
     assert find_conjugator(rid, C_bw, C_g) is None
+
+
+def test_conjugation_report_tells_a_spent_budget_from_no_conjugator(monkeypatch):
+    # C_G = I is conjugate to no Coxeter element: no budget finds a word
+    monkeypatch.setitem(JOINS, "E6", dataclasses.replace(JOINS["E6"], cg_word=()))
+    rep = conjugation_report("E6")  # all of W(E6) searched
+    assert (rep["repaired_word"], rep["budget_exhausted"]) == (None, False)
+    monkeypatch.setattr(gabrielov, "BFS_MAX_NODES", 20)
+    rep = conjugation_report("E6")
+    assert (rep["repaired_word"], rep["budget_exhausted"]) == (None, True)
 
 
 def _plain_bfs_conjugator(rid, C1, C2):

@@ -99,3 +99,13 @@ def test_float_layer_imports_no_numpy_anywhere():
     for stem in ("spectral", "qdeform", "cli"):
         found += _numpy_imports(stem, ast.walk(ast.parse((SRC / f"{stem}.py").read_text())))
     assert found == []
+
+
+def test_only_ising_imports_numpy():
+    # numpy is the ising extra: no other module imports it, at module level
+    # or in a function body
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "ising":
+            found += _numpy_imports(path.stem, ast.walk(ast.parse(path.read_text())))
+    assert found == []
