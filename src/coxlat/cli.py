@@ -13,7 +13,9 @@ The exact layer (intmat, rootsys, lattice, gabrielov) runs on Python ints,
 the rank-8 float layer (spectral, qdeform) on Python floats, and
 ``verify ising-symmetry`` reads the entries of the Ising Hamiltonian as a
 dict, so only ``ising``, which solves the momentum blocks, loads numpy
-(the ``ising`` extra; without it, ``ising`` exits 2).
+(the ``ising`` extra; without it, ``ising`` exits 2).  The records are
+named tuples, so no command loads ``dataclasses``, and only ``ising``
+(through numpy) loads the ``inspect``, ``ast`` and ``dis`` that it imports.
 
 Below 2^14 states ``ising`` asks OpenBLAS for one thread before numpy loads,
 unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
@@ -44,10 +46,10 @@ def to_jsonable(x):
     """Recursive conversion to JSON-safe values with exact integers and
     complex numbers as [re, im].  Payloads hold Python scalars only (numpy's
     float64 and complex128 are float and complex); any other type, a numpy
-    integer or array included, raises TypeError."""
+    integer or array or a record (a named tuple) included, raises TypeError."""
     if isinstance(x, (bool, str)) or x is None:
         return x
-    if isinstance(x, (list, tuple)):
+    if type(x) in (list, tuple):
         return [to_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}

@@ -27,12 +27,11 @@ ambient form on current basis rows.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import reduce
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intmat import (IMatrix, as_imatrix, det_exact, deviation, frac_inverse, iidentity,
                      kron, matmul, transpose)
@@ -72,22 +71,23 @@ SIGN_CONVENTION = -1
 Move = Tuple[str, int]  # ("alpha" | "beta" | "gamma", m)
 
 
-@dataclass(frozen=True)
-class BasedLattice:
+class BasedLattice(namedtuple("BasedLattice", "ambient_gram basis")):
     """Ordered basis (rows) of a lattice with a fixed ambient form."""
 
-    ambient_gram: IMatrix
-    basis: IMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        A = as_imatrix(self.ambient_gram)
-        B = as_imatrix(self.basis)
-        object.__setattr__(self, "ambient_gram", A)
-        object.__setattr__(self, "basis", B)
+    def __new__(cls, ambient_gram, basis):
+        A = as_imatrix(ambient_gram)
+        B = as_imatrix(basis)
         if len(A) != len(B):
             raise ValueError("basis must be square of the ambient rank")
         if det_exact(B) not in (1, -1):
             raise ValueError("basis must be unimodular")
+        return super().__new__(cls, A, B)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate it too
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -181,8 +181,7 @@ ALPHA1_SIX_WORD = parse_word("a1 a1 a1 a1 a1 a1")
 TREE_RELABELING = {2: 3, 3: 4, 4: 2}
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(NamedTuple):
     """A join of A_n factors and the root system its move word makes.
 
     The move word turns the tensor basis of the join of the factors into

@@ -28,8 +28,8 @@ is explicitly exploratory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,25 +53,25 @@ MAX_STATES = 16384
 _CRITICAL_SCAN_STEPS = 2000
 
 
-@dataclass(frozen=True)
-class IsingParams:
-    N: int
-    J: float = 1.0
-    h_z: float = 0.0
-    h_x: float = 0.0
+class IsingParams(namedtuple("IsingParams", "N J h_z h_x")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, N: int, J: float = 1.0, h_z: float = 0.0, h_x: float = 0.0):
         # compare N before exponentiating: 2**N of a huge N exhausts memory
-        if self.N < 2 or self.N > MAX_STATES.bit_length() - 1:
+        if N < 2 or N > MAX_STATES.bit_length() - 1:
             raise ValueError(f"N must satisfy 2 <= N and 2^N <= {MAX_STATES}")
-        if not all(math.isfinite(x) for x in (self.J, self.h_z, self.h_x)):
+        if not all(math.isfinite(x) for x in (J, h_z, h_x)):
             raise ValueError("J, h_z and h_x must be finite")
-        if self.J <= 0 or self.h_z < 0 or self.h_x < 0:
+        if J <= 0 or h_z < 0 or h_x < 0:
             raise ValueError("need J > 0, h_z >= 0, h_x >= 0")
+        return super().__new__(cls, N, J, h_z, h_x)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate it too
+        return cls(*iterable)
 
 
-@dataclass
-class MomentumLevel:
+class MomentumLevel(NamedTuple):
     p: float
     epsilon: float
     k: int = 0
@@ -182,7 +182,7 @@ def momentum_spectrum(
     orbit = np.searchsorted(reps, rep)
     flips = reps[:, None] ^ (1 << np.arange(N))
     mirror = ((reps[:, None] >> np.arange(N)) & 1) @ (1 << np.arange(N)[::-1])
-    levels: List[MomentumLevel] = []
+    blocks = []
     for k in range(N // 2 + 1):
         kept = (k * size[reps]) % N == 0
         col, n = np.cumsum(kept) - 1, int(kept.sum())
@@ -202,13 +202,14 @@ def momentum_spectrum(
         w, psi = np.linalg.eigh(Hk) if with_vectors else (np.linalg.eigvalsh(Hk), None)
         if with_vectors:
             psi = kept[orbit] * amp * (u0[:, None] * psi + u1[:, None] * psi[pair])[col[orbit]].T
+        blocks.append((k, w, psi))
+    e0 = min(float(w.min()) for _, w, _ in blocks)
+    levels: List[MomentumLevel] = []
+    for k, w, psi in blocks:
         for q in {k, (N - k) % N}:
-            vs = [None] * n if psi is None else psi if q == k else psi.conj()
-            levels += [MomentumLevel(_wrap_momentum(q, N), float(e), q, v) for e, v in zip(w, vs)]
+            vs = [None] * len(w) if psi is None else psi if q == k else psi.conj()
+            levels += [MomentumLevel(_wrap_momentum(q, N), float(e) - e0, q, v) for e, v in zip(w, vs)]
     levels.sort(key=lambda level: level.k)
-    e0 = min(level.epsilon for level in levels)
-    for level in levels:
-        level.epsilon -= e0
     return levels
 
 

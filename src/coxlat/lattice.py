@@ -13,7 +13,7 @@ C_B + C_W = 2I - A of a Cartan tree, whose colors are rootsys.coloring(A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Tuple
 
 from .intmat import (IMatrix, add, as_imatrix, det_exact, frac_inverse, iidentity,
@@ -32,18 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarizedLattice:
+class PolarizedLattice(namedtuple("PolarizedLattice", "A L")):
     """Lattice with symmetric form A and unimodular Seifert form L, A = L + Lᵗ."""
 
-    A: IMatrix
-    L: IMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        A = as_imatrix(self.A)
-        L = as_imatrix(self.L)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "L", L)
+    def __new__(cls, A, L):
+        A = as_imatrix(A)
+        L = as_imatrix(L)
         if len(A) != len(L):
             raise ValueError("A and L must have equal shape")
         if not is_symmetric(A):
@@ -52,6 +48,11 @@ class PolarizedLattice:
             raise ValueError("A = L + L^t violated")
         if det_exact(L) not in (1, -1):
             raise ValueError("L must be unimodular (det L = ±1)")
+        return super().__new__(cls, A, L)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate it too
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:

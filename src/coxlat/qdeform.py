@@ -20,9 +20,7 @@ non-finite deviation, never in OverflowError or ZeroDivisionError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .intmat import IMatrix, as_imatrix
 from .rootsys import tree_levels
@@ -50,8 +48,7 @@ QR_MAX_ITERATIONS = 30
 EPS = 2.0 ** -52  # a subdiagonal entry below EPS times its diagonal neighbours is 0
 
 
-@dataclass(frozen=True)
-class QDeformedCartan:
+class QDeformedCartan(NamedTuple):
     """Unit-triangular split A = L + U (exact) with the tree exponent vector;
     evaluate(D, 1.0) is A in floats."""
 
@@ -63,13 +60,22 @@ class QDeformedCartan:
     def rank(self) -> int:
         return len(self.L)
 
-    @cached_property
+    @property
     def cartan_eigenvalues(self) -> tuple:
         """The eigenvalues of A, solved once per record (symmetric A by jacobi_eigh)."""
-        A = evaluate(self, 1.0)
-        if A == tuple(zip(*A)):
-            return jacobi_eigh(A, with_vectors=False)[0]
-        return general_eigenvalues(A)
+        values = _CARTAN_EIGENVALUES.get(self)
+        if values is None:
+            A = evaluate(self, 1.0)
+            if A == tuple(zip(*A)):
+                values = jacobi_eigh(A, with_vectors=False)[0]
+            else:
+                values = general_eigenvalues(A)
+            _CARTAN_EIGENVALUES[self] = values
+        return values
+
+
+# QDeformedCartan.cartan_eigenvalues by record
+_CARTAN_EIGENVALUES: Dict[QDeformedCartan, tuple] = {}
 
 
 def deform(A) -> QDeformedCartan:

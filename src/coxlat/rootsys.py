@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "RootSystemId",
@@ -34,16 +34,19 @@ _ID_RE = re.compile(r"^([ADE])(\d+)$")
 _RANKS = {"A": range(1, 9), "D": range(4, 9), "E": range(6, 9)}
 
 
-@dataclass(frozen=True)
-class RootSystemId:
+class RootSystemId(namedtuple("RootSystemId", "family rank")):
     """Identifier of a catalog root system: A1-A8, D4-D8 or E6-E8."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank not in _RANKS.get(self.family, ()):
-            raise ValueError(f"root system {self.family}{self.rank} is not in the catalog")
+    def __new__(cls, family: str, rank: int):
+        if rank not in _RANKS.get(family, ()):
+            raise ValueError(f"root system {family}{rank} is not in the catalog")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate it too
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemId":
@@ -56,8 +59,7 @@ class RootSystemId:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(NamedTuple):
     """Immutable catalog record for one root system."""
 
     id: RootSystemId

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .lattice import bipartite_coxeter
 from .rootsys import RootSystemId, coloring, root_system
@@ -60,8 +59,7 @@ JACOBI_MAX_SWEEPS = 50
 DELTA = math.pi / 2
 
 
-@dataclass
-class Eigenpair:
+class Eigenpair(NamedTuple):
     lam: float
     vector: tuple
     k: Optional[int] = None

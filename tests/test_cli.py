@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -338,6 +337,23 @@ def test_nan_deviation_fails_the_check(monkeypatch, capsys, name, module, attr, 
     assert _strict_loads(capsys.readouterr().out)["deviation"] is None
 
 
+def test_q_spectrum_solves_each_cartan_matrix_once(monkeypatch):
+    # the four grid points of a system read one Cartan solve of its record
+    solved = []
+    real = spectral.jacobi_eigh
+
+    def counted(*args, **kwargs):
+        solved.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qdeform, "_CARTAN_EIGENVALUES", {})
+    monkeypatch.setattr(spectral, "jacobi_eigh", counted)
+    monkeypatch.setattr(qdeform, "jacobi_eigh", counted)
+    [report] = run_verification("q-spectrum")
+    assert report["status"] == "pass"
+    assert len(solved) == len(cli.Q_SYSTEMS) == 13
+
+
 @pytest.mark.parametrize("where", [0, 4, -1], ids=["first", "middle", "last"])
 def test_nan_anywhere_makes_the_maximum_nan(monkeypatch, where):
     # Python's max([1.0, nan]) is 1.0: the float layer's maxima must not drop a NaN
@@ -392,7 +408,7 @@ def test_extreme_q_keeps_its_exit_codes(capsys, system, q):
 def test_wrong_e8_word_fails_its_record(monkeypatch, capsys):
     # a failed Gram identity is a failed record, not an exception
     e8 = gabrielov.JOINS["E8"]
-    monkeypatch.setitem(gabrielov.JOINS, "E8", dataclasses.replace(e8, word=e8.word[1:]))
+    monkeypatch.setitem(gabrielov.JOINS, "E8", e8._replace(word=e8.word[1:]))
     [report] = run_verification("e8-factorization")
     assert report["status"] == "fail"
     assert report["deviation"] > 0
@@ -409,7 +425,7 @@ def test_wrong_e8_word_fails_its_record(monkeypatch, capsys):
 
 def test_exact_e6_conjugator_needs_no_repair(monkeypatch):
     monkeypatch.setitem(gabrielov.JOINS, "E6",
-                        dataclasses.replace(gabrielov.JOINS["E6"], conjugator_word=(3, 1, 6)))
+                        gabrielov.JOINS["E6"]._replace(conjugator_word=(3, 1, 6)))
     [report] = run_verification("e6-factorization")
     assert report["status"] == "pass"
     assert report["deviation"] == 0
@@ -437,7 +453,7 @@ def test_e6_repair_past_the_bfs_budget_fails(monkeypatch, capsys):
 def test_e6_without_any_repair_word_fails(monkeypatch):
     # C_G = I is conjugate to no Coxeter element: the search covers all of W(E6)
     monkeypatch.setitem(gabrielov.JOINS, "E6",
-                        dataclasses.replace(gabrielov.JOINS["E6"], cg_word=()))
+                        gabrielov.JOINS["E6"]._replace(cg_word=()))
     [report] = run_verification("e6-factorization")
     assert report["status"] == "fail"
     assert report["details"].endswith(
@@ -456,7 +472,7 @@ def test_broken_e8_conjugator_is_repaired_like_e6(monkeypatch):
     # the BFS repair belongs to no one join: any reference word that fails gets it
     e8 = gabrielov.JOINS["E8"]
     monkeypatch.setitem(gabrielov.JOINS, "E8",
-                        dataclasses.replace(e8, conjugator_word=e8.conjugator_word[1:]))
+                        e8._replace(conjugator_word=e8.conjugator_word[1:]))
     [report] = run_verification("e8-factorization")
     assert report["status"] == "pass"
     assert report["deviation"] == 0
@@ -473,6 +489,15 @@ def test_to_jsonable_exact_and_complex():
     # payloads hold Python scalars only: a numpy integer is refused, not converted
     with pytest.raises(TypeError):
         to_jsonable(np.int64(7))
+
+
+def test_to_jsonable_refuses_records():
+    # records are named tuples: only exact lists and tuples serialize as arrays
+    for record in (RootSystemId("E", 8), spectral.cartan_spectrum(RootSystemId("A", 2))[0]):
+        with pytest.raises(TypeError):
+            to_jsonable(record)
+        with pytest.raises(TypeError):
+            to_jsonable({"payload": [record]})
 
 
 _SYSTEMS = st.sampled_from(

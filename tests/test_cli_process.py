@@ -18,10 +18,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 # the variables OpenBLAS reads for its thread count
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# the records are named tuples: no request but ising (numpy imports inspect)
+# loads these, counted only when absent before `import coxlat.cli`
+INTROSPECTION = ("dataclasses", "inspect")
 
 # run in the child: main(argv), then one JSON line describing the process
 _PROBE = """
 import json, os, sys
+preloaded = set(sys.modules)
 import coxlat.cli
 argv = json.loads(sys.argv[1])
 code = coxlat.cli.main(argv) if argv else None
@@ -29,11 +33,12 @@ print(json.dumps({
     "code": code,
     "numpy": "numpy" in sys.modules,
     "fractions": "fractions" in sys.modules,
+    "introspection": [m for m in %r if m in sys.modules and m not in preloaded],
     "modules": sorted(m for m in sys.modules if m.startswith("coxlat.")),
     "env": {var: os.environ.get(var) for var in %r},
     "tasks": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
 }))
-""" % (BLAS_THREAD_VARS,)
+""" % (INTROSPECTION, BLAS_THREAD_VARS)
 
 
 def _env(**preset):
@@ -81,6 +86,7 @@ def test_exact_requests_load_no_numpy(argv, modules):
     assert state["code"] == 0
     assert not state["numpy"]
     assert not state["fractions"]
+    assert state["introspection"] == []
     assert state["modules"] == modules
 
 
@@ -108,6 +114,7 @@ def test_float_requests_load_no_numpy(argv, modules):
     assert state["code"] == 0
     assert not state["numpy"]
     assert not state["fractions"]
+    assert state["introspection"] == []
     assert state["modules"] == modules
 
 
@@ -128,6 +135,7 @@ def test_verify_loads_no_numpy_and_sets_no_thread_count(argv, modules):
     assert state["code"] == 0
     assert not state["numpy"]
     assert not state["fractions"]
+    assert state["introspection"] == []
     assert state["modules"] == modules
     assert state["env"] == dict.fromkeys(BLAS_THREAD_VARS)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import deque
 
@@ -54,6 +53,16 @@ def test_alpha_hand_check():
     assert b.basis == ((1, 1), (1, 0))
     # moves never change the abstract lattice: Gram determinant is preserved
     assert det_exact(b.gram()) == det_exact(A2)
+
+
+def test_replace_validates_like_the_constructor():
+    b = _standard()
+    assert b._replace(basis=[list(row) for row in b.basis]) == b  # as_imatrix normalization
+    doubled = tuple(tuple(2 * x for x in row) if i == 0 else row for i, row in enumerate(b.basis))
+    with pytest.raises(ValueError, match="basis must be unimodular"):
+        b._replace(basis=doubled)
+    with pytest.raises(ValueError, match="basis must be square of the ambient rank"):
+        b._replace(basis=iidentity(7))
 
 
 def test_gamma_is_an_involution():
@@ -237,7 +246,7 @@ def test_find_conjugator_gives_up_past_the_node_budget(monkeypatch):
 
 def test_conjugation_report_tells_a_spent_budget_from_no_conjugator(monkeypatch):
     # C_G = I is conjugate to no Coxeter element: no budget finds a word
-    monkeypatch.setitem(JOINS, "E6", dataclasses.replace(JOINS["E6"], cg_word=()))
+    monkeypatch.setitem(JOINS, "E6", JOINS["E6"]._replace(cg_word=()))
     rep = conjugation_report("E6")  # all of W(E6) searched
     assert (rep["repaired_word"], rep["budget_exhausted"]) == (None, False)
     monkeypatch.setattr(gabrielov, "BFS_MAX_NODES", 20)

@@ -67,7 +67,7 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def _numpy_imports(stem: str, nodes) -> list:
+def _imports_of(stem: str, nodes, top: str = "numpy") -> list:
     found = []
     for node in nodes:
         names = []
@@ -75,7 +75,7 @@ def _numpy_imports(stem: str, nodes) -> list:
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [node.module or ""]
-        found += [f"{stem}:{node.lineno}: {n}" for n in names if n.split(".")[0] == "numpy"]
+        found += [f"{stem}:{node.lineno}: {n}" for n in names if n.split(".")[0] == top]
     return found
 
 
@@ -83,13 +83,13 @@ def test_exact_layer_imports_no_numpy_at_module_level():
     # catalog and the exact verify checks run without loading numpy
     found = []
     for stem in ("intmat", "rootsys", "lattice", "gabrielov"):
-        found += _numpy_imports(stem, ast.parse((SRC / f"{stem}.py").read_text()).body)
+        found += _imports_of(stem, ast.parse((SRC / f"{stem}.py").read_text()).body)
     assert found == []
 
 
 def test_ising_imports_numpy_only_inside_functions():
     # verify ising-symmetry reads stdlib entries; only densifying or solving H loads numpy
-    assert _numpy_imports("ising", ast.parse((SRC / "ising.py").read_text()).body) == []
+    assert _imports_of("ising", ast.parse((SRC / "ising.py").read_text()).body) == []
 
 
 def test_float_layer_imports_no_numpy_anywhere():
@@ -97,7 +97,7 @@ def test_float_layer_imports_no_numpy_anywhere():
     # at module level or in a function body of the float layer or the CLI
     found = []
     for stem in ("spectral", "qdeform", "cli"):
-        found += _numpy_imports(stem, ast.walk(ast.parse((SRC / f"{stem}.py").read_text())))
+        found += _imports_of(stem, ast.walk(ast.parse((SRC / f"{stem}.py").read_text())))
     assert found == []
 
 
@@ -107,5 +107,14 @@ def test_only_ising_imports_numpy():
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem != "ising":
-            found += _numpy_imports(path.stem, ast.walk(ast.parse(path.read_text())))
+            found += _imports_of(path.stem, ast.walk(ast.parse(path.read_text())))
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are named tuples: dataclasses (and the inspect, ast and dis it
+    # loads) costs every CLI process start-up time, at module level or in a body
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _imports_of(path.stem, ast.walk(ast.parse(path.read_text())), "dataclasses")
     assert found == []

@@ -52,6 +52,25 @@ def test_huge_n_is_refused_before_2_to_the_n():
     assert peak < 1 << 20
 
 
+def test_replace_validates_like_the_constructor():
+    # _replace builds through the constructor, so N is refused before any record
+    # (and so any momentum block) of size 2^N exists
+    params = IsingParams(8)
+    assert params._replace(h_x=1.5) == IsingParams(8, h_x=1.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"2\\^N <= {MAX_STATES}"):
+            params._replace(N=1000)
+        with pytest.raises(ValueError, match=f"2\\^N <= {MAX_STATES}"):
+            IsingParams._make((10**8, 1.0, 0.0, 0.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="need J > 0"):
+        params._replace(J=-1.0)
+
+
 def test_n2_classical_diagonal_frozen():
     # two sites, both bonds of the periodic ring counted: diag(-2, 2, 2, -2)
     H = build_hamiltonian(IsingParams(N=2))

@@ -53,6 +53,15 @@ def test_non_unimodular_forms_are_rejected():
         gauge_transform(_pol("A2"), as_imatrix([[2, 0], [0, 1]]))
 
 
+def test_replace_validates_like_the_constructor():
+    P = _pol("A2")
+    assert P._replace(A=[[2, -1], [-1, 2]]) == P  # the constructor's as_imatrix normalization
+    with pytest.raises(ValueError, match="A = L \\+ L\\^t violated"):
+        P._replace(A=as_imatrix([[2, 0], [0, 2]]))
+    with pytest.raises(ValueError, match="L must be unimodular"):
+        P._replace(A=as_imatrix([[4, 0], [0, 2]]), L=as_imatrix([[2, 0], [0, 1]]))
+
+
 def test_coxeter_a2_frozen():
     C = coxeter(_pol("A2"))
     assert all(type(v) is int for row in C for v in row)

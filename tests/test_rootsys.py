@@ -38,6 +38,16 @@ def test_parse_rejects(bad):
         RootSystemId.parse(bad)
 
 
+def test_replace_validates_like_the_constructor():
+    # _replace and _make build through the constructor, so no record leaves the catalog
+    e8 = RootSystemId("E", 8)
+    assert e8._replace(rank=7) == RootSystemId("E", 7)
+    with pytest.raises(ValueError, match="root system E9 is not in the catalog"):
+        e8._replace(rank=9)
+    with pytest.raises(ValueError, match="root system E9 is not in the catalog"):
+        RootSystemId._make(("E", 9))
+
+
 def test_catalog_contents():
     names = [str(rid) for rid in CATALOG_IDS]
     assert names == [
