@@ -22,7 +22,6 @@ from coxlat.ising import (
     IsingParams,
     build_hamiltonian,
     classical_energies,
-    critical_field,
     dispersion_probe,
     free_fermion_energy,
     momentum_spectrum,
@@ -60,5 +59,5 @@ print("\nclassical limit exact:",
       bool(np.array_equal(np.sort(np.diag(build_hamiltonian(cl))),
                           classical_energies(cl))))
 
-# gap closes at h_x = J under this normalization
-print("critical transverse field at J = 1:", critical_field(1.0))
+# the free-fermion gap 2|J - h_x| closes at h_x = J under this normalization
+print("free-fermion gap at h_x = J = 1:", free_fermion_energy(1.0, 1.0, 0.0))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,12 +45,9 @@ __all__ = [
     "momentum_spectrum",
     "dispersion_probe",
     "free_fermion_energy",
-    "critical_field",
 ]
 
 MAX_STATES = 16384
-# intervals of the h_x scan in critical_field
-_CRITICAL_SCAN_STEPS = 2000
 
 
 class IsingParams(namedtuple("IsingParams", "N J h_z h_x")):
@@ -75,7 +72,6 @@ class MomentumLevel(NamedTuple):
     p: float
     epsilon: float
     k: int = 0
-    vector: Optional[np.ndarray] = None
 
 
 def _rotl(b: int, N: int) -> int:
@@ -163,15 +159,13 @@ def _wrap_momentum(k: int, N: int) -> float:
     return p if 2 * k <= N else p - 2 * math.pi
 
 
-def momentum_spectrum(
-    params: IsingParams, with_vectors: bool = False
-) -> List[MomentumLevel]:
+def momentum_spectrum(params: IsingParams) -> List[MomentumLevel]:
     """All 2^N levels as (p, epsilon) with epsilon >= 0 above the ground state.
 
     Sectors k <= N/2 are solved as real symmetric blocks in the Theta basis
-    above; sector N-k reuses sector k's levels and conjugate vectors.  Levels
-    come back sorted by (k, epsilon); the ground level is the single one with
-    epsilon = 0 — its p is whatever the diagonalization says, not assumed.
+    above; sector N-k reuses sector k's levels.  Levels come back sorted by
+    (k, epsilon); the ground level is the single one with epsilon = 0 — its
+    p is whatever the diagonalization says, not assumed.
     """
     import numpy as np
 
@@ -199,16 +193,12 @@ def momentum_spectrum(
         idx = np.stack([ra, pair[ra]])[:, None] * n + np.stack([rb, pair[rb]])
         Hk = np.diag(energy[reps[kept]])
         Hk += np.bincount(idx.ravel(), vals.real.ravel(), n * n).reshape(n, n)
-        w, psi = np.linalg.eigh(Hk) if with_vectors else (np.linalg.eigvalsh(Hk), None)
-        if with_vectors:
-            psi = kept[orbit] * amp * (u0[:, None] * psi + u1[:, None] * psi[pair])[col[orbit]].T
-        blocks.append((k, w, psi))
-    e0 = min(float(w.min()) for _, w, _ in blocks)
+        blocks.append((k, np.linalg.eigvalsh(Hk)))
+    e0 = min(float(w.min()) for _, w in blocks)
     levels: List[MomentumLevel] = []
-    for k, w, psi in blocks:
+    for k, w in blocks:
         for q in {k, (N - k) % N}:
-            vs = [None] * len(w) if psi is None else psi if q == k else psi.conj()
-            levels += [MomentumLevel(_wrap_momentum(q, N), float(e) - e0, q, v) for e, v in zip(w, vs)]
+            levels += [MomentumLevel(_wrap_momentum(q, N), float(e) - e0, q) for e in w]
     levels.sort(key=lambda level: level.k)
     return levels
 
@@ -266,16 +256,7 @@ def dispersion_probe(params: IsingParams, band_count: int) -> dict:
 
 def free_fermion_energy(J: float, h_x: float, p: float) -> float:
     """Single-quasiparticle energy on the h_z = 0 line:
-    2·sqrt(J² + h_x² - 2·J·h_x·cos p)."""
+    2·sqrt(J² + h_x² - 2·J·h_x·cos p).  Its minimum, at p = 0, is the gap
+    2|J - h_x|, which closes at the critical field h_x = J."""
     return 2 * math.sqrt(J**2 + h_x**2 - 2 * J * h_x * math.cos(p))
 
-
-def critical_field(J: float = 1.0) -> float:
-    """h_x minimizing the free-fermion gap min_p epsilon(p) at h_z = 0.
-
-    The minimum over p sits at p = 0, giving gap 2|J - h_x|; the scan
-    returns h_x = J under this Hamiltonian normalization (conventions
-    that halve the fields quote J/2).
-    """
-    grid = [2 * J * i / _CRITICAL_SCAN_STEPS for i in range(_CRITICAL_SCAN_STEPS + 1)]
-    return min(grid, key=lambda h: min(free_fermion_energy(J, h, p) for p in (0.0, math.pi)))

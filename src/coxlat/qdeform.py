@@ -57,20 +57,18 @@ class QDeformedCartan(NamedTuple):
     exponent_vector: Tuple[int, ...]
 
     @property
-    def rank(self) -> int:
-        return len(self.L)
-
-    @property
     def cartan_eigenvalues(self) -> tuple:
-        """The eigenvalues of A, solved once per record (symmetric A by jacobi_eigh)."""
+        """The eigenvalues of A, solved once per record by jacobi_eigh.
+
+        The solved matrix has the off-diagonal entries sign(a_ij)·sqrt(a_ij·a_ji).
+        On a tree it is diagonally similar to A, and a symmetric A is itself.
+        """
         values = _CARTAN_EIGENVALUES.get(self)
         if values is None:
             A = evaluate(self, 1.0)
-            if A == tuple(zip(*A)):
-                values = jacobi_eigh(A, with_vectors=False)[0]
-            else:
-                values = general_eigenvalues(A)
-            _CARTAN_EIGENVALUES[self] = values
+            S = tuple(tuple(math.copysign(math.sqrt(a * b), a) for a, b in zip(row, col))
+                      for row, col in zip(A, zip(*A)))
+            values = _CARTAN_EIGENVALUES[self] = jacobi_eigh(S, with_vectors=False)[0]
         return values
 
 
@@ -79,9 +77,15 @@ _CARTAN_EIGENVALUES: Dict[QDeformedCartan, tuple] = {}
 
 
 def deform(A) -> QDeformedCartan:
-    """Split a generalized Cartan matrix (tree graph) into L + U."""
+    """Split a generalized Cartan matrix (tree graph) into L + U.
+
+    A pair with a_ij·a_ji < 0 raises ValueError: no generalized Cartan
+    matrix has one, and cartan_eigenvalues needs a_ij·a_ji >= 0.
+    """
     A = as_imatrix(A)
     ks = tree_levels(A)
+    if any(a * b < 0 for row, col in zip(A, zip(*A)) for a, b in zip(row, col)):
+        raise ValueError("a_ij·a_ji < 0 for a pair: not a generalized Cartan matrix")
     L = tuple(tuple(1 if j == i else a if j < i else 0 for j, a in enumerate(r))
               for i, r in enumerate(A))
     U = tuple(tuple(1 if j == i else a if j > i else 0 for j, a in enumerate(r))
@@ -286,8 +290,8 @@ def general_eigenvalues(M) -> Tuple[complex, ...]:
 def q_spectrum(D: QDeformedCartan, q: float) -> dict:
     """Actual spectrum of A(q) next to the predicted {1+(lambda-2)sqrt(q)+q}.
 
-    lambda runs over D.cartan_eigenvalues; the actual spectrum comes from the
-    general solver, so when A is symmetric (jacobi_eigh) the two sides share
+    lambda runs over D.cartan_eigenvalues (jacobi_eigh on the symmetrized A);
+    the actual spectrum comes from the general solver, so the two sides share
     no routine.
     """
     q = _check_q(q)

@@ -33,7 +33,6 @@ __all__ = [
     "residual",
     "jacobi_eigh",
     "normalize_eigvec",
-    "projective_distance",
     "cartan_spectrum",
     "transfer_eigenvalue",
     "cartan_coxeter_transfer",
@@ -141,17 +140,6 @@ def normalize_eigvec(v) -> tuple:
     if all(abs(complex(x).imag) <= 1e-14 for x in out):
         return tuple(complex(x).real for x in out)
     return out
-
-
-def projective_distance(u, v) -> float:
-    """sin of the angle between the lines spanned by u and v: the part of u
-    orthogonal to v, relative to u (accurate for nearly parallel lines)."""
-    nu = math.hypot(*(abs(x) for x in u))
-    nv = math.hypot(*(abs(y) for y in v))
-    if nu == 0 or nv == 0:
-        raise ValueError("zero vector")
-    c = sum(y.conjugate() * x for x, y in zip(u, v)) / (nv * nv)
-    return min(1.0, math.hypot(*(abs(x - c * y) for x, y in zip(u, v))) / nu)
 
 
 def cartan_spectrum(rid: RootSystemId) -> List[Eigenpair]:
@@ -313,9 +301,11 @@ def factorized_coxeter_eigenvector(k4: int, k2: int) -> tuple:
     x_* = X_{C(A4)}(k4·pi/5) ⊗ X_{C(A2)}(k2·pi/3) ⊗ (1) is an eigenvector
     of C(A4)⊗C(A2)⊗C(A1) for mu = e^{2i alpha}, alpha = theta+gamma+pi/2;
     G⁻¹ carries it to the E8 simple-root basis and w conjugates the
-    Gabrielov Coxeter element into the bipartite one.  The factors and w
+    Gabrielov Coxeter element into the bipartite one.  The factors, G and w
     are those of gabrielov.JOINS["E8"], imported here so that the rest of
-    this module loads no move engine.
+    this module loads no move engine; G is the reference change of basis,
+    which `verify e8-factorization` proves equal to the one the move word
+    computes.
     """
     from . import gabrielov
     from .intmat import frac_inverse
@@ -332,9 +322,8 @@ def factorized_coxeter_eigenvector(k4: int, k2: int) -> tuple:
         for b in an_coxeter_eigenvector(n2, gam)
         for c in an_coxeter_eigenvector(n1, 0.0)
     )
-    G, _ = gabrielov.e8_factorization()
     w = gabrielov.weyl_apply(j.target, j.conjugator_word)
-    return _matvec(w, _matvec(frac_inverse(G), x_star))
+    return _matvec(w, _matvec(frac_inverse(j.change_of_basis), x_star))
 
 
 def perron_frobenius(A) -> tuple:

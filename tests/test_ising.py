@@ -14,7 +14,6 @@ from coxlat.ising import (
     IsingParams,
     build_hamiltonian,
     classical_energies,
-    critical_field,
     dispersion_probe,
     free_fermion_energy,
     hamiltonian_entries,
@@ -167,15 +166,12 @@ def _orbit_sizes(N):
 
 
 @pytest.mark.parametrize("N", [7, 8])
-@pytest.mark.parametrize("with_vectors", [False, True])
-def test_momentum_spectrum_solves_half_the_sectors_on_real_blocks(N, with_vectors, monkeypatch):
+def test_momentum_spectrum_solves_half_the_sectors_on_real_blocks(N, monkeypatch):
     blocks = []
-    for name in ("eigvalsh", "eigh"):
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda M, _solve=solve: blocks.append(M) or _solve(M)
-        )
-    momentum_spectrum(IsingParams(N=N, h_z=0.3, h_x=0.8), with_vectors=with_vectors)
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: blocks.append(M) or solve(M))
+    monkeypatch.setattr(np.linalg, "eigh", None)  # levels only: no eigenvectors
+    momentum_spectrum(IsingParams(N=N, h_z=0.3, h_x=0.8))
     assert len(blocks) == N // 2 + 1
     assert all(M.dtype == np.float64 and M.ndim == 2 for M in blocks)
 
@@ -222,15 +218,23 @@ def test_classical_limit_through_momentum_sectors():
 # reflection pairs (00001011 and 00001101) and conjugated sectors k > N/2
 @pytest.mark.parametrize("N", [5, 6, 8])
 def test_sector_vectors_are_translation_eigenstates(N):
+    # the levels labelled k are those of H on the range of the dense projector
+    # P_k = (1/N)·sum_m e^{-ipm}·T^m, the eigenspace T = e^{ip}: an oracle that
+    # shares neither the orbit blocks nor the reflection basis
     params = IsingParams(N=N, h_x=1.1)
     H = build_hamiltonian(params)
     e0 = np.linalg.eigvalsh(H)[0]
     T = translation_operator(N).astype(float)
-    for level in momentum_spectrum(params, with_vectors=True):
-        v = level.vector
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        assert np.max(np.abs(T @ v - np.exp(1j * level.p) * v)) < 1e-10
-        assert np.max(np.abs(H @ v - (level.epsilon + e0) * v)) <= 1e-10
+    levels = momentum_spectrum(params)
+    for k in range(N):
+        p = 2 * math.pi * k / N
+        P = sum(np.exp(-1j * p * m) * np.linalg.matrix_power(T, m) for m in range(N)) / N
+        w, V = np.linalg.eigh(P)
+        Q = V[:, w > 0.5]  # orthonormal basis of the range; P has eigenvalues 0 and 1
+        expected = np.linalg.eigvalsh(Q.conj().T @ H @ Q) - e0
+        got = np.sort([l.epsilon for l in levels if l.k == k])
+        assert len(got) == len(expected)
+        assert np.max(np.abs(got - expected)) <= 1e-10
 
 
 def test_momentum_spectrum_builds_no_dense_matrix():
@@ -265,17 +269,6 @@ def test_free_fermion_dispersion_disordered_phase():
 def test_free_fermion_energy_values():
     assert free_fermion_energy(1.0, 1.0, 0.0) == 0.0
     assert abs(free_fermion_energy(1.0, 2.0, math.pi) - 6.0) < 1e-14
-
-
-def test_critical_field_is_j():
-    assert abs(critical_field(J=1.0) - 1.0) < 0.05
-    assert abs(critical_field(J=2.0) - 2.0) < 0.1
-
-
-def test_critical_field_lands_on_the_grid_point_j():
-    # the scan grid 2·J·i/2000 holds J itself at i = 1000, where the gap is 0
-    assert critical_field(1.0) == 1.0
-    assert critical_field(2.0) == 2.0
 
 
 def test_dispersion_probe_shape():

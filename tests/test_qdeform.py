@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from coxlat import qdeform
 from coxlat.intmat import as_imatrix
 from coxlat.qdeform import (
     QDeformedCartan,
@@ -65,6 +66,9 @@ def test_deform_rejects_bad_input():
     asymmetric = as_imatrix([[2, -1], [0, 2]])
     with pytest.raises(ValueError):
         deform(asymmetric)
+    # a_12·a_21 < 0: no generalized Cartan matrix, and no real symmetrization
+    with pytest.raises(ValueError, match="generalized Cartan"):
+        deform(as_imatrix([[2, 1], [-1, 2]]))
 
 
 def test_q_must_be_positive():
@@ -109,6 +113,24 @@ def test_a2_spectrum_frozen():
 def test_spectrum_law_on_grid(name, q):
     rep = q_spectrum(_D(name), q)
     assert rep["max_abs_deviation"] <= 1e-8
+
+
+@pytest.mark.parametrize("name", list(NONSYMMETRIC))
+def test_nonsymmetric_sides_share_no_solver(name, monkeypatch):
+    # the general solver runs once per q, on A(q) only; lambda(A) is one
+    # symmetric solve of the record
+    general, symmetric = [], []
+    real_general, real_symmetric = qdeform.general_eigenvalues, qdeform.jacobi_eigh
+    monkeypatch.setattr(qdeform, "_CARTAN_EIGENVALUES", {})
+    monkeypatch.setattr(qdeform, "general_eigenvalues",
+                        lambda M: general.append(M) or real_general(M))
+    monkeypatch.setattr(qdeform, "jacobi_eigh",
+                        lambda A, **kw: symmetric.append(A) or real_symmetric(A, **kw))
+    D = _D(name)
+    for q in Q_GRID:
+        q_spectrum(D, q)
+    assert general == [evaluate(D, q) for q in Q_GRID]
+    assert len(symmetric) == 1
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -27,7 +27,6 @@ from coxlat.spectral import (
     normalize_eigvec,
     perron_frobenius,
     pf_closed_form,
-    projective_distance,
     residual,
     transfer_eigenvalue,
     zamolodchikov_vector,
@@ -36,6 +35,17 @@ from coxlat.spectral import (
 
 def _A(name: str) -> np.ndarray:
     return np.array(cartan_matrix(RootSystemId.parse(name)), dtype=float)
+
+
+def projective_distance(u, v) -> float:
+    """sin of the angle between the lines spanned by u and v: the part of u
+    orthogonal to v, relative to u (accurate for nearly parallel lines)."""
+    nu = math.hypot(*(abs(x) for x in u))
+    nv = math.hypot(*(abs(y) for y in v))
+    if nu == 0 or nv == 0:
+        raise ValueError("zero vector")
+    c = sum(y.conjugate() * x for x, y in zip(u, v)) / (nv * nv)
+    return min(1.0, math.hypot(*(abs(x - c * y) for x, y in zip(u, v))) / nu)
 
 
 def test_normalize_eigvec_sets_largest_component_to_one():
