@@ -12,7 +12,10 @@ the request first; each command then imports the coxlat modules it uses.
 The exact layer (intmat, rootsys, lattice, gabrielov) runs on Python ints,
 the rank-8 float layer (spectral, qdeform) on Python floats, and
 ``verify ising-symmetry`` reads the entries of the Ising Hamiltonian as a
-dict, so only ``ising``, which solves the momentum blocks, loads numpy
+dict.  ``verify q-spectrum`` and ``verify q-certificate`` solve nothing:
+qdeform proves both identities once per system, in integers, for every
+q > 0, and ``eigen --q`` prints the law's values.  So only ``ising``, which
+solves the momentum blocks, loads numpy
 (the ``ising`` extra; without it, ``ising`` exits 2).  The records are
 named tuples, so no command loads ``dataclasses``, and only ``ising``
 (through numpy) loads the ``inspect``, ``ast`` and ``dis`` that it imports.
@@ -31,7 +34,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Dict, List, Optional
 
 __all__ = ["main", "run_verification", "VERIFY_NAMES"]
@@ -219,16 +222,20 @@ def _verify_pf(tol: Optional[float]) -> dict:
     )
 
 
-def _q_grid_worst(measure: Callable) -> float:
-    """Worst max_abs_deviation of measure(D, q) over Q_SYSTEMS x Q_GRID."""
+@cache
+def _q_records() -> dict:
+    """The deformed record of each of Q_SYSTEMS, shared by the two q checks."""
     from . import qdeform, rootsys
     from .rootsys import RootSystemId
 
-    deviations = []
-    for name in Q_SYSTEMS:
-        D = qdeform.deform(rootsys.cartan_matrix(RootSystemId.parse(name)))
-        deviations += [measure(D, q)["max_abs_deviation"] for q in Q_GRID]
-    return _worst(deviations)
+    return {name: qdeform.deform(rootsys.cartan_matrix(RootSystemId.parse(name)))
+            for name in Q_SYSTEMS}
+
+
+def _q_grid_worst(measure: Callable) -> float:
+    """Worst max_abs_deviation of measure(D, q) over Q_SYSTEMS x Q_GRID."""
+    return _worst([measure(D, q)["max_abs_deviation"]
+                   for D in _q_records().values() for q in Q_GRID])
 
 
 def _verify_q_spectrum(tol: Optional[float]) -> dict:
@@ -242,11 +249,10 @@ def _verify_q_spectrum(tol: Optional[float]) -> dict:
 
 
 def _verify_q_certificate(tol: Optional[float]) -> dict:
-    from . import qdeform, rootsys
-    from .rootsys import RootSystemId
+    from . import qdeform
 
     worst = _q_grid_worst(qdeform.conjugation_certificate)
-    e8_exp = qdeform.deform(rootsys.cartan_matrix(RootSystemId("E", 8))).exponent_vector
+    e8_exp = _q_records()["E8"].exponent_vector
     return _report(
         worst,
         tol, qdeform.CERTIFICATE_TOL,
@@ -258,7 +264,11 @@ def _verify_q_certificate(tol: Optional[float]) -> dict:
 
 def _entry_deviation(X: dict, Y: dict) -> float:
     """max |X - Y| over the union of the keys of two sparse matrices, a missing
-    key read as 0.0."""
+    key read as 0.0.  Equal finite matrices give 0.0 at once; the finiteness
+    test keeps a NaN or inf entry failing, which dict == passes when both sides
+    hold the same float object."""
+    if X == Y and all(map(math.isfinite, X.values())):
+        return 0.0
     return _worst([abs(X.get(key, 0.0) - Y.get(key, 0.0)) for key in X.keys() | Y.keys()])
 
 
@@ -404,10 +414,10 @@ def _cmd_eigen(args) -> int:
     from . import qdeform
 
     D = qdeform.deform(rootsys.cartan_matrix(rid))
-    spec = qdeform.q_spectrum(D, args.q)
     cert = qdeform.conjugation_certificate(D, args.q)
     h, exps = rootsys.exponents(rid)
-    eigenvalues = [v.real for v in spec["eigenvalues"]]
+    # the law's values, ascending as the eigenvalues of A are
+    eigenvalues = [qdeform.q_eigenvalue(lam, args.q) for lam in D.cartan_eigenvalues]
     if args.format == "csv":
         print("k,h,lambda")
         for k, lam in zip(exps, eigenvalues):

@@ -154,16 +154,25 @@ def char_poly(M: IMatrix) -> list:
     """Coefficients of det(xI - M), highest degree first, exact.
 
     Integer Faddeev-LeVerrier: M_1 = I, M_{k+1} = M·M_k + c_{n-k}·I and
-    c_{n-k} = -tr(M·M_k)/k, where each division is exact.
+    c_{n-k} = -tr(M·M_k)/k, where each division is exact.  Row i of M·M_k
+    sums the rows of M_k over the nonzero entries of row i of M only.
     """
     n = len(M)
-    I = iidentity(n)
+    nonzero = [[(j, a) for j, a in enumerate(map(index, row)) if a] for row in M]
     coeffs = [1]
-    Mk = I
+    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        MMk = matmul(M, Mk)
-        coeffs.append(-sum(index(MMk[i][i]) for i in range(n)) // k)
-        Mk = add(MMk, I, coeffs[-1])
+        MMk = []
+        for terms in nonzero:
+            acc = [0] * n
+            for j, a in terms:
+                acc = [x + a * y for x, y in zip(acc, Mk[j])]
+            MMk.append(acc)
+        c = -sum(MMk[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            MMk[i][i] += c
+        Mk = MMk
     return coeffs
 
 

@@ -9,22 +9,32 @@ graph: along any edge, the numerically larger endpoint has k one more
 than the smaller (making diag(q^{k_i/2}) conjugate
 sqrt(q)A + (1-sqrt(q))^2 I into A(q)).
 
+Both identities are polynomial in t = sqrt(q), so each is proved once per
+record, exactly, for every q > 0: conjugation_certificate compares the two
+sides of the conjugation as Laurent monomials in t, and q_spectrum compares
+characteristic polynomials in Z[x, t] (intmat.char_poly after one Kronecker
+substitution), using neither the exponent vector nor the conjugation.  No
+eigensolver runs for either; an exact deviation is 0.0.
+
 q is restricted to positive reals, so sqrt(q) is unambiguous.
 Disconnected graphs are rejected along with cycles; per-component
 application would be the natural extension for forests.
 
-Like spectral, this runs on plain Python floats; an extreme q ends in a
-non-finite deviation, never in OverflowError or ZeroDivisionError.
+evaluate, q_eigenvalue, q_eigenvector and cartan_eigenvalues run on plain
+Python floats (cartan_eigenvalues by spectral.jacobi_eigh) and give the
+values that `coxlat eigen --q` prints; an extreme q ends in a non-finite
+value, never in OverflowError or ZeroDivisionError.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Dict, NamedTuple, Tuple
 
-from .intmat import IMatrix, as_imatrix
+from .intmat import IMatrix, as_imatrix, char_poly
 from .rootsys import tree_levels
-from .spectral import IDENTITY_TOL, jacobi_eigh, max_abs, residual
+from .spectral import IDENTITY_TOL, jacobi_eigh, residual
 
 __all__ = [
     "QDeformedCartan",
@@ -34,7 +44,6 @@ __all__ = [
     "q_eigenvector",
     "conjugation_certificate",
     "q_spectrum",
-    "general_eigenvalues",
     "Q_SPECTRUM_TOL",
     "CERTIFICATE_TOL",
 ]
@@ -43,9 +52,9 @@ __all__ = [
 # checks, which grade the deviations q_spectrum and conjugation_certificate return
 Q_SPECTRUM_TOL = 1e-8
 CERTIFICATE_TOL = 1e-10
-# general_eigenvalues gives up after this many QR sweeps without a deflation
-QR_MAX_ITERATIONS = 30
-EPS = 2.0 ** -52  # a subdiagonal entry below EPS times its diagonal neighbours is 0
+# q_spectrum substitutes q = 2^LAW_BASE_BITS, so it proves the law for records
+# whose coefficient bound (see _law_deviation) is below 2^(LAW_BASE_BITS - 1)
+LAW_BASE_BITS = 32
 
 
 class QDeformedCartan(NamedTuple):
@@ -63,17 +72,15 @@ class QDeformedCartan(NamedTuple):
         The solved matrix has the off-diagonal entries sign(a_ij)·sqrt(a_ij·a_ji).
         On a tree it is diagonally similar to A, and a symmetric A is itself.
         """
-        values = _CARTAN_EIGENVALUES.get(self)
-        if values is None:
-            A = evaluate(self, 1.0)
-            S = tuple(tuple(math.copysign(math.sqrt(a * b), a) for a, b in zip(row, col))
-                      for row, col in zip(A, zip(*A)))
-            values = _CARTAN_EIGENVALUES[self] = jacobi_eigh(S, with_vectors=False)[0]
-        return values
+        return _cartan_eigenvalues(self)
 
 
-# QDeformedCartan.cartan_eigenvalues by record
-_CARTAN_EIGENVALUES: Dict[QDeformedCartan, tuple] = {}
+@cache
+def _cartan_eigenvalues(D: QDeformedCartan) -> tuple:
+    A = evaluate(D, 1.0)
+    S = tuple(tuple(math.copysign(math.sqrt(a * b), a) for a, b in zip(row, col))
+              for row, col in zip(A, zip(*A)))
+    return jacobi_eigh(S, with_vectors=False)[0]
 
 
 def deform(A) -> QDeformedCartan:
@@ -142,165 +149,95 @@ def q_eigenvector(x, D: QDeformedCartan, q: float) -> tuple:
     return xq
 
 
+@cache
+def _certificate_deviation(D: QDeformedCartan) -> int:
+    """Largest |coefficient| of S·(tA + (1-t)²I)·S⁻¹ - (t²L + U) in Z[t, 1/t],
+    with A = L + U and S = diag(t^{k_i}): 0 iff the conjugation holds for every t.
+
+    Entry (i, j) of the left side is t^e·(t·a_ij + δ_ij·(1 - 2t + t²)) with
+    e = k_i - k_j.  So a diagonal entry is 1 + t² when l_ii = u_ii = 1, and
+    an edge needs e = 1 below the diagonal (t²·l_ij) and e = -1 above it (u_ij).
+    """
+    ks = D.exponent_vector
+    dev = 0
+    for i, (row_l, row_u) in enumerate(zip(D.L, D.U)):
+        for j, (l, u) in enumerate(zip(row_l, row_u)):
+            if i != j and not (l or u):
+                continue
+            e = ks[i] - ks[j]
+            terms = [(e + 1, l + u), (2, -l), (0, -u)]
+            if i == j:
+                terms += [(e, 1), (e + 1, -2), (e + 2, 1)]
+            diff: Dict[int, int] = {}
+            for power, c in terms:
+                diff[power] = diff.get(power, 0) + c
+            dev = max(dev, *map(abs, diff.values()))
+    return dev
+
+
 def conjugation_certificate(D: QDeformedCartan, q: float) -> dict:
     """Deviation of S·(sqrt(q)A + (1-sqrt(q))² I)·S⁻¹ from A(q), S = diag(q^{k_i/2}).
 
-    A deviation at rounding level certifies the deformed spectrum law
-    constructively for this q.
+    The identity is checked once per record over Z[t, 1/t], t = sqrt(q), so a
+    deviation of 0.0 certifies the deformed spectrum law constructively for
+    every q > 0 (S is invertible there), this q included.
     """
     q = _check_q(q)
-    rq = math.sqrt(q)
-    shift = (1 - rq) ** 2
-    s = tuple(_scales(D, q))
-    # a scale that underflowed to 0 puts 0/0 on the diagonal: a NaN for the caller
-    dev = max_abs(
-        s[i] * (rq * a + (shift if i == j else 0.0)) / s[j] - aq if s[j] else math.nan
-        for i, (row, row_q) in enumerate(zip(evaluate(D, 1.0), evaluate(D, q)))
-        for j, (a, aq) in enumerate(zip(row, row_q))
-    )
     return {
         "q": q,
-        "max_abs_deviation": dev,
+        "max_abs_deviation": float(_certificate_deviation(D)),
         "exponent_vector": list(D.exponent_vector),
     }
 
 
-def _reflect(H: list, k: int, x: float, y: float, z: float, cols: range, rows: range) -> float:
-    """H <- P·H·P, P the reflector on indices k..k+2 taking (x, y, z) to (x', 0, 0);
-    returns x'.  P·H is formed on the columns `cols`, H·P on the rows `rows`.
-    With z = 0, index k+2 may be H's zero padding."""
-    if not (y or z):  # P = I will do
-        return x
-    sigma = math.copysign(math.hypot(x, y, z), x)
-    p = x + sigma
-    u0, u1, u2, q, r = p / sigma, y / sigma, z / sigma, y / p, z / p
-    k1, k2 = k + 1, k + 2
-    r0, r1, r2 = H[k], H[k1], H[k2]
-    for j in cols:
-        d = r0[j] + q * r1[j] + r * r2[j]
-        r0[j] -= d * u0
-        r1[j] -= d * u1
-        r2[j] -= d * u2
-    for i in rows:
-        row = H[i]
-        d = row[k] + q * row[k1] + r * row[k2]
-        row[k] -= d * u0
-        row[k1] -= d * u1
-        row[k2] -= d * u2
-    return -sigma
+@cache
+def _law_deviation(D: QDeformedCartan) -> int:
+    """Largest |coefficient| of G(z, t) - Σ_k e_k t^{n-k} z^k in Z[z, t]: 0 iff
+    det(xI - t²L - U) = Σ_k c_k t^{n-k} (x - 1 - t² + 2t)^k, where
+    χ_A(y) = Σ_k c_k y^k, A = L + U.
 
+    With z = x - 1 - t², L₀ = L - I and U₀ = U - I, the left side is
+    G(z, t) = det(zI - t²L₀ - U₀) and the right side is Σ_k e_k t^{n-k} z^k,
+    e_k the coefficients of G(z, 1) = χ_A(z + 2).  So the law says that the
+    coefficient g_k(q) of z^k in G (q = t²) is the one monomial e_k q^{(n-k)/2},
+    and 0 when n - k is odd.
 
-def _normalize(H: list) -> int:
-    """Scale H in place, exactly, by the power 2^-e that brings it below 1; return e."""
-    entries = [x for row in H for x in row]
-    if not all(map(math.isfinite, entries)):
-        raise ValueError("the matrix is not finite")
-    e = math.frexp(max(map(abs, entries)))[1]
-    for row in H:
-        row[:] = [math.ldexp(x, -e) for x in row]
-    return e
-
-
-def _balance(H: list, n: int) -> None:
-    """Parlett-Reinsch balancing in place: scale row and column i by reciprocal
-    powers of 2 until their off-diagonal 1-norms about agree.  A(q) far from
-    q = 1 is far from normal, and balancing makes its eigenvalues well conditioned."""
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            d = abs(H[i][i])  # centred A(q) has a zero diagonal, so this is exact there
-            c = sum([abs(row[i]) for row in H]) - d
-            r = sum(map(abs, H[i])) - d
-            f = 2.0 ** round((math.log2(r) - math.log2(c)) / 2) if c and r else 1.0
-            if c * f + r / f < 0.95 * (c + r):
-                done = False
-                H[i] = [x / f for x in H[i]]
-                for row in H:
-                    row[i] *= f
-
-
-def _pair(a: float, b: float, c: float, d: float) -> list:
-    """The eigenvalues of [[a, b], [c, d]]; a complex pair comes out conjugate."""
-    p = (a + d) / 2
-    disc = (a - d) * (a - d) / 4 + b * c
-    r = math.sqrt(abs(disc))
-    return [complex(p - r), complex(p + r)] if disc >= 0 else [complex(p, -r), complex(p, r)]
-
-
-def general_eigenvalues(M) -> Tuple[complex, ...]:
-    """Eigenvalues of a general real matrix, sorted by (real, imag).
-
-    Scaled, centred, balanced and reduced to Hessenberg form by Householder
-    reflections, the matrix is deflated from the bottom by Francis double-shift
-    QR sweeps (Golub & Van Loan, §7.5), one eigenvalue or 2 x 2 block at a time.
-    Non-finite input, or a block still whole after QR_MAX_ITERATIONS sweeps,
-    raises ValueError.  This is the independent solver of q_spectrum's actual side.
+    g_k comes from one intmat.char_poly of B·L₀ + U₀, B = 2^LAW_BASE_BITS, as
+    the balanced base-B digits of g_k(B).  The digits are the coefficients of
+    g_k when every coefficient is below B/2 in absolute value.  Expanding the
+    determinant over permutations bounds them all by Π_i (1 + Σ_j (|l₀_ij| +
+    |u₀_ij|)); a record whose bound reaches B/2 raises ValueError.
     """
-    H = [[float(x) for x in row] + [0.0] for row in M]
-    n = len(H)
-    H.append([0.0] * (n + 1))  # the zero row and column that _reflect may touch
-    e = _normalize(H)
-    # A(q) far from q = 1 is a multiple of I plus a small part: solve for the part
-    centre = sum(H[i][i] for i in range(n)) / n
-    for i in range(n):
-        H[i][i] -= centre
-    _balance(H, n)
-    e_part = _normalize(H)
-    for c in range(n - 2):  # zero column c below the subdiagonal, bottom up
-        for i in range(n - 2, c, -1):
-            H[i][c] = _reflect(H, i, H[i][c], H[i + 1][c], 0.0, range(c + 1, n), range(n))
-            H[i + 1][c] = 0.0
-    found, m, its = [], n - 1, 0
-    while m >= 0:
-        l = m
-        while l > 0 and abs(H[l][l - 1]) > EPS * ((abs(H[l - 1][l - 1]) + abs(H[l][l])) or 1.0):
-            l -= 1
-        if l >= m - 1:  # the bottom 1 x 1 or 2 x 2 block has split off
-            found += [complex(H[m][m])] if l == m else _pair(
-                H[m - 1][m - 1], H[m - 1][m], H[m][m - 1], H[m][m])
-            m, its = l - 1, 0
-            continue
-        its += 1
-        if its > QR_MAX_ITERATIONS:
-            raise ValueError(f"the QR iteration did not converge in {QR_MAX_ITERATIONS} sweeps")
-        if its % 10:  # the shifts are the eigenvalues of the trailing 2 x 2 block
-            s = H[m - 1][m - 1] + H[m][m]
-            t = H[m - 1][m - 1] * H[m][m] - H[m - 1][m] * H[m][m - 1]
-        else:  # an exceptional shift breaks a cycle
-            w = abs(H[m][m - 1]) + abs(H[m - 1][m - 2])
-            x = 0.75 * w + H[m][m]
-            s, t = 2 * x, x * x + 0.4375 * w * w
-        # the first column of (H - s1)(H - s2) starts the bulge
-        x = H[l][l] * (H[l][l] - s) + H[l][l + 1] * H[l + 1][l] + t
-        y = H[l + 1][l] * (H[l][l] + H[l + 1][l + 1] - s)
-        z = H[l + 1][l] * H[l + 2][l + 1]
-        for k in range(l, m):  # chase the bulge down the block
-            if k > l:
-                x, y, z = H[k][k - 1], H[k + 1][k - 1], H[k + 2][k - 1]
-            top = _reflect(H, k, x, y, z, range(k, m + 1), range(l, min(k + 3, m) + 1))
-            if k > l:
-                H[k][k - 1], H[k + 1][k - 1], H[k + 2][k - 1] = top, 0.0, 0.0
-    up = 2.0 ** (e // 2), 2.0 ** (e - e // 2)  # 2^e as two float factors
-    found = [complex((math.ldexp(z.real, e_part) + centre) * up[0] * up[1],
-                     math.ldexp(z.imag, e_part) * up[0] * up[1]) for z in found]
-    return tuple(sorted(found, key=lambda z: (z.real, z.imag)))
+    L0 = tuple(tuple(l - (i == j) for j, l in enumerate(row)) for i, row in enumerate(D.L))
+    U0 = tuple(tuple(u - (i == j) for j, u in enumerate(row)) for i, row in enumerate(D.U))
+    bits = LAW_BASE_BITS
+    base, half = 1 << bits, 1 << (bits - 1)
+    bound = math.prod(1 + sum(map(abs, rl)) + sum(map(abs, ru)) for rl, ru in zip(L0, U0))
+    if bound >= half:
+        raise ValueError(f"the law's coefficient bound {bound} reaches 2^{bits - 1}")
+    M = tuple(tuple(base * l + u for l, u in zip(rl, ru)) for rl, ru in zip(L0, U0))
+    dev = 0
+    for j, c in enumerate(char_poly(M)):  # c = g_{n-j}(B)
+        digits = []
+        while c:
+            d = ((c + half) & (base - 1)) - half
+            digits.append(d)
+            c = (c - d) >> bits
+        # the law allows only the digit at q^{j/2} (none for odd j): the others
+        # are coefficients of the difference, and so is minus their sum, at t^j
+        off = [d for p, d in enumerate(digits) if 2 * p != j]
+        if off:
+            dev = max(dev, *map(abs, off), abs(sum(off)))
+    return dev
 
 
 def q_spectrum(D: QDeformedCartan, q: float) -> dict:
-    """Actual spectrum of A(q) next to the predicted {1+(lambda-2)sqrt(q)+q}.
+    """The spectrum law {1+(lambda-2)sqrt(q)+q} of A(q) at this q.
 
-    lambda runs over D.cartan_eigenvalues (jacobi_eigh on the symmetrized A);
-    the actual spectrum comes from the general solver, so the two sides share
-    no routine.
+    max_abs_deviation is that of the record's exact proof (_law_deviation),
+    made once per record and valid for every q > 0: 0.0 when the law holds.
+    Nothing is solved; the law's values are q_eigenvalue(lambda, q) over
+    D.cartan_eigenvalues.
     """
     q = _check_q(q)
-    predicted = tuple(sorted((complex(q_eigenvalue(lam, q)) for lam in D.cartan_eigenvalues),
-                             key=lambda z: (z.real, z.imag)))
-    actual = general_eigenvalues(evaluate(D, q))
-    return {
-        "q": q,
-        "eigenvalues": actual,
-        "predicted": predicted,
-        "max_abs_deviation": max_abs(a - p for a, p in zip(actual, predicted)),
-    }
+    return {"q": q, "max_abs_deviation": float(_law_deviation(D))}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from coxlat import cli, gabrielov, ising, qdeform, spectral
 from coxlat.cli import VERIFY_NAMES, main, run_verification, to_jsonable
-from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix
+from coxlat.rootsys import CATALOG_IDS, RootSystemId
 
 
 def _run(capsys, *argv):
@@ -93,7 +93,7 @@ def test_verify_json_report_shape(capsys):
 
 def test_verify_tolerance_override_flips_exit_code(capsys):
     # an impossible tolerance turns a passing float check into a failure
-    code, out = _run(capsys, "verify", "q-spectrum", "--tol", "1e-300")
+    code, out = _run(capsys, "verify", "e8-eigvecs", "--tol", "1e-300")
     assert code == 1
     assert out.startswith("FAIL")
 
@@ -337,25 +337,34 @@ def test_nan_deviation_fails_the_check(monkeypatch, capsys, name, module, attr, 
     assert _strict_loads(capsys.readouterr().out)["deviation"] is None
 
 
-def test_q_spectrum_solves_each_cartan_matrix_once(monkeypatch):
-    # the four grid points of a system read one Cartan solve of its record
-    solved = []
-    real = spectral.jacobi_eigh
+@pytest.mark.parametrize("name", ["q-spectrum", "q-certificate"])
+def test_q_checks_run_no_eigensolver(monkeypatch, name):
+    # both q records grade integer identities proved once per record
+    def no_solver(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
 
-    def counted(*args, **kwargs):
-        solved.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(qdeform, "_CARTAN_EIGENVALUES", {})
-    monkeypatch.setattr(spectral, "jacobi_eigh", counted)
-    monkeypatch.setattr(qdeform, "jacobi_eigh", counted)
-    [report] = run_verification("q-spectrum")
+    monkeypatch.setattr(spectral, "jacobi_eigh", no_solver)
+    monkeypatch.setattr(qdeform, "jacobi_eigh", no_solver)
+    [report] = run_verification(name)
     assert report["status"] == "pass"
-    assert len(solved) == len(cli.Q_SYSTEMS) == 13
+    assert report["deviation"] == 0.0
+
+
+def test_q_spectrum_fails_on_a_broken_record(monkeypatch, capsys):
+    # a record whose L closes a cycle (see test_qdeform) fails the check
+    records = dict(cli._q_records())
+    L = [list(r) for r in records["E8"].L]
+    L[7][0] += 1
+    records["E8"] = records["E8"]._replace(L=tuple(map(tuple, L)))
+    monkeypatch.setattr(cli, "_q_records", lambda: records)
+    [report] = run_verification("q-spectrum")
+    assert report["status"] == "fail" and report["deviation"] > 0
+    assert main(["verify", "q-spectrum"]) == 1
+    assert main(["verify", "q-certificate"]) == 1
 
 
 @pytest.mark.parametrize("where", [0, 4, -1], ids=["first", "middle", "last"])
-def test_nan_anywhere_makes_the_maximum_nan(monkeypatch, where):
+def test_nan_anywhere_makes_the_maximum_nan(where):
     # Python's max([1.0, nan]) is 1.0: the float layer's maxima must not drop a NaN
     values = [1.0, 2.0, 3.0, 0.5, 4.0, 0.25, 2.5, 1.5, 3.5]
     values[where] = math.nan
@@ -363,46 +372,52 @@ def test_nan_anywhere_makes_the_maximum_nan(monkeypatch, where):
     A = [[2.0 if i == j else 0.0 for j in range(len(values))] for i in range(len(values))]
     A[where][where] = math.nan
     assert math.isnan(spectral.residual(A, [1.0] * len(values), 2.0))
-    D = qdeform.deform(cartan_matrix(RootSystemId("E", 8)))
-    real = qdeform.evaluate
-    rows = [list(r) for r in real(D, 2.0)]
-    rows[where][where] = math.nan
-
-    def evaluate(D, q):
-        return rows if q == 2.0 else real(D, q)
-
-    monkeypatch.setattr(qdeform, "evaluate", evaluate)
-    assert math.isnan(qdeform.conjugation_certificate(D, 2.0)["max_abs_deviation"])
 
 
-# `eigen X --q Q` at the ends of the float range: the systems that are served
-# (exit 0); every other one exits 2 with EXTREME_Q_ERROR.  The deformed matrix
-# or its certificate leaves the float range there, and nothing may crash.
-EXTREME_Q_SERVED = {
-    "5e-324": {"A1", "A2", "A3", "D4"},
-    "1e-300": {"A1", "A2", "A3", "D4"},
-    "1e-200": {"A1", "A2", "A3", "A4", "D4", "D5"},
-    "1e-20": {str(rid) for rid in CATALOG_IDS},
-    "1e20": {str(rid) for rid in CATALOG_IDS},
-    "1e200": {"A1", "A2"},
-    "1e300": {"A1"},
-    "1.7e308": {"A1"},
-}
-EXTREME_Q_ERROR = "error: the result is not finite, so it has no strict JSON form"
+def test_ising_symmetry_keeps_a_nan_entry_failing(monkeypatch):
+    # dict == takes the same NaN object as equal to itself, so the equal-dict
+    # fast path must not grade a NaN entry 0.0
+    real = ising.hamiltonian_entries
+
+    def with_nan(params):
+        # only the symmetry cases (h_x > 0), so the classical diagonal stays clean
+        entries = real(params)
+        if params.h_x:
+            entries[(0, 0)] = math.nan
+        return entries
+
+    monkeypatch.setattr(ising, "hamiltonian_entries", with_nan)
+    [report] = run_verification("ising-symmetry")
+    assert report["status"] == "fail"
+    assert math.isnan(report["deviation"])
 
 
-@pytest.mark.parametrize("q", EXTREME_Q_SERVED)
+def test_entry_deviation_fast_path_and_fallback():
+    H = {(0, 0): 1.0, (0, 1): -0.5, (1, 0): -0.5}
+    assert cli._entry_deviation(H, dict(H)) == 0.0
+    assert cli._entry_deviation(H, {**H, (1, 0): -0.25}) == 0.25
+    assert cli._entry_deviation(H, {(0, 0): 1.0, (0, 1): -0.5}) == 0.5
+    for bad in (math.nan, math.inf):
+        X = {**H, (1, 1): bad}
+        assert math.isnan(cli._entry_deviation(X, dict(X)))
+
+
+# `eigen X --q Q` at the ends of the float range.  Every system is served:
+# the printed values are the law's, 1 + (lambda-2)sqrt(q) + q, finite for every
+# finite q > 0, and the certificate is exact, so nothing leaves the float range.
+EXTREME_Q = ("5e-324", "1e-300", "1e-200", "1e-20", "1e20", "1e200", "1e300", "1.7e308")
+
+
+@pytest.mark.parametrize("q", EXTREME_Q)
 @pytest.mark.parametrize("system", [str(rid) for rid in CATALOG_IDS])
 def test_extreme_q_keeps_its_exit_codes(capsys, system, q):
     code = main(["eigen", system, "--q", q])
     captured = capsys.readouterr()
-    if system in EXTREME_Q_SERVED[q]:
-        assert code == 0 and captured.err == ""
-        payload = _strict_loads(captured.out)
-        assert len(payload["eigenvalues"]) == int(system[1:])
-    else:
-        assert code == 2 and captured.out == ""
-        assert captured.err.splitlines() == [EXTREME_Q_ERROR]
+    assert code == 0 and captured.err == ""
+    payload = _strict_loads(captured.out)
+    assert len(payload["eigenvalues"]) == int(system[1:])
+    assert payload["eigenvalues"] == sorted(payload["eigenvalues"])
+    assert payload["certificate_deviation"] == 0.0
 
 
 def test_wrong_e8_word_fails_its_record(monkeypatch, capsys):

@@ -192,7 +192,6 @@ def test_ising_without_numpy_names_the_extra(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eigen", "E8", "--q", "1e200"],
         ["ising", "--n", "2", "--J", "1e300", "--bands", "1", "--out", "{out}"],
         # couplings whose Hamiltonian overflows are refused before it is built
         ["ising", "--n", "8", "--J", "1e308"],
@@ -201,7 +200,7 @@ def test_ising_without_numpy_names_the_extra(tmp_path):
         ["ising", "--n", "8", "--J", "5e307", "--hz", "5e307"],
         ["ising", "--n", "8", "--J", "1e308", "--hx", "1e308"],
     ],
-    ids=["eigen-q", "ising-bands", "ising-J", "ising-hx", "ising-hz", "ising-J-hz", "ising-J-hx"],
+    ids=["ising-bands", "ising-J", "ising-hx", "ising-hz", "ising-J-hz", "ising-J-hx"],
 )
 def test_overflow_prints_one_error_line(tmp_path, argv):
     out = tmp_path / "levels.csv"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxlat"
@@ -118,3 +119,65 @@ def test_no_module_imports_dataclasses():
     for path in sorted(SRC.glob("*.py")):
         found += _imports_of(path.stem, ast.walk(ast.parse(path.read_text())), "dataclasses")
     assert found == []
+
+
+# Public names that no src module and no demo uses: only the tests do.
+# Each should join a `verify` record or move into tests/, so this list may
+# only shrink; the scan fails on a name missing from it, and on one that has
+# gained a caller and should leave it.
+TEST_ONLY_PUBLIC_NAMES = {
+    "lattice.gauge_transform",
+    "lattice.orthogonality_check",
+    "qdeform.q_eigenvector",
+    "rootsys.join_exponent_arithmetic",
+    "spectral.an_eigenvector",
+    "spectral.cartan_coxeter_transfer",
+    "spectral.coxeter_cartan_transfer",
+    "spectral.transfer_eigenvalue",
+}
+
+
+def _public_names(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every identifier a module reads, imports or calls.  The CLI reads
+    per-system functions as getattr(module, f"{system.lower()}_suffix"): such
+    a call adds each public name of that module that is a lower-case system
+    name (e8, d4, ...) followed by the suffix, as "module.name"."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[0], ast.Name)
+              and (SRC / f"{node.args[0].id}.py").exists()
+              and isinstance(node.args[1], ast.JoinedStr)
+              and isinstance(node.args[1].values[-1], ast.Constant)):
+            module, suffix = node.args[0].id, node.args[1].values[-1].value
+            tree_of = ast.parse((SRC / f"{module}.py").read_text())
+            used |= {f"{module}.{name}" for name in _public_names(tree_of)
+                     if re.fullmatch(r"[a-z]\d+" + re.escape(suffix), name)}
+    return used
+
+
+def test_no_public_name_serves_only_the_tests():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    demos = sorted((SRC.parent.parent / "demos").glob("*.py"))
+    used = set().union(*map(_used_names, trees.values()),
+                       *(_used_names(ast.parse(p.read_text())) for p in demos))
+    test_only = {f"{stem}.{name}" for stem, tree in trees.items()
+                 for name in _public_names(tree)
+                 if name not in used and f"{stem}.{name}" not in used}
+    assert test_only == TEST_ONLY_PUBLIC_NAMES

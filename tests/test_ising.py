@@ -289,3 +289,64 @@ def test_dispersion_probe_shape():
 def test_dispersion_probe_zero_bands():
     probe = dispersion_probe(IsingParams(N=6, h_x=1.5), band_count=0)
     assert probe["bands"] == []
+
+
+def _jordan_wigner_levels(N, J, h_x):
+    """Every level of H at h_z = 0 and its sector k, from free fermions
+    (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961); Pfeuty, Ann. Phys.
+    57, 79 (1970)).  Even fermion number takes the antiperiodic momenta
+    q = 2pi(m + 1/2)/N, odd the periodic q = 2pi·m/N.  A level is
+    sum_q eps(q)(n_q - 1/2) with eps = free_fermion_energy, except the periodic
+    q = 0 mode, which takes the signed energy 2(h_x - J) (the periodic q = pi
+    mode's 2(h_x + J) is eps(pi) itself).  Its sector is sum_q n_q·qN/2pi mod N.
+    Returns (E, k), one entry per level."""
+    occupied = (np.arange(1 << N)[:, None] >> np.arange(N)) & 1
+    odd = occupied.sum(axis=1) % 2 == 1
+    energies, sectors = [], []
+    for periodic in (False, True):
+        twice_m = 2 * np.arange(N) + (0 if periodic else 1)  # qN/pi
+        eps = np.array([free_fermion_energy(J, h_x, math.pi * t / N) for t in twice_m])
+        if periodic:
+            eps[0] = 2 * (h_x - J)
+        occ = occupied[odd if periodic else ~odd]
+        energies.append(occ @ eps - eps.sum() / 2)
+        sectors.append((occ @ twice_m) % (2 * N) // 2)
+    return np.concatenate(energies), np.concatenate(sectors)
+
+
+def _by_sector(E, k, N):
+    return [np.sort(E[k == s]) for s in range(N)]
+
+
+def _sector_deviation(got, want):
+    """max |level difference| over the sectors; inf if a sector's size differs."""
+    if any(len(a) != len(b) for a, b in zip(got, want)):
+        return math.inf
+    return max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "N, h_x",
+    [(N, h_x) for N in (4, 5, 6, 7, 8, 10) for h_x in (0.3, 1.0, 1.7)] + [(13, 0.3), (14, 1.7)],
+)
+def test_momentum_spectrum_matches_jordan_wigner(N, h_x):
+    J = 1.0
+    levels = momentum_spectrum(IsingParams(N=N, J=J, h_z=0.0, h_x=h_x))
+    eps = np.array([l.epsilon for l in levels])
+    ks = np.array([l.k for l in levels])
+    E, k = _jordan_wigner_levels(N, J, h_x)
+    E -= E.min()
+    # eigvalsh rounds a level to about eps·||H||, and ||H||_inf <= N(J + h_x)
+    tol = 1e-10 * max(1.0, N * (J + h_x))
+    assert len(E) == len(eps) == 2**N
+    assert np.max(np.abs(np.sort(eps) - np.sort(E))) <= tol
+    got, want = _by_sector(eps, ks, N), _by_sector(E, k, N)
+    assert _sector_deviation(got, want) <= tol
+    # the labels matter: sector k's lowest levels differ from the oracle's
+    # sector k + 1, unless k + 1 = N - k is its conjugate (odd N), which H real
+    # makes equal
+    for s in range(N):
+        if (2 * s + 1) % N:
+            a, b = got[s], want[(s + 1) % N]
+            m = min(len(a), len(b))
+            assert np.max(np.abs(a[:m] - b[:m])) > tol

@@ -1,7 +1,9 @@
-"""The two dense eigen kernels of the float layer against numpy.linalg.
+"""The dense eigen kernels against numpy.linalg, and the q-law against both.
 
-spectral.jacobi_eigh (cyclic Jacobi, symmetric) and qdeform.general_eigenvalues
-(Hessenberg QR, general real) run on Python floats; numpy stays the oracle here.
+spectral.jacobi_eigh (cyclic Jacobi, symmetric) is the float layer's solver;
+francis_qr.general_eigenvalues (Hessenberg QR, general real) is the tests'
+float oracle for the spectrum of A(q), which coxlat proves exactly and never
+solves.  Both run on Python floats; numpy stays the oracle of each.
 """
 
 from __future__ import annotations
@@ -13,12 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat import qdeform, spectral
-from coxlat.qdeform import deform, evaluate, general_eigenvalues
+import francis_qr
+from coxlat import spectral
+from coxlat.intmat import as_imatrix
+from coxlat.qdeform import deform, evaluate, q_eigenvalue, q_spectrum
 from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents
 from coxlat.spectral import jacobi_eigh
+from francis_qr import general_eigenvalues
 
 Q_GRID = (0.25, 0.5, 2.0, 4.0)
+# non-symmetric tree Cartan matrices, outside the ADE catalog
+NONSYMMETRIC = {
+    "G2": [[2, -1], [-3, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+}
 
 
 def _check_eigh(A, tol=1e-13):
@@ -97,10 +107,16 @@ def _sorted_numpy(M):
     return w[np.lexsort((w.imag, w.real))]
 
 
+def _law_values(D, q):
+    """The law's values at q, as `coxlat eigen --q` prints them."""
+    return [q_eigenvalue(lam, q) for lam in D.cartan_eigenvalues]
+
+
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
 @pytest.mark.parametrize("q", Q_GRID)
 def test_general_eigenvalues_on_the_q_grid(rid, q):
-    M = evaluate(deform(cartan_matrix(rid)), q)
+    D = deform(cartan_matrix(rid))
+    M = evaluate(D, q)
     got = general_eigenvalues(M)
     assert np.max(np.abs(np.array(got) - _sorted_numpy(M))) <= 1e-12
     # and the law itself, which neither solver is told
@@ -108,6 +124,18 @@ def test_general_eigenvalues_on_the_q_grid(rid, q):
     law = sorted(1 + (4 * math.sin(k * math.pi / (2 * h)) ** 2 - 2) * math.sqrt(q) + q
                  for k in exps)
     assert max(abs(z - w) for z, w in zip(got, law)) <= 1e-13
+    # the solved spectrum is the one coxlat proves and prints
+    assert q_spectrum(D, q)["max_abs_deviation"] == 0.0
+    assert max(abs(z - w) for z, w in zip(got, _law_values(D, q))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(NONSYMMETRIC))
+@pytest.mark.parametrize("q", Q_GRID)
+def test_general_eigenvalues_follow_the_law_off_the_catalog(name, q):
+    D = deform(as_imatrix(NONSYMMETRIC[name]))
+    got = general_eigenvalues(evaluate(D, q))
+    assert q_spectrum(D, q)["max_abs_deviation"] == 0.0
+    assert max(abs(z - w) for z, w in zip(got, _law_values(D, q))) <= 1e-13
 
 
 def test_general_eigenvalues_complex_pair_is_conjugate():
@@ -136,6 +164,6 @@ def test_general_eigenvalues_rejects_nonfinite_and_nonconvergence(monkeypatch):
             general_eigenvalues([[1.0, bad], [0.0, 1.0]])
     cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]  # its eigenvalues all have modulus 1
     assert np.max(np.abs(np.array(general_eigenvalues(cycle)) - _sorted_numpy(cycle))) <= 1e-12
-    monkeypatch.setattr(qdeform, "QR_MAX_ITERATIONS", 0)  # a 3 x 3 block needs a sweep
+    monkeypatch.setattr(francis_qr, "QR_MAX_ITERATIONS", 0)  # a 3 x 3 block needs a sweep
     with pytest.raises(ValueError, match="did not converge"):
         general_eigenvalues(cycle)

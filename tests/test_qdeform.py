@@ -1,4 +1,8 @@
-"""One-parameter deformation A(q): spectrum law, certificates, exponents."""
+"""One-parameter deformation A(q): spectrum law, certificates, exponents.
+
+The law and the certificate are proved exactly, once per record; the tests
+also check that each proof fails on records where its identity is false.
+"""
 
 from __future__ import annotations
 
@@ -7,19 +11,21 @@ import math
 import numpy as np
 import pytest
 
-from coxlat import qdeform
+from coxlat import qdeform, spectral
 from coxlat.intmat import as_imatrix
 from coxlat.qdeform import (
+    CERTIFICATE_TOL,
+    Q_SPECTRUM_TOL,
     QDeformedCartan,
     conjugation_certificate,
     deform,
     evaluate,
-    general_eigenvalues,
     q_eigenvalue,
     q_eigenvector,
     q_spectrum,
 )
 from coxlat.rootsys import RootSystemId, cartan_matrix
+from francis_qr import general_eigenvalues
 
 Q_GRID = (0.25, 0.5, 2.0, 4.0)
 SYSTEMS = [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "E6", "E7", "E8"]
@@ -101,43 +107,94 @@ def test_q_eigenvalue_law_at_one():
 
 def test_a2_spectrum_frozen():
     # A2 at q=2: eigenvalues 3 - sqrt(2) and 3 + sqrt(2)
-    rep = q_spectrum(_D("A2"), 2.0)
-    got = sorted(float(v.real) for v in np.atleast_1d(rep["eigenvalues"]))
+    D = _D("A2")
+    got = [q_eigenvalue(lam, 2.0) for lam in D.cartan_eigenvalues]
     assert abs(got[0] - (3 - math.sqrt(2))) < 1e-12
     assert abs(got[1] - (3 + math.sqrt(2))) < 1e-12
-    assert rep["max_abs_deviation"] <= 1e-8
+    assert q_spectrum(D, 2.0) == {"q": 2.0, "max_abs_deviation": 0.0}
 
 
 @pytest.mark.parametrize("name", SYSTEMS + list(NONSYMMETRIC))
 @pytest.mark.parametrize("q", Q_GRID)
 def test_spectrum_law_on_grid(name, q):
     rep = q_spectrum(_D(name), q)
-    assert rep["max_abs_deviation"] <= 1e-8
+    assert rep["max_abs_deviation"] == 0.0
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("an eigensolver ran")
 
 
 @pytest.mark.parametrize("name", list(NONSYMMETRIC))
 def test_nonsymmetric_sides_share_no_solver(name, monkeypatch):
-    # the general solver runs once per q, on A(q) only; lambda(A) is one
-    # symmetric solve of the record
-    general, symmetric = [], []
-    real_general, real_symmetric = qdeform.general_eigenvalues, qdeform.jacobi_eigh
-    monkeypatch.setattr(qdeform, "_CARTAN_EIGENVALUES", {})
-    monkeypatch.setattr(qdeform, "general_eigenvalues",
-                        lambda M: general.append(M) or real_general(M))
-    monkeypatch.setattr(qdeform, "jacobi_eigh",
-                        lambda A, **kw: symmetric.append(A) or real_symmetric(A, **kw))
+    # both proofs are integer identities: no solver runs on either side, for any q
+    monkeypatch.setattr(spectral, "jacobi_eigh", _raise)
+    monkeypatch.setattr(qdeform, "jacobi_eigh", _raise)
     D = _D(name)
     for q in Q_GRID:
-        q_spectrum(D, q)
-    assert general == [evaluate(D, q) for q in Q_GRID]
-    assert len(symmetric) == 1
+        assert q_spectrum(D, q)["max_abs_deviation"] == 0.0
+        assert conjugation_certificate(D, q)["max_abs_deviation"] == 0.0
+
+
+def _with_entry(M, i, j, delta):
+    rows = [list(r) for r in M]
+    rows[i][j] += delta
+    return as_imatrix(rows)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_law_fails_when_l_closes_a_cycle(name):
+    # L[n-1][0] += 1 adds the arc n -> 1 (A1: a diagonal entry 2 in L).  With
+    # the tree path from 1 to n it closes a cycle whose weight in A(q) is one
+    # factor q, where the law needs sqrt(q) per arc
+    D = _D(name)
+    n = len(D.L)
+    bad = D._replace(L=_with_entry(D.L, n - 1, 0, 1))
+    dev = q_spectrum(bad, 2.0)["max_abs_deviation"]
+    if name == "A2":
+        # here the edit deletes the lower half of the only edge instead:
+        # A = [[2, -1], [0, 2]] has the double eigenvalue 2, and
+        # A(q) = [[1+q, -1], [0, 1+q]] the double 1 + q = 1 + (2-2)sqrt(q) + q,
+        # so the law rightly holds
+        assert dev == 0.0
+    else:
+        assert dev > Q_SPECTRUM_TOL
+
+
+@pytest.mark.parametrize("name", [s for s in SYSTEMS if s != "A1"])
+def test_certificate_fails_on_a_changed_exponent(name):
+    # A1 has no edge: S = t^k·I commutes with everything, for any k
+    D = _D(name)
+    for i in range(len(D.exponent_vector)):
+        ks = list(D.exponent_vector)
+        ks[i] += 1
+        bad = D._replace(exponent_vector=tuple(ks))
+        assert conjugation_certificate(bad, 2.0)["max_abs_deviation"] > CERTIFICATE_TOL
+
+
+def test_certificate_fails_on_a_changed_diagonal():
+    D = _D("E8")
+    bad = D._replace(U=_with_entry(D.U, 3, 3, 1))
+    assert conjugation_certificate(bad, 2.0)["max_abs_deviation"] == 1.0
+    assert q_spectrum(bad, 2.0)["max_abs_deviation"] > Q_SPECTRUM_TOL
+
+
+def test_law_refuses_records_past_its_coefficient_bound():
+    # the bound of [[2, -b], [-1, 2]] is (1 + b)·2, and the Kronecker base
+    # 2^LAW_BASE_BITS decodes coefficients below half of it
+    half = 1 << (qdeform.LAW_BASE_BITS - 1)
+    inside = deform(as_imatrix([[2, -(half // 2 - 2)], [-1, 2]]))
+    assert q_spectrum(inside, 2.0)["max_abs_deviation"] == 0.0
+    outside = deform(as_imatrix([[2, -(half // 2 - 1)], [-1, 2]]))
+    with pytest.raises(ValueError, match="coefficient bound"):
+        q_spectrum(outside, 2.0)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 @pytest.mark.parametrize("q", Q_GRID)
 def test_conjugation_certificate_on_grid(name, q):
     rep = conjugation_certificate(_D(name), q)
-    assert rep["max_abs_deviation"] <= 1e-10
+    assert rep["max_abs_deviation"] == 0.0
 
 
 def test_certificate_identity_explicit():
