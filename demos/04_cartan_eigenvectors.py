@@ -64,5 +64,5 @@ print("factorized pipeline residual:", f"{residual(C, z, lam):.2e}")
 # Perron-Frobenius vector == the mass vector, smallest mass normalized to 1
 v = np.sort(perron_frobenius(A))
 print("\nPF vector (sorted):      ", np.round(v, 4))
-print("closed-form mass vector: ", np.round(zamolodchikov_vector(1.0), 4))
+print("closed-form mass vector: ", np.round(zamolodchikov_vector(), 4))
 print("golden ratio m2/m1:      ", v[1] / v[0])

@@ -124,7 +124,8 @@ def _verify_factorization(target: str, tol: Optional[float]) -> dict:
     """The e8- or e6-factorization record; target is "E8" or "E6"."""
     from . import gabrielov
 
-    _, deviations = getattr(gabrielov, f"{target.lower()}_factorization")()
+    factorization = {"E8": gabrielov.e8_factorization, "E6": gabrielov.e6_factorization}
+    _, deviations = factorization[target]()
     crep = gabrielov.conjugation_report(target)
     shown = {**deviations, **crep["deviations"]}
     parts = [f"{label}: {'pass' if dev == 0 else 'fail'}" for label, dev in shown.items()]
@@ -180,7 +181,7 @@ def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
     from . import rootsys, spectral
 
     rid = rootsys.RootSystemId.parse(system)
-    closed_form = getattr(spectral, f"{system.lower()}_eigenvector")
+    closed_form = {"E8": spectral.e8_eigenvector, "E6": spectral.e6_eigenvector}[system]
     A = rootsys.cartan_matrix(rid)
     h, exps = rootsys.exponents(rid)
     residuals = []
@@ -206,7 +207,7 @@ def _verify_pf(tol: Optional[float]) -> dict:
     from .rootsys import RootSystemId
 
     v = sorted(spectral.perron_frobenius(rootsys.cartan_matrix(RootSystemId("E", 8))))
-    zam = spectral.zamolodchikov_vector(1.0)
+    zam = spectral.zamolodchikov_vector()
     dev_sorted = _worst([abs(a - z) for a, z in zip(v, zam)])
     closed = sorted(spectral.pf_closed_form())
     dev_closed = _worst([abs(c / closed[0] - z) for c, z in zip(closed, zam)])
@@ -392,45 +393,39 @@ def _cmd_eigen(args) -> int:
     from .rootsys import RootSystemId
 
     rid = RootSystemId.parse(args.system)
-    if args.q is None:
-        pairs = spectral.cartan_spectrum(rid)
-        if args.format == "csv":
-            print("k,h,lambda")
-            for p in pairs:
-                print(f"{p.k},{p.h},{p.lam:.15g}")
-        else:
-            payload = [
-                {
-                    "k": p.k,
-                    "h": p.h,
-                    "lambda": p.lam,
-                    "vector": [to_jsonable(complex(v)) for v in p.vector],
-                    "residual": p.residual,
-                }
-                for p in pairs
-            ]
-            print(_json_text(payload))
-        return 0
-    from . import qdeform
+    if args.q is not None:
+        from . import qdeform
 
-    D = qdeform.deform(rootsys.cartan_matrix(rid))
-    cert = qdeform.conjugation_certificate(D, args.q)
-    h, exps = rootsys.exponents(rid)
-    # the law's values, ascending as the eigenvalues of A are
-    eigenvalues = [qdeform.q_eigenvalue(lam, args.q) for lam in D.cartan_eigenvalues]
+        D = qdeform.deform(rootsys.cartan_matrix(rid))
+        cert = qdeform.conjugation_certificate(D, args.q)  # rejects a bad q first
+    pairs = spectral.cartan_spectrum(rid)
+    # under --q the law's values, ascending as the eigenvalues of A are
+    lams = [p.lam if args.q is None else qdeform.q_eigenvalue(p.lam, args.q) for p in pairs]
     if args.format == "csv":
         print("k,h,lambda")
-        for k, lam in zip(exps, eigenvalues):
-            print(f"{k},{h},{lam:.15g}")
+        for p, lam in zip(pairs, lams):
+            print(f"{p.k},{p.h},{lam:.15g}")
+        return 0
+    if args.q is None:
+        payload = [
+            {
+                "k": p.k,
+                "h": p.h,
+                "lambda": p.lam,
+                "vector": [to_jsonable(complex(v)) for v in p.vector],
+                "residual": p.residual,
+            }
+            for p in pairs
+        ]
     else:
         payload = {
             "system": str(rid),
             "q": args.q,
-            "eigenvalues": eigenvalues,
+            "eigenvalues": lams,
             "exponent_vector": list(D.exponent_vector),
             "certificate_deviation": cert["max_abs_deviation"],
         }
-        print(_json_text(payload))
+    print(_json_text(payload))
     return 0
 
 

@@ -34,6 +34,9 @@ __all__ = [
 
 IMatrix = Tuple[Tuple[int, ...], ...]
 
+# matrix_order gives up past this order; the largest catalog Coxeter number is 30
+MATRIX_ORDER_CAP = 1000
+
 
 def as_imatrix(data) -> IMatrix:
     """Build a square matrix of Python ints from rows of integers.
@@ -176,12 +179,12 @@ def char_poly(M: IMatrix) -> list:
     return coeffs
 
 
-def matrix_order(M: IMatrix, cap: int = 1000) -> int:
-    """Smallest h >= 1 with M^h = I, exact; raises if none found within cap."""
+def matrix_order(M: IMatrix) -> int:
+    """Smallest h >= 1 with M^h = I, exact; raises if none found up to MATRIX_ORDER_CAP."""
     I = iidentity(len(M))
     P = M
-    for h in range(1, cap + 1):
+    for h in range(1, MATRIX_ORDER_CAP + 1):
         if P == I:
             return h
         P = matmul(P, M)
-    raise ValueError(f"order not found <= {cap}")
+    raise ValueError(f"order not found <= {MATRIX_ORDER_CAP}")

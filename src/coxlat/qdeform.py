@@ -20,10 +20,10 @@ q is restricted to positive reals, so sqrt(q) is unambiguous.
 Disconnected graphs are rejected along with cycles; per-component
 application would be the natural extension for forests.
 
-evaluate, q_eigenvalue, q_eigenvector and cartan_eigenvalues run on plain
-Python floats (cartan_eigenvalues by spectral.jacobi_eigh) and give the
-values that `coxlat eigen --q` prints; an extreme q ends in a non-finite
-value, never in OverflowError or ZeroDivisionError.
+evaluate, q_eigenvalue and q_eigenvector run on plain Python floats;
+`coxlat eigen --q` prints q_eigenvalue at the eigenvalues of A that
+spectral.cartan_spectrum solves.  An extreme q ends in a non-finite value,
+never in OverflowError or ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Dict, NamedTuple, Tuple
 
 from .intmat import IMatrix, as_imatrix, char_poly
 from .rootsys import tree_levels
-from .spectral import IDENTITY_TOL, jacobi_eigh, residual
 
 __all__ = [
     "QDeformedCartan",
@@ -65,29 +64,12 @@ class QDeformedCartan(NamedTuple):
     U: IMatrix
     exponent_vector: Tuple[int, ...]
 
-    @property
-    def cartan_eigenvalues(self) -> tuple:
-        """The eigenvalues of A, solved once per record by jacobi_eigh.
-
-        The solved matrix has the off-diagonal entries sign(a_ij)·sqrt(a_ij·a_ji).
-        On a tree it is diagonally similar to A, and a symmetric A is itself.
-        """
-        return _cartan_eigenvalues(self)
-
-
-@cache
-def _cartan_eigenvalues(D: QDeformedCartan) -> tuple:
-    A = evaluate(D, 1.0)
-    S = tuple(tuple(math.copysign(math.sqrt(a * b), a) for a, b in zip(row, col))
-              for row, col in zip(A, zip(*A)))
-    return jacobi_eigh(S, with_vectors=False)[0]
-
 
 def deform(A) -> QDeformedCartan:
     """Split a generalized Cartan matrix (tree graph) into L + U.
 
     A pair with a_ij·a_ji < 0 raises ValueError: no generalized Cartan
-    matrix has one, and cartan_eigenvalues needs a_ij·a_ji >= 0.
+    matrix has one.
     """
     A = as_imatrix(A)
     ks = tree_levels(A)
@@ -134,6 +116,8 @@ def q_eigenvector(x, D: QDeformedCartan, q: float) -> tuple:
     Its eigenvalue lambda is the Rayleigh quotient of x.  A real x gives a
     real vector, a complex x a complex one.
     """
+    from .spectral import IDENTITY_TOL, residual
+
     q = _check_q(q)
     A = evaluate(D, 1.0)  # A(1) = L + U = A
     norm2 = sum(v.conjugate() * v for v in x).real
@@ -236,8 +220,8 @@ def q_spectrum(D: QDeformedCartan, q: float) -> dict:
 
     max_abs_deviation is that of the record's exact proof (_law_deviation),
     made once per record and valid for every q > 0: 0.0 when the law holds.
-    Nothing is solved; the law's values are q_eigenvalue(lambda, q) over
-    D.cartan_eigenvalues.
+    Nothing is solved; the law's values are q_eigenvalue(lambda, q) over the
+    eigenvalues lambda of A.
     """
     q = _check_q(q)
     return {"q": q, "max_abs_deviation": float(_law_deviation(D))}

@@ -84,24 +84,20 @@ def residual(A, v, lam) -> float:
     return float(num / scale)
 
 
-def jacobi_eigh(
-    A, with_vectors: bool = True
-) -> Tuple[Tuple[float, ...], Optional[Tuple[Tuple[float, ...], ...]]]:
+def jacobi_eigh(A) -> Tuple[Tuple[float, ...], Tuple[Tuple[float, ...], ...]]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a real symmetric matrix.
 
     Cyclic Jacobi (Golub & Van Loan, Matrix Computations, §8.5): each sweep
     zeroes every off-diagonal entry in turn with one plane rotation, until the
     off-diagonal mass is negligible next to ||A||_F.  vectors[k] belongs to
     values[k].  Input that is not symmetric, or that has not converged after
-    JACOBI_MAX_SWEEPS sweeps, raises ValueError.  With with_vectors false the
-    rotations skip V, which never feeds back into A, and vectors is None.
+    JACOBI_MAX_SWEEPS sweeps, raises ValueError.
     """
     a = [[float(x) for x in row] for row in A]
     n = len(a)
     if any(len(r) != n for r in a) or any(a[i][j] != a[j][i] for i, j in combinations(range(n), 2)):
         raise ValueError("A must be a square symmetric matrix")
     V = [[float(i == j) for j in range(n)] for i in range(n)]  # row k: k-th eigenvector
-    rotated = (a, V) if with_vectors else (a,)
     # off-diagonal entries below `small` move an eigenvalue by 2.2e-16·||A||_F at most
     small = 2.2e-16 * math.hypot(*(x for row in a for x in row)) / max(n, 1)
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -116,7 +112,7 @@ def jacobi_eigh(
             t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
             c = 1.0 / math.hypot(1.0, t)
             s = t * c
-            for M in rotated:  # rows p and q of Jᵗ·M
+            for M in (a, V):  # rows p and q of Jᵗ·M
                 M[p], M[q] = ([c * x - s * y for x, y in zip(M[p], M[q])],
                               [s * x + c * y for x, y in zip(M[p], M[q])])
             # Jᵗ·A·J is symmetric: its columns p and q are those rows, but for the 2 x 2 block
@@ -126,8 +122,7 @@ def jacobi_eigh(
     else:
         raise ValueError(f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
     order = sorted(range(n), key=lambda k: a[k][k])
-    vectors = tuple(tuple(V[k]) for k in order) if with_vectors else None
-    return tuple(a[k][k] for k in order), vectors
+    return tuple(a[k][k] for k in order), tuple(tuple(V[k]) for k in order)
 
 
 def normalize_eigvec(v) -> tuple:
@@ -342,11 +337,11 @@ def perron_frobenius(A) -> tuple:
     return tuple(x / low for x in v)
 
 
-def zamolodchikov_vector(m: float = 1.0) -> tuple:
-    """The increasing mass vector (m1..m8) with overall scale m."""
+def zamolodchikov_vector() -> tuple:
+    """The increasing mass vector (m1..m8), scaled so that m1 = 1."""
     c = math.cos
     pi = math.pi
-    return tuple(m * x for x in (
+    return (
         1.0,
         2 * c(pi / 5),
         2 * c(pi / 30),
@@ -355,7 +350,7 @@ def zamolodchikov_vector(m: float = 1.0) -> tuple:
         4 * c(pi / 5) * c(pi / 30),
         8 * c(pi / 5) ** 2 * c(7 * pi / 30),
         8 * c(pi / 5) ** 2 * c(2 * pi / 15),
-    ))
+    )
 
 
 def pf_closed_form() -> tuple:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxlat"
@@ -128,7 +127,6 @@ def test_no_module_imports_dataclasses():
 TEST_ONLY_PUBLIC_NAMES = {
     "lattice.gauge_transform",
     "lattice.orthogonality_check",
-    "qdeform.q_eigenvector",
     "rootsys.join_exponent_arithmetic",
     "spectral.an_eigenvector",
     "spectral.cartan_coxeter_transfer",
@@ -147,10 +145,7 @@ def _public_names(tree: ast.Module) -> list:
 
 
 def _used_names(tree: ast.Module) -> set:
-    """Every identifier a module reads, imports or calls.  The CLI reads
-    per-system functions as getattr(module, f"{system.lower()}_suffix"): such
-    a call adds each public name of that module that is a lower-case system
-    name (e8, d4, ...) followed by the suffix, as "module.name"."""
+    """Every identifier a module reads, imports or calls."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -159,16 +154,6 @@ def _used_names(tree: ast.Module) -> set:
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "getattr" and len(node.args) > 1
-              and isinstance(node.args[0], ast.Name)
-              and (SRC / f"{node.args[0].id}.py").exists()
-              and isinstance(node.args[1], ast.JoinedStr)
-              and isinstance(node.args[1].values[-1], ast.Constant)):
-            module, suffix = node.args[0].id, node.args[1].values[-1].value
-            tree_of = ast.parse((SRC / f"{module}.py").read_text())
-            used |= {f"{module}.{name}" for name in _public_names(tree_of)
-                     if re.fullmatch(r"[a-z]\d+" + re.escape(suffix), name)}
     return used
 
 
@@ -181,3 +166,72 @@ def test_no_public_name_serves_only_the_tests():
                  for name in _public_names(tree)
                  if name not in used and f"{stem}.{name}" not in used}
     assert test_only == TEST_ONLY_PUBLIC_NAMES
+
+
+# Defaulted parameters that only the tests set, by "module.function".  argv
+# is set by the tests and by the benchmark's in-process replay, which drive
+# main directly.  This list may only shrink.
+TEST_ONLY_OPTIONS = {"cli.main": "argv"}
+
+
+def _literal(node):
+    try:
+        return True, ast.literal_eval(node)
+    except ValueError:
+        return False, None
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> dict:
+    """name -> (position or None for keyword-only, default node)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    params = {a.arg: (first + i, d)
+              for i, (a, d) in enumerate(zip(positional[first:], fn.args.defaults))}
+    params.update({a.arg: (None, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                   if d is not None})
+    return params
+
+
+def _sets(call: ast.Call, name: str, position, default) -> bool:
+    """Whether call passes parameter name a value other than a literal equal to
+    its default; a starred argument may pass anything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    values = [k.value for k in call.keywords if k.arg == name]
+    if position is not None and position < len(call.args):
+        values.append(call.args[position])
+    default_is_literal, default_value = _literal(default)
+    for value in values:
+        is_literal, passed = _literal(value)
+        if not (is_literal and default_is_literal and passed == default_value):
+            return True
+    return False
+
+
+def test_no_option_serves_only_the_tests():
+    # an option no caller sets is a branch only the tests take: make it a
+    # module constant that a test monkeypatches, or drop it
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    demos = sorted((SRC.parent.parent / "demos").glob("*.py"))
+    calls = [node for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in demos)]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    unset = {}
+    for stem, tree in trees.items():
+        public = set(_public_names(tree))
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in public):
+                continue
+            key = f"{stem}.{fn.name}"
+            if key in TEST_ONLY_PUBLIC_NAMES:
+                continue
+            for name, (position, default) in _defaulted_params(fn).items():
+                if not any(_sets(c, name, position, default)
+                           for c in calls if callee(c) == fn.name):
+                    unset.setdefault(key, []).append(name)
+    assert {k: ", ".join(v) for k, v in unset.items()} == TEST_ONLY_OPTIONS

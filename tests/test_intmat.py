@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxlat import intmat
 from coxlat.intmat import (
     add,
     as_imatrix,
@@ -193,9 +194,10 @@ def test_char_poly_matches_determinant_at_integer_points(rows):
         assert value == det_exact(add(xI, M, -1))
 
 
-def test_matrix_order():
+def test_matrix_order(monkeypatch):
     C = as_imatrix([[0, -1], [1, -1]])
     assert matrix_order(C) == 3
     assert matrix_order(iidentity(4)) == 1
-    with pytest.raises(ValueError):
-        matrix_order(C, cap=2)
+    monkeypatch.setattr(intmat, "MATRIX_ORDER_CAP", 2)
+    with pytest.raises(ValueError, match="<= 2"):
+        matrix_order(C)

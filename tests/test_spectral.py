@@ -218,7 +218,7 @@ def test_perron_frobenius_matches_closed_form():
     v = perron_frobenius(_A("E8"))
     assert all(x > 0 for x in v)
     assert np.min(v) == 1.0
-    zam = zamolodchikov_vector(1.0)
+    zam = zamolodchikov_vector()
     assert np.max(np.abs(np.sort(v) - zam)) <= 1e-9
     closed = pf_closed_form()
     assert np.max(np.abs(np.sort(closed) / np.min(closed) - zam)) <= 1e-9
@@ -245,8 +245,8 @@ def test_perron_frobenius_rejects_bad_input():
 
 
 def test_zamolodchikov_ratios():
-    zam = zamolodchikov_vector(2.5)
-    assert zam[0] == 2.5
+    zam = zamolodchikov_vector()
+    assert zam[0] == 1.0
     assert abs(zam[1] / zam[0] - (1 + math.sqrt(5)) / 2) < 1e-12
-    rounded = tuple(round(float(t), 2) for t in zamolodchikov_vector(1.0))
+    rounded = tuple(round(float(t), 2) for t in zam)
     assert rounded == (1.0, 1.62, 1.99, 2.4, 2.96, 3.22, 3.89, 4.78)
