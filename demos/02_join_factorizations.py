@@ -52,7 +52,7 @@ print(f"\nE8 conjugator {rep8['word']}: deviations {rep8['deviations']}")
 rep6 = conjugation_report("E6")
 print(f"E6 conjugator {rep6['word']}: deviations {rep6['deviations']}")
 if rep6["repaired_word"] is not None:
-    print(f"  repaired by BFS: {rep6['repaired_word']}")
+    print(f"  repaired by its pinned word: {rep6['repaired_word']}")
 
 # the 240 tensor root triples map onto the 60 roots seen by the basis change
 count, all_norm_2 = root_image_count()

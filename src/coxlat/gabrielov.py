@@ -13,10 +13,10 @@ Bourbaki's labels by the pinned map TREE_RELABELING, and satisfies
 
 exactly; each factorization report checks both identities and G against
 the reference matrix, and conjugation_report checks the reference
-conjugator.  Also here: Weyl-word evaluation (a one-letter word is a
-simple reflection), a breadth-first conjugator search, and the 240-to-60
-root-image count.  Matrices are intmat's tuples of int rows, and no numpy
-is imported.
+conjugator, and the pinned repair word where the reference fails.  Also
+here: Weyl-word evaluation (a one-letter word is a simple reflection) and
+the 240-to-60 root-image count.  Matrices are intmat's tuples of int
+rows, and no numpy is imported.
 
 Convention flags (frozen after exact validation against the Gram
 identities above): SIGN_CONVENTION = -1 in the alpha/beta formulas, and
@@ -26,8 +26,7 @@ ambient form on current basis rows.
 
 from __future__ import annotations
 
-import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import reduce
 from itertools import accumulate
 from operator import add, mul, sub
@@ -36,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .intmat import (IMatrix, as_imatrix, det_exact, deviation, frac_inverse, iidentity,
                      kron, matmul, transpose)
 from .lattice import coxeter, join, standard_polarization
-from .rootsys import RootSystemId, cartan_matrix, exponents
+from .rootsys import RootSystemId, cartan_matrix
 
 __all__ = [
     "BasedLattice",
@@ -49,8 +48,6 @@ __all__ = [
     "inverse_move",
     "apply_word",
     "weyl_apply",
-    "find_conjugator",
-    "BFS_MAX_NODES",
     "join_cartan",
     "join_coxeter",
     "Join",
@@ -189,7 +186,10 @@ class Join(NamedTuple):
     bipartite Coxeter words of target (Bourbaki numbering); conjugator_word
     is the reference Weyl word x with x⁻¹·C_BW·x = C_G, printed in reports
     as conjugator_name; change_of_basis is the reference G (columns =
-    simple roots of target written in the tensor basis).  Data only.
+    simple roots of target written in the tensor basis).  repair_word is
+    set only where conjugator_word fails as written: it is the
+    shortlex-first Weyl word w with w⁻¹·C_BW·w = C_G, which the tests
+    confirm by a breadth-first search of the Weyl group.  Data only.
     """
 
     target: RootSystemId
@@ -200,11 +200,12 @@ class Join(NamedTuple):
     conjugator_word: Tuple[int, ...]
     conjugator_name: str
     change_of_basis: IMatrix
+    repair_word: Optional[Tuple[int, ...]]
 
 
 # target name -> its join.  E6's reference conjugator as written contains
-# the cancelling pair s3∘s3 and misses the exact identity, so its report
-# also carries the shortest word BFS finds in its place.
+# the cancelling pair s3∘s3 and misses the exact identity, so E6 also pins
+# the shortest word that conjugates in its place.
 JOINS: Dict[str, Join] = {
     str(j.target): j
     for j in (
@@ -226,6 +227,7 @@ JOINS: Dict[str, Join] = {
                 [0, 1, -1, 0, 0, 0, 0, 1],
                 [0, 1, -1, 0, 0, 0, 0, 0],
             ]),
+            repair_word=None,
         ),
         Join(
             target=RootSystemId("E", 6),
@@ -243,6 +245,7 @@ JOINS: Dict[str, Join] = {
                 [0, 0, 0, 0, 0, 1],
                 [-1, 0, 0, 0, 0, 1],
             ]),
+            repair_word=(3, 1, 6),
         ),
     )
 }
@@ -271,49 +274,6 @@ def weyl_apply(rid: RootSystemId, word: Sequence[int]) -> IMatrix:
             raise ValueError(f"reflection index {i} out of range")
         Mt = _reflect(Mt, A, i - 1)
     return transpose(Mt)
-
-
-# Weyl group elements find_conjugator may discover: all of W(E6)
-# (51 840) fits, while E8's 696 729 600 would exhaust memory.
-BFS_MAX_NODES = 65_536
-
-
-def find_conjugator(rid: RootSystemId, C1, C2) -> Optional[List[int]]:
-    """BFS for a Weyl word w with w⁻¹·C1·w = C2; None if not found.
-
-    Deterministic: returns the lexicographically smallest among the
-    shortest solutions.  The search gives up (None) once it would discover
-    more than BFS_MAX_NODES group elements, so it is exhaustive for E6 and
-    below and bounded in memory on larger groups.
-    """
-    A = cartan_matrix(rid)
-    C1, C2t = as_imatrix(C1), transpose(as_imatrix(C2))
-    # the search runs on the columns Mt of M = w (see _reflect)
-    ident = iidentity(len(A))
-    seen = {ident}
-    queue = deque([(ident, ())])
-    while queue:
-        Mt, word = queue.popleft()
-        M = transpose(Mt)
-        # C1·M = M·C2, column by column: most M already differ in column 1
-        if all(
-            [sum(map(mul, r, col)) for r in C1] == [sum(map(mul, r, c2)) for r in M]
-            for col, c2 in zip(Mt, C2t)
-        ):
-            return list(word)
-        j = word[-1] - 1 if word else -1
-        for i in range(len(A)):
-            # w·s_j·s_i was reached before this pop, as w when i = j and as
-            # w·s_i·s_j when i < j and s_i, s_j commute: skip building it
-            if i == j or i < j and A[i][j] == 0:
-                continue
-            Mt2 = _reflect(Mt, A, i)
-            if Mt2 not in seen:
-                if len(seen) >= BFS_MAX_NODES:
-                    return None
-                seen.add(Mt2)
-                queue.append((Mt2, word + (i + 1,)))
-    return None
 
 
 def _join_polarized(ids: Sequence[RootSystemId]):
@@ -365,15 +325,12 @@ def e6_factorization():
 
 
 def conjugation_report(target: str) -> dict:
-    """Deviation of the reference conjugator of JOINS[target], and its BFS repair.
+    """Deviation of the reference conjugator of JOINS[target], and of its repair.
 
     "word" is the reference word x as written and "deviations" starts with
-    the exact deviation of x⁻¹·C_BW·x = C_G.  When that fails, the report
-    also carries the shortest word w that find_conjugator returns in its
-    place ("repaired_word", None when x is exact or no word is found) and
-    w's deviation, listed last.  "budget_exhausted" is True when no word was
-    found because the search stopped at BFS_MAX_NODES, and False when it
-    found one, searched the whole Weyl group, or did not run.
+    the exact deviation of x⁻¹·C_BW·x = C_G.  When that fails and the join
+    pins a repair_word w, the report also carries w ("repaired_word", None
+    otherwise) and w's exact deviation, listed last.
     """
     j = JOINS[target]
     C_bw = weyl_apply(j.target, j.cbw_word)
@@ -381,20 +338,15 @@ def conjugation_report(target: str) -> dict:
     x = weyl_apply(j.target, j.conjugator_word)
     dev = deviation(matmul(C_bw, x), matmul(x, C_g))
     deviations = {f"{j.conjugator_name}^{{-1}} C_BW {j.conjugator_name} = C_G": dev}
-    repaired = find_conjugator(j.target, C_bw, C_g) if dev else None
+    repaired = list(j.repair_word) if dev and j.repair_word is not None else None
     if repaired is not None:
         w = weyl_apply(j.target, repaired)
         label = f"repaired w^{{-1}} C_BW w = C_G (word {repaired})"
         deviations[label] = deviation(matmul(C_bw, w), matmul(w, C_g))
-    # a search that finds nothing stops at the budget exactly when the group
-    # is larger: |W| is the product of the degrees m + 1 over the exponents m
-    budget_exhausted = bool(dev) and repaired is None and (
-        math.prod(m + 1 for m in exponents(j.target)[1]) > BFS_MAX_NODES)
     return {
         "word": list(j.conjugator_word),
         "deviations": deviations,
         "repaired_word": repaired,
-        "budget_exhausted": budget_exhausted,
     }
 
 

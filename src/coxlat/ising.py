@@ -71,7 +71,7 @@ class IsingParams(namedtuple("IsingParams", "N J h_z h_x")):
 class MomentumLevel(NamedTuple):
     p: float
     epsilon: float
-    k: int = 0
+    k: int
 
 
 def _rotl(b: int, N: int) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import combinations
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .lattice import bipartite_coxeter
 from .rootsys import RootSystemId, coloring, root_system
@@ -61,9 +61,9 @@ DELTA = math.pi / 2
 class Eigenpair(NamedTuple):
     lam: float
     vector: tuple
-    k: Optional[int] = None
-    h: Optional[int] = None
-    residual: float = 0.0
+    k: int
+    h: int
+    residual: float
 
 
 def max_abs(values) -> float:
@@ -131,10 +131,7 @@ def normalize_eigvec(v) -> tuple:
     j = max(range(len(v)), key=lambda i: abs(v[i]))
     if v[j] == 0:
         raise ValueError("zero vector")
-    out = tuple(x / v[j] for x in v)
-    if all(abs(complex(x).imag) <= 1e-14 for x in out):
-        return tuple(complex(x).real for x in out)
-    return out
+    return tuple(x / v[j] for x in v)
 
 
 def cartan_spectrum(rid: RootSystemId) -> List[Eigenpair]:
