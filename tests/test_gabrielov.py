@@ -237,13 +237,19 @@ def _plain_bfs_conjugator(rid, C1, C2):
     return None
 
 
-def test_plain_bfs_conjugator_on_a2():
-    # the oracle itself: the shortest word, the empty word, and no word at all
+def test_find_conjugator_smallest_word():
+    # the oracle finds the shortest word, and the empty word for C = C
     rid = RootSystemId("A", 2)
-    C12, C21 = weyl_apply(rid, (1, 2)), weyl_apply(rid, (2, 1))
+    C12 = weyl_apply(rid, (1, 2))
+    C21 = weyl_apply(rid, (2, 1))
     assert _plain_bfs_conjugator(rid, C12, C21) == [1]
     assert _plain_bfs_conjugator(rid, C12, C12) == []
-    assert _plain_bfs_conjugator(rid, C12, iidentity(2)) is None  # all of |W(A2)| = 6
+
+
+def test_find_conjugator_no_solution():
+    rid = RootSystemId("A", 2)
+    C = weyl_apply(rid, (1, 2))
+    assert _plain_bfs_conjugator(rid, C, iidentity(2)) is None  # all |W(A2)| = 6 searched
 
 
 def test_repair_words_are_the_shortlex_first_conjugators():
