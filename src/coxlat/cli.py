@@ -1,11 +1,11 @@
 """Command-line front end: catalog dumps, named verifications, spectra, Ising runs.
 
 Exit codes: 0 = requested checks passed, 1 = a verification failed,
-2 = usage/input error.  All verification output is deterministic
-(fixed ordering, no timestamps).  JSON output is strict: a value that
-would print as NaN or Infinity is an error (exit 2) instead.  Integer
-identities are serialized as JSON integers (never through floating
-point) and complex numbers as [re, im] pairs.
+2 = usage/input error or a failed write to stdout.  All verification
+output is deterministic (fixed ordering, no timestamps).  JSON output is
+strict: a value that would print as NaN or Infinity is an error (exit 2)
+instead.  Integer identities are serialized as JSON integers (never
+through floating point) and complex numbers as [re, im] pairs.
 
 Importing this module loads only the standard library.  ``main`` parses
 the request first; each command then imports the coxlat modules it uses.
@@ -45,30 +45,18 @@ Q_SYSTEMS = tuple(
 )
 
 
-def to_jsonable(x):
-    """Recursive conversion to JSON-safe values with exact integers and
-    complex numbers as [re, im].  Payloads hold Python scalars only (numpy's
-    float64 and complex128 are float and complex); any other type, a numpy
-    integer or array or a record (a named tuple) included, raises TypeError."""
-    if isinstance(x, (bool, str)) or x is None:
-        return x
-    if type(x) in (list, tuple):
-        return [to_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, float):
-        return float(x)
+def _complex_pair(x):
+    """json.dumps's hook for what it cannot write: a complex number as [re, im]."""
     if isinstance(x, complex):
-        return [float(x.real), float(x.imag)]
+        return [x.real, x.imag]
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
 def _json_text(payload) -> str:
-    """Strict JSON: a NaN or infinity raises ValueError (exit code 2)."""
+    """Strict JSON: a NaN or infinity raises ValueError (exit code 2), and a
+    numpy integer or array or a set raises TypeError from _complex_pair."""
     try:
-        return json.dumps(to_jsonable(payload), indent=2, allow_nan=False)
+        return json.dumps(payload, indent=2, allow_nan=False, default=_complex_pair)
     except ValueError:
         raise ValueError("the result is not finite, so it has no strict JSON form") from None
 
@@ -122,7 +110,7 @@ def _verify_steinberg(tol: Optional[float]) -> dict:
 
 def _verify_factorization(target: str, tol: Optional[float]) -> dict:
     """The e8- or e6-factorization record; target is "E8" or "E6"."""
-    from . import gabrielov
+    from . import gabrielov, rootsys
 
     factorization = {"E8": gabrielov.e8_factorization, "E6": gabrielov.e6_factorization}
     _, deviations = factorization[target]()
@@ -135,11 +123,14 @@ def _verify_factorization(target: str, tol: Optional[float]) -> dict:
     word = crep["repaired_word"]
     if word is not None:
         parts.append(f"reference conjugator failed as written; repaired word {word}")
+    # Sebastiani–Thom: the exponents of the factors add up to those of the target
+    j = gabrielov.JOINS[target]
     return _report(
         float(max(*deviations.values(), conj_dev)),
         tol, EXACT_TOL,
         "; ".join(parts),
-        ok=word is None or len(word) <= REPAIR_MAX_LEN,
+        ok=((word is None or len(word) <= REPAIR_MAX_LEN)
+            and rootsys.join_exponent_arithmetic(j.factors) == rootsys.exponents(j.target)),
     )
 
 
@@ -408,7 +399,7 @@ def _cmd_eigen(args) -> int:
                 "k": p.k,
                 "h": p.h,
                 "lambda": p.lam,
-                "vector": [to_jsonable(complex(v)) for v in p.vector],
+                "vector": [complex(v) for v in p.vector],
                 "residual": p.residual,
             }
             for p in pairs
@@ -518,9 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout is full or its reader has gone
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        try:
+            fd = sys.stdout.fileno()
+        except ValueError:  # an in-process stdout, such as a StringIO, has none
+            return 2
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return 2
 
 

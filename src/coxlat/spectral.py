@@ -23,7 +23,6 @@ import math
 from itertools import combinations
 from typing import List, NamedTuple, Tuple
 
-from .lattice import bipartite_coxeter
 from .rootsys import RootSystemId, coloring, root_system
 
 __all__ = [
@@ -185,8 +184,11 @@ def coxeter_eigvec_from_cartan(x, theta: float, A) -> tuple:
     rootsys.coloring(A) and by e^{-i theta/2} at the black ones; the result
     is an eigenvector of C_W·C_B for e^{2i theta}.  Both the precondition
     (x is an A-eigenvector for 2 - 2cos(theta)) and the postcondition are
-    verified.
+    verified.  lattice is imported here, so that the rest of this module
+    loads no exact layer.
     """
+    from .lattice import bipartite_coxeter
+
     if residual(A, x, 2 - 2 * math.cos(theta)) > IDENTITY_TOL:
         raise ValueError("x is not an eigenvector for 2 - 2cos(theta)")
     xc = tuple(

@@ -66,7 +66,7 @@ def test_criterion_05_root_image(capsys):
 
 def test_criterion_06_conjugating_words(capsys):
     # the written E6 word fails as-is; the e6 record passes only if that is
-    # flagged and a conjugator of at most REPAIR_MAX_LEN letters is found
+    # flagged and E6's pinned repair word, at most REPAIR_MAX_LEN letters, conjugates
     _record(capsys, 6, "conjugating-words", _passes("e8-factorization", "e6-factorization"))
 
 

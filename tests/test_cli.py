@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat import cli, gabrielov, ising, qdeform, spectral
-from coxlat.cli import VERIFY_NAMES, main, run_verification, to_jsonable
+from coxlat import cli, gabrielov, ising, qdeform, rootsys, spectral
+from coxlat.cli import VERIFY_NAMES, main, run_verification
 from coxlat.rootsys import CATALOG_IDS, RootSystemId
 
 
@@ -518,20 +518,26 @@ def test_e6_repair_longer_than_the_limit_fails(monkeypatch):
 
 def test_to_jsonable_exact_and_complex():
     big = 10**30
-    assert to_jsonable(big) == big
-    assert to_jsonable(1 + 2j) == [1.0, 2.0]
+    assert json.loads(cli._json_text(big)) == big
+    assert json.loads(cli._json_text(1 + 2j)) == [1.0, 2.0]
     # payloads hold Python scalars only: a numpy integer is refused, not converted
     with pytest.raises(TypeError):
-        to_jsonable(np.int64(7))
+        cli._json_text(np.int64(7))
 
 
-def test_to_jsonable_refuses_records():
-    # records are named tuples: only exact lists and tuples serialize as arrays
-    for record in (RootSystemId("E", 8), spectral.cartan_spectrum(RootSystemId("A", 2))[0]):
-        with pytest.raises(TypeError):
-            to_jsonable(record)
-        with pytest.raises(TypeError):
-            to_jsonable({"payload": [record]})
+def test_join_exponent_arithmetic_is_graded(monkeypatch):
+    # E8's exponent 7 misread as 9: A4*A2*A1 no longer adds up to it, E6's join still does
+    exponents = rootsys.exponents
+
+    def misread(rid):
+        h, exps = exponents(rid)
+        return (h, [9 if k == 7 else k for k in exps]) if str(rid) == "E8" else (h, exps)
+
+    monkeypatch.setattr(rootsys, "exponents", misread)
+    [e8] = run_verification("e8-factorization")
+    [e6] = run_verification("e6-factorization")
+    assert (e8["status"], e8["deviation"]) == ("fail", 0)
+    assert e6["status"] == "pass"
 
 
 _SYSTEMS = st.sampled_from(

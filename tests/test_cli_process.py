@@ -91,11 +91,11 @@ def test_exact_requests_load_no_numpy(argv, modules):
 
 
 # the rank-8 float layer runs on Python floats: neither do these.  spectral
-# loads the move engine only for the factorized E8 eigenvector, which none builds
-SPECTRAL_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.lattice", "coxlat.rootsys",
-                    "coxlat.spectral"]
-QDEFORM_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.lattice", "coxlat.qdeform",
-                   "coxlat.rootsys", "coxlat.spectral"]
+# loads lattice only to phase-dress a Cartan eigenvector, and the move engine
+# only for the factorized E8 eigenvector; none of these requests does either
+SPECTRAL_MODULES = ["coxlat.cli", "coxlat.rootsys", "coxlat.spectral"]
+QDEFORM_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.qdeform", "coxlat.rootsys",
+                   "coxlat.spectral"]
 # the two q records are integer proofs: they load no float layer at all
 Q_PROOF_MODULES = ["coxlat.cli", "coxlat.intmat", "coxlat.qdeform", "coxlat.rootsys"]
 
@@ -215,3 +215,33 @@ def test_overflow_prints_one_error_line(tmp_path, argv):
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and "not finite" in line
     assert not out.exists()
+
+
+def _write_error_line(proc_code: int, stderr: str) -> None:
+    # a failed write to stdout is an input/output error: one line, no traceback
+    assert proc_code == 2
+    [line] = stderr.splitlines()
+    assert line.startswith("error: cannot write to stdout:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxlat.cli", "eigen", "E8"],
+            env=_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    _write_error_line(proc.returncode, proc.stderr)
+
+
+def test_stdout_whose_reader_has_gone_exits_2():
+    # as in `coxlat ising --n 12 | head -c 5` once head has read its bytes and
+    # exited; the reader closes first, so the CSV write fails whatever its size
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "wb") as pipe:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxlat.cli", "ising", "--n", "12", "--hx", "1"],
+            env=_env(), stdout=pipe, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    _write_error_line(proc.returncode, proc.stderr)

@@ -127,7 +127,6 @@ def test_no_module_imports_dataclasses():
 TEST_ONLY_PUBLIC_NAMES = {
     "lattice.gauge_transform",
     "lattice.orthogonality_check",
-    "rootsys.join_exponent_arithmetic",
     "spectral.an_eigenvector",
     "spectral.cartan_coxeter_transfer",
     "spectral.coxeter_cartan_transfer",
