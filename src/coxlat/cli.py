@@ -466,8 +466,14 @@ def _cmd_ising(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops a failed write of --help; here it raises, so main exits 2
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coxlat",
         description="Root-lattice Coxeter toolkit: catalog, verifications, spectra, Ising chain.",
     )
@@ -507,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

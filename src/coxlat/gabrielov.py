@@ -4,8 +4,8 @@ The engine acts on ordered bases of a lattice with a fixed ambient
 bilinear form: alpha/beta moves replace a basis vector by its reflection
 partner and swap adjacent positions, gamma flips a sign.  JOINS holds one
 Join record per target: a move word turns the factorized basis of
-A4*A2*A1 into an E8 root basis (and A3*A2*A1 into E6), with the Coxeter
-words, the reference conjugator and the reference G alongside.  The
+A4*A2*A1 into an E8 root basis (and A3*A2*A1 into E6), with the Gabrielov
+Coxeter word, the reference conjugator and the reference G alongside.  The
 change-of-basis matrix G is the mutated basis with its rows renumbered to
 Bourbaki's labels by the pinned map TREE_RELABELING, and satisfies
 
@@ -13,10 +13,10 @@ Bourbaki's labels by the pinned map TREE_RELABELING, and satisfies
 
 exactly; each factorization report checks both identities and G against
 the reference matrix, and conjugation_report checks the reference
-conjugator, and the pinned repair word where the reference fails.  Also
-here: Weyl-word evaluation (a one-letter word is a simple reflection) and
-the 240-to-60 root-image count.  Matrices are intmat's tuples of int
-rows, and no numpy is imported.
+conjugator (and the pinned repair word where it fails) against
+C_BW = lattice.bipartite_coxeter(A).  Also here: Weyl-word evaluation (a
+one-letter word is a simple reflection) and the 240-to-60 root-image
+count.  Matrices are intmat's tuples of int rows, and no numpy is imported.
 
 Convention flags (frozen after exact validation against the Gram
 identities above): SIGN_CONVENTION = -1 in the alpha/beta formulas, and
@@ -34,7 +34,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intmat import (IMatrix, as_imatrix, det_exact, deviation, frac_inverse, iidentity,
                      kron, matmul, transpose)
-from .lattice import coxeter, join, standard_polarization
+from .lattice import bipartite_coxeter, coxeter, join, standard_polarization
 from .rootsys import RootSystemId, cartan_matrix
 
 __all__ = [
@@ -182,8 +182,8 @@ class Join(NamedTuple):
     """A join of A_n factors and the root system its move word makes.
 
     The move word turns the tensor basis of the join of the factors into
-    simple roots of target.  cg_word and cbw_word are the Gabrielov and
-    bipartite Coxeter words of target (Bourbaki numbering); conjugator_word
+    simple roots of target.  cg_word is the Gabrielov Coxeter word C_G of target
+    (Bourbaki numbering; C_BW is lattice.bipartite_coxeter); conjugator_word
     is the reference Weyl word x with x⁻¹·C_BW·x = C_G, printed in reports
     as conjugator_name; change_of_basis is the reference G (columns =
     simple roots of target written in the tensor basis).  repair_word is
@@ -196,7 +196,6 @@ class Join(NamedTuple):
     factors: Tuple[RootSystemId, ...]
     word: Tuple[Move, ...]
     cg_word: Tuple[int, ...]
-    cbw_word: Tuple[int, ...]
     conjugator_word: Tuple[int, ...]
     conjugator_name: str
     change_of_basis: IMatrix
@@ -214,7 +213,6 @@ JOINS: Dict[str, Join] = {
             factors=tuple(map(RootSystemId.parse, ("A4", "A2", "A1"))),
             word=parse_word("g2 g1 b4 b3 a3 a4 b4 a5 a6 a7 a1 a2 a3 a4 b6 b3 a1"),
             cg_word=(1, 3, 4, 2, 5, 6, 7, 8),
-            cbw_word=(1, 4, 6, 8, 2, 3, 5, 7),
             conjugator_word=(7, 5, 3, 2, 6, 4, 5, 1, 3, 2, 4, 1, 3, 2, 1, 2),
             conjugator_name="w",
             change_of_basis=as_imatrix([
@@ -234,7 +232,6 @@ JOINS: Dict[str, Join] = {
             factors=tuple(map(RootSystemId.parse, ("A3", "A2", "A1"))),
             word=parse_word("g4 g1 a1 a2 a3 a4 b6 b3 a1"),
             cg_word=(1, 3, 4, 2, 5, 6),
-            cbw_word=(1, 4, 6, 2, 3, 5),
             conjugator_word=(5, 3, 2, 4, 1, 3, 3, 1, 2),
             conjugator_name="v",
             change_of_basis=as_imatrix([
@@ -276,14 +273,9 @@ def weyl_apply(rid: RootSystemId, word: Sequence[int]) -> IMatrix:
     return transpose(Mt)
 
 
-def _join_polarized(ids: Sequence[RootSystemId]):
-    lats = [standard_polarization(cartan_matrix(rid)) for rid in ids]
-    return reduce(join, lats)
-
-
 def join_cartan(ids: Sequence[RootSystemId]) -> IMatrix:
     """Gram matrix of the join of standard polarizations (tensor basis)."""
-    return _join_polarized(ids).A
+    return reduce(join, [standard_polarization(cartan_matrix(rid)) for rid in ids]).A
 
 
 def join_coxeter(ids: Sequence[RootSystemId]) -> IMatrix:
@@ -298,15 +290,15 @@ def _factorization(j: Join):
     Returns (G, deviations): the exact deviations of Gᵗ·A_*·G = A,
     G⁻¹·C_*·G = C_G and G = reference matrix, keyed by identity.
     """
-    lat = _join_polarized(j.factors)
-    n = lat.rank
-    based = apply_word(BasedLattice(lat.A, iidentity(n)), j.word)
+    A_star = join_cartan(j.factors)
+    n = len(A_star)
+    based = apply_word(BasedLattice(A_star, iidentity(n)), j.word)
     # column TREE_RELABELING[k] of G is mutated basis row k
     inv = {v: k for k, v in TREE_RELABELING.items()}
     G = transpose([based.basis[inv.get(i, i) - 1] for i in range(1, n + 1)])
     Ginv = frac_inverse(G)
     return G, {
-        "G^t A_* G = A": deviation(matmul(transpose(G), lat.A, G), cartan_matrix(j.target)),
+        "G^t A_* G = A": deviation(matmul(transpose(G), A_star, G), cartan_matrix(j.target)),
         "G^{-1} C_* G = C_G": deviation(
             matmul(Ginv, join_coxeter(j.factors), G), weyl_apply(j.target, j.cg_word)
         ),
@@ -333,7 +325,7 @@ def conjugation_report(target: str) -> dict:
     otherwise) and w's exact deviation, listed last.
     """
     j = JOINS[target]
-    C_bw = weyl_apply(j.target, j.cbw_word)
+    C_bw = bipartite_coxeter(cartan_matrix(j.target))
     C_g = weyl_apply(j.target, j.cg_word)
     x = weyl_apply(j.target, j.conjugator_word)
     dev = deviation(matmul(C_bw, x), matmul(x, C_g))

@@ -26,6 +26,7 @@ __all__ = [
     "add",
     "deviation",
     "is_symmetric",
+    "half_split",
     "frac_inverse",
     "det_exact",
     "char_poly",
@@ -100,6 +101,17 @@ def deviation(lhs: IMatrix, rhs: IMatrix) -> int:
 
 def is_symmetric(A: IMatrix) -> bool:
     return A == transpose(A)
+
+
+def half_split(A: IMatrix) -> Tuple[IMatrix, IMatrix]:
+    """A = L + U, L lower and U upper triangular, each with half the diagonal
+    (an odd diagonal entry raises ValueError).  U is lattice's standard
+    polarization of a symmetric A, and qL + U is qdeform's A(q)."""
+    if any(row[i] % 2 for i, row in enumerate(A)):
+        raise ValueError("diagonal entries must be even")
+    L = tuple(tuple(a // 2 if j == i else a if j < i else 0 for j, a in enumerate(row))
+              for i, row in enumerate(A))
+    return L, add(A, L, -1)
 
 
 def frac_inverse(M: IMatrix) -> IMatrix:

@@ -16,13 +16,13 @@ reversal, P T P = T^-1; K conjugation) maps |b> to e^{-i phi_b}|pi(b)>, pi(b)
 the orbit of P r_b, phi_b = 2 pi k·m(P r_b)/N.  Column b of U is e^{-i phi_b/2}|b>
 if pi(b) = b; if b < pi(b), columns b and pi(b) are (|b> + Theta|b>)/sqrt 2 and
 i(|b> - Theta|b>)/sqrt 2.  Theta fixes them, so U^H H U is real; E(r_a) is added
-after it.  No dense H or U is formed; `build_hamiltonian` is the oracle.
+after it.  No dense H or U is formed.
 
-`hamiltonian_entries` lists the nonzero entries of H on the standard library,
-and `verify ising-symmetry` reads them, so only the functions that densify H
-or solve it import numpy.  This exists for property verification at desk
-scale — it makes no attempt at scaling-limit physics, and the dispersion fit
-is explicitly exploratory.
+`hamiltonian_entries` lists the nonzero entries of H on the standard library:
+`verify ising-symmetry` reads them and `build_hamiltonian`, the dense oracle,
+fills them in, so only the functions that densify H or solve it import numpy.
+This exists for property verification at desk scale — it makes no attempt at
+scaling-limit physics, and the dispersion fit is explicitly exploratory.
 """
 
 from __future__ import annotations
@@ -106,13 +106,12 @@ def hamiltonian_entries(params: IsingParams) -> Dict[Tuple[int, int], float]:
 
 
 def build_hamiltonian(params: IsingParams) -> np.ndarray:
-    """Dense 2^N x 2^N real-symmetric matrix of H (the numpy oracle)."""
+    """Dense 2^N x 2^N real-symmetric matrix of H: hamiltonian_entries, densified."""
     import numpy as np
 
-    states = np.arange(1 << params.N)
-    H = np.diag(np.array(_diagonal(params)))
-    for n in range(params.N):
-        H[states ^ (1 << n), states] -= params.h_x
+    entries = hamiltonian_entries(params)
+    H = np.zeros((1 << params.N, 1 << params.N))
+    H[tuple(zip(*entries))] = tuple(entries.values())
     return H
 
 

@@ -5,10 +5,11 @@ A polarized lattice is a pair (A, L) with A = L + Lᵗ and L unimodular
 Coxeter automorphism C = -L⁻¹Lᵗ is then an integer matrix
 (intmat.matrix_order gives its order).  Everything here is exact integer
 arithmetic on intmat's tuple matrices; floating point never enters.  The
-standard polarization is unit upper triangular, joins keep L unimodular,
-and gauge transforms are base changes in GL_n(Z).  Includes the
-Kronecker join product and the black/white decomposition
-C_B + C_W = 2I - A of a Cartan tree, whose colors are rootsys.coloring(A).
+standard polarization is U of the split A = L + U (intmat.half_split, as
+in qdeform), joins keep L unimodular, and gauge transforms are base
+changes in GL_n(Z).  Includes the Kronecker join product and the
+black/white decomposition C_B + C_W = 2I - A of a Cartan tree, whose
+colors are rootsys.coloring(A).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Tuple
 
-from .intmat import (IMatrix, add, as_imatrix, det_exact, frac_inverse, iidentity,
-                     is_symmetric, kron, matmul, transpose)
+from .intmat import (IMatrix, add, as_imatrix, det_exact, frac_inverse, half_split,
+                     iidentity, is_symmetric, kron, matmul, transpose)
 from .rootsys import coloring
 
 __all__ = [
@@ -60,17 +61,9 @@ class PolarizedLattice(namedtuple("PolarizedLattice", "A L")):
 
 
 def standard_polarization(A) -> PolarizedLattice:
-    """Upper-triangular polarization: l_ii = a_ii/2, l_ij = a_ij above."""
+    """Upper-triangular polarization: l_ii = a_ii/2, l_ij = a_ij above (half_split's U)."""
     A = as_imatrix(A)
-    if not is_symmetric(A):
-        raise ValueError("A must be symmetric")
-    if any(row[i] % 2 for i, row in enumerate(A)):
-        raise ValueError("diagonal entries must be even")
-    L = tuple(
-        tuple(0 if j < i else a // 2 if j == i else a for j, a in enumerate(row))
-        for i, row in enumerate(A)
-    )
-    return PolarizedLattice(A=A, L=L)
+    return PolarizedLattice(A=A, L=half_split(A)[1])
 
 
 def coxeter(P: PolarizedLattice) -> IMatrix:

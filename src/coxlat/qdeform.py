@@ -1,12 +1,12 @@
 """q-deformation of generalized Cartan matrices: A(q) = qL + U.
 
-A = L + U is the unique split into unit-diagonal lower/upper triangular
-parts.  When the graph of A (vertices i, j joined iff a_ij != 0) is a
-tree, the deformed spectrum is {1 + (lambda-2)sqrt(q) + q} over
-eigenvalues lambda of A, and eigenvectors transport coordinatewise by
-powers q^{k_i/2}.  The exponent vector k is rootsys.tree_levels of the
-graph: along any edge, the numerically larger endpoint has k one more
-than the smaller (making diag(q^{k_i/2}) conjugate
+A = L + U is the unique unit-triangular split, intmat.half_split, whose U
+is lattice's standard polarization of a symmetric A.  When the graph of A
+(vertices i, j joined iff a_ij != 0) is a tree, the deformed spectrum is
+{1 + (lambda-2)sqrt(q) + q} over eigenvalues lambda of A, and eigenvectors
+transport coordinatewise by powers q^{k_i/2}.  The exponent vector k is
+rootsys.tree_levels of the graph: along any edge, the numerically larger
+endpoint has k one more than the smaller (making diag(q^{k_i/2}) conjugate
 sqrt(q)A + (1-sqrt(q))^2 I into A(q)).
 
 Both identities are polynomial in t = sqrt(q), so each is proved once per
@@ -32,7 +32,7 @@ import math
 from functools import cache
 from typing import Dict, NamedTuple, Tuple
 
-from .intmat import IMatrix, as_imatrix, char_poly
+from .intmat import IMatrix, as_imatrix, char_poly, half_split
 from .rootsys import tree_levels
 
 __all__ = [
@@ -66,7 +66,7 @@ class QDeformedCartan(NamedTuple):
 
 
 def deform(A) -> QDeformedCartan:
-    """Split a generalized Cartan matrix (tree graph) into L + U.
+    """Split a generalized Cartan matrix (tree graph) into L + U (intmat.half_split).
 
     A pair with a_ij·a_ji < 0 raises ValueError: no generalized Cartan
     matrix has one.
@@ -75,10 +75,7 @@ def deform(A) -> QDeformedCartan:
     ks = tree_levels(A)
     if any(a * b < 0 for row, col in zip(A, zip(*A)) for a, b in zip(row, col)):
         raise ValueError("a_ij·a_ji < 0 for a pair: not a generalized Cartan matrix")
-    L = tuple(tuple(1 if j == i else a if j < i else 0 for j, a in enumerate(r))
-              for i, r in enumerate(A))
-    U = tuple(tuple(1 if j == i else a if j > i else 0 for j, a in enumerate(r))
-              for i, r in enumerate(A))
+    L, U = half_split(A)
     return QDeformedCartan(L=L, U=U, exponent_vector=ks)
 
 

@@ -1,7 +1,7 @@
 """Eigenvector machinery: catalog Cartan spectra, Cartan/Coxeter transfer,
 phase dressing, closed-form eigenvectors for A_n, E6, E8, and the
-Perron-Frobenius vector.  Phase dressing takes the black/white coloring of
-the bipartite Coxeter element from the Cartan matrix (rootsys.coloring).
+Perron-Frobenius vector.  Phase dressing reads the black/white coloring of
+the bipartite Coxeter element off lattice.steinberg_decomposition.
 
 Eigenvalue bookkeeping: a rank-n Cartan matrix has eigenvalues
 lambda_k = 2 - 2cos(k*pi/h) = 4 sin^2(k*pi/2h) over the exponents k,
@@ -23,7 +23,7 @@ import math
 from itertools import combinations
 from typing import List, NamedTuple, Tuple
 
-from .rootsys import RootSystemId, coloring, root_system
+from .rootsys import RootSystemId, root_system
 
 __all__ = [
     "Eigenpair",
@@ -146,11 +146,16 @@ def cartan_spectrum(rid: RootSystemId) -> List[Eigenpair]:
     return pairs
 
 
-def transfer_eigenvalue(mu: complex, branch: int = 1) -> complex:
-    """lambda = 2 - (±sqrt(mu) + 1/±sqrt(mu)), principal square root."""
+def _branch_sqrt(mu: complex, branch: int) -> complex:
+    """branch·sqrt(mu), principal square root; mu = 0 raises ValueError."""
     if mu == 0:
         raise ValueError("mu must be nonzero")
-    r = branch * cmath.sqrt(mu)
+    return branch * cmath.sqrt(mu)
+
+
+def transfer_eigenvalue(mu: complex, branch: int = 1) -> complex:
+    """lambda = 2 - (±sqrt(mu) + 1/±sqrt(mu)), principal square root."""
+    r = _branch_sqrt(mu, branch)
     return 2 - r - 1 / r
 
 
@@ -162,17 +167,13 @@ def cartan_coxeter_transfer(v1, v2, mu: complex, branch: int = 1) -> tuple:
     (white), the second (black) picks up the sqrt(mu) factor.  The image
     is an eigenvector for lambda = 2 - sqrt(mu) - 1/sqrt(mu).
     """
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    r = branch * cmath.sqrt(mu)
+    r = _branch_sqrt(mu, branch)
     return (*map(complex, v1), *(r * x for x in v2))
 
 
 def coxeter_cartan_transfer(w1, w2, mu: complex, branch: int = 1) -> tuple:
     """Inverse of cartan_coxeter_transfer: (w1; w2) -> (w1; w2/sqrt(mu))."""
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    r = branch * cmath.sqrt(mu)
+    r = _branch_sqrt(mu, branch)
     return (*map(complex, w1), *(x / r for x in w2))
 
 
@@ -180,22 +181,21 @@ def coxeter_eigvec_from_cartan(x, theta: float, A) -> tuple:
     """Phase-dress a Cartan eigenvector into a bipartite-Coxeter eigenvector.
 
     A is the exact integer Cartan matrix of a tree.  Coordinate j of x is
-    multiplied by e^{+i theta/2} at the white vertices of
-    rootsys.coloring(A) and by e^{-i theta/2} at the black ones; the result
-    is an eigenvector of C_W·C_B for e^{2i theta}.  Both the precondition
-    (x is an A-eigenvector for 2 - 2cos(theta)) and the postcondition are
-    verified.  lattice is imported here, so that the rest of this module
-    loads no exact layer.
+    multiplied by e^{i c_jj theta/2}, c_jj the diagonal of C_B from
+    lattice.steinberg_decomposition(A): -1 at the black vertices, where C_B
+    reflects, and +1 at the white ones.  The result is an eigenvector of
+    C_W·C_B for e^{2i theta}.  Both the precondition (x is an A-eigenvector
+    for 2 - 2cos(theta)) and the postcondition are verified.  lattice is
+    imported here, so that the rest of this module loads no exact layer.
     """
-    from .lattice import bipartite_coxeter
+    from .intmat import matmul
+    from .lattice import steinberg_decomposition
 
     if residual(A, x, 2 - 2 * math.cos(theta)) > IDENTITY_TOL:
         raise ValueError("x is not an eigenvector for 2 - 2cos(theta)")
-    xc = tuple(
-        cmath.exp(1j * theta / 2 if c == "white" else -1j * theta / 2) * xj
-        for c, xj in zip(coloring(A).values(), x)
-    )
-    if residual(bipartite_coxeter(A), xc, cmath.exp(2j * theta)) > IDENTITY_TOL:
+    C_B, C_W = steinberg_decomposition(A)
+    xc = tuple(cmath.exp(1j * theta / 2 * row[j]) * xj for j, (row, xj) in enumerate(zip(C_B, x)))
+    if residual(matmul(C_W, C_B), xc, cmath.exp(2j * theta)) > IDENTITY_TOL:
         raise ValueError("phase-dressed vector failed the Coxeter residual check")
     return xc
 

@@ -225,10 +225,11 @@ def _write_error_line(proc_code: int, stderr: str) -> None:
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-def test_full_stdout_exits_2():
+@pytest.mark.parametrize("argv", [["eigen", "E8"], ["--help"]], ids=["eigen", "help"])
+def test_full_stdout_exits_2(argv):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "coxlat.cli", "eigen", "E8"],
+            [sys.executable, "-m", "coxlat.cli", *argv],
             env=_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
         )
     _write_error_line(proc.returncode, proc.stderr)

@@ -31,7 +31,8 @@ from coxlat.gabrielov import (
 )
 from coxlat import gabrielov
 from coxlat.intmat import as_imatrix, det_exact, frac_inverse, iidentity, matmul, matrix_order, transpose
-from coxlat.rootsys import RootSystemId, dynkin_edges
+from coxlat.lattice import bipartite_coxeter
+from coxlat.rootsys import RootSystemId, cartan_matrix, dynkin_edges
 
 A_STAR = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
 
@@ -187,8 +188,18 @@ def test_weyl_apply_empty_word_is_identity():
     assert weyl_apply(RootSystemId("E", 6), ()) == iidentity(6)
 
 
+@pytest.mark.parametrize("rid,word", [
+    (RootSystemId("E", 8), (1, 4, 6, 8, 2, 3, 5, 7)),
+    (RootSystemId("E", 6), (1, 4, 6, 2, 3, 5)),
+], ids=["E8", "E6"])
+def test_paper_bipartite_word_is_bipartite_coxeter(rid, word):
+    # the paper prints C_BW as these words (white reflections left, black
+    # right); the coloring of the Cartan tree builds the same element
+    assert weyl_apply(rid, word) == bipartite_coxeter(cartan_matrix(rid))
+
+
 def test_bipartite_word_has_coxeter_order():
-    C = weyl_apply(RootSystemId("E", 8), JOINS["E8"].cbw_word)
+    C = bipartite_coxeter(cartan_matrix(RootSystemId("E", 8)))
     assert matrix_order(C) == 30
 
 
@@ -211,7 +222,7 @@ def test_e6_conjugator_fails_as_written_and_is_repaired():
     assert repaired == ("repaired w^{-1} C_BW w = C_G (word [3, 1, 6])", 0)
     # both deviations restated independently of the report
     rid = RootSystemId("E", 6)
-    C_bw, C_g = weyl_apply(rid, JOINS["E6"].cbw_word), weyl_apply(rid, JOINS["E6"].cg_word)
+    C_bw, C_g = bipartite_coxeter(cartan_matrix(rid)), weyl_apply(rid, JOINS["E6"].cg_word)
     for word, exact in ((JOINS["E6"].conjugator_word, False), ([3, 1, 6], True)):
         w = weyl_apply(rid, word)
         assert (matmul(C_bw, w) == matmul(w, C_g)) == exact
@@ -257,7 +268,8 @@ def test_repair_words_are_the_shortlex_first_conjugators():
     # that conjugates C_BW into C_G; E8's written word is exact
     # (test_e8_conjugator_exact), so it pins none
     e6 = JOINS["E6"]
-    C_bw, C_g = weyl_apply(e6.target, e6.cbw_word), weyl_apply(e6.target, e6.cg_word)
+    C_bw = bipartite_coxeter(cartan_matrix(e6.target))
+    C_g = weyl_apply(e6.target, e6.cg_word)
     assert e6.repair_word == (3, 1, 6)
     assert _plain_bfs_conjugator(e6.target, C_bw, C_g) == list(e6.repair_word)
     assert JOINS["E8"].repair_word is None

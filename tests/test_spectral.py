@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from coxlat.gabrielov import JOINS, weyl_apply
 from coxlat.lattice import bipartite_coxeter
 from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents, root_system
 from coxlat.spectral import (
@@ -208,7 +207,7 @@ def test_angle_grid_covers_exponents():
 
 @pytest.mark.parametrize("k4,k2", _E8_GRID)
 def test_factorized_coxeter_pipeline(k4, k2):
-    C = np.array(weyl_apply(RootSystemId("E", 8), JOINS["E8"].cbw_word), dtype=float)
+    C = np.array(bipartite_coxeter(cartan_matrix(RootSystemId("E", 8))), dtype=float)
     x = factorized_coxeter_eigenvector(k4, k2)
     lam = cmath.exp(2j * (k4 * math.pi / 5 + k2 * math.pi / 3 + math.pi / 2))
     assert residual(C, x, lam) <= IDENTITY_TOL
