@@ -90,9 +90,6 @@ class BasedLattice(namedtuple("BasedLattice", "ambient_gram basis")):
     def rank(self) -> int:
         return len(self.basis)
 
-    def gram(self) -> IMatrix:
-        return matmul(self.basis, self.ambient_gram, transpose(self.basis))
-
 
 def _pairing(A: IMatrix, u, v) -> int:
     """uᵗ·A·v."""
@@ -279,16 +276,24 @@ def join_cartan(ids: Sequence[RootSystemId]) -> IMatrix:
 
 
 def join_coxeter(ids: Sequence[RootSystemId]) -> IMatrix:
-    """Kronecker product of the factor Coxeter elements C1 ⊗ C2 ⊗ ..."""
+    """Coxeter element -L⁻¹Lᵗ of the join of m standard polarizations (tensor basis).
+
+    With L = L1 ⊗ ... ⊗ Lm, L⁻¹Lᵗ is the Kronecker product of the factors'
+    -Ci, so the join's element is (-1)^(m+1)·C1 ⊗ ... ⊗ Cm: -C1 ⊗ C2 for
+    two factors, C1 ⊗ C2 ⊗ C3 for three.
+    """
     mats = [coxeter(standard_polarization(cartan_matrix(rid))) for rid in ids]
-    return reduce(kron, mats)
+    C = reduce(kron, mats)
+    return C if len(mats) % 2 else tuple(tuple(-v for v in row) for row in C)
 
 
 def _factorization(j: Join):
     """Change of basis G from the tensor basis of j's join to simple roots of j.target.
 
     Returns (G, deviations): the exact deviations of Gᵗ·A_*·G = A,
-    G⁻¹·C_*·G = C_G and G = reference matrix, keyed by identity.
+    G⁻¹·C_*·G = C_G and G = reference matrix, keyed by identity.  A_* and
+    C_* are the join's Gram matrix and Coxeter element (join_cartan and
+    join_coxeter, the latter signed for any number of factors).
     """
     A_star = join_cartan(j.factors)
     n = len(A_star)

@@ -144,8 +144,13 @@ def frac_inverse(M: IMatrix) -> IMatrix:
 
 
 def det_exact(M: IMatrix) -> int:
-    """Exact integer determinant via fraction-free Bareiss elimination."""
+    """Exact integer determinant via fraction-free Bareiss elimination.
+
+    The 0×0 matrix has determinant 1, the empty product.
+    """
     n = len(M)
+    if n == 0:
+        return 1
     a = [list(map(index, r)) for r in M]
     sign, prev = 1, 1
     for k in range(n - 1):

@@ -51,6 +51,12 @@ MAX_STATES = 16384
 
 
 class IsingParams(namedtuple("IsingParams", "N J h_z h_x")):
+    """Chain length and couplings, validated on construction and on _replace.
+
+    2 <= N with 2^N <= MAX_STATES, finite J > 0 and h_z, h_x >= 0, and a
+    finite N·(J + h_z + h_x), which bounds every entry and level of H.
+    """
+
     __slots__ = ()
 
     def __new__(cls, N: int, J: float = 1.0, h_z: float = 0.0, h_x: float = 0.0):
@@ -61,6 +67,9 @@ class IsingParams(namedtuple("IsingParams", "N J h_z h_x")):
             raise ValueError("J, h_z and h_x must be finite")
         if J <= 0 or h_z < 0 or h_x < 0:
             raise ValueError("need J > 0, h_z >= 0, h_x >= 0")
+        # every entry and level of H is bounded by ||H||_inf <= N·(J + h_z + h_x)
+        if not math.isfinite(N * (J + h_z + h_x)):
+            raise ValueError("N*(J + h_z + h_x) is not finite, so H would overflow")
         return super().__new__(cls, N, J, h_z, h_x)
 
     @classmethod

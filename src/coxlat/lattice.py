@@ -6,10 +6,9 @@ Coxeter automorphism C = -L⁻¹Lᵗ is then an integer matrix
 (intmat.matrix_order gives its order).  Everything here is exact integer
 arithmetic on intmat's tuple matrices; floating point never enters.  The
 standard polarization is U of the split A = L + U (intmat.half_split, as
-in qdeform), joins keep L unimodular, and gauge transforms are base
-changes in GL_n(Z).  Includes the Kronecker join product and the
-black/white decomposition C_B + C_W = 2I - A of a Cartan tree, whose
-colors are rootsys.coloring(A).
+in qdeform), and joins keep L unimodular.  Includes the Kronecker join
+product and the black/white decomposition C_B + C_W = 2I - A of a Cartan
+tree, whose colors are rootsys.coloring(A).
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ __all__ = [
     "PolarizedLattice",
     "standard_polarization",
     "coxeter",
-    "orthogonality_check",
-    "gauge_transform",
     "join",
     "steinberg_decomposition",
     "bipartite_coxeter",
@@ -72,24 +69,6 @@ def coxeter(P: PolarizedLattice) -> IMatrix:
     Computed as I - L⁻¹A, which is the same matrix because Lᵗ = A - L.
     """
     return add(iidentity(P.rank), matmul(frac_inverse(P.L), P.A), -1)
-
-
-def orthogonality_check(A, C) -> bool:
-    """True iff CᵗAC = A exactly."""
-    A = as_imatrix(A)
-    C = as_imatrix(C)
-    if len(A) != len(C):
-        raise ValueError("dimension mismatch")
-    return matmul(transpose(C), A, C) == A
-
-
-def gauge_transform(P: PolarizedLattice, M) -> PolarizedLattice:
-    """Base change L -> MᵗLM by M in GL_n(Z); the Coxeter element transforms to M⁻¹CM."""
-    M = as_imatrix(M)
-    if det_exact(M) not in (1, -1):
-        raise ValueError("M must be unimodular (det M = ±1)")
-    Mt = transpose(M)
-    return PolarizedLattice(A=matmul(Mt, P.A, M), L=matmul(Mt, P.L, M))
 
 
 def join(P1: PolarizedLattice, P2: PolarizedLattice) -> PolarizedLattice:

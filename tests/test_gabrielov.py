@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from coxlat.gabrielov import (
 )
 from coxlat import gabrielov
 from coxlat.intmat import as_imatrix, det_exact, frac_inverse, iidentity, matmul, matrix_order, transpose
-from coxlat.lattice import bipartite_coxeter
+from coxlat.lattice import bipartite_coxeter, coxeter, join, standard_polarization
 from coxlat.rootsys import RootSystemId, cartan_matrix, dynkin_edges
 
 A_STAR = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
@@ -39,6 +40,11 @@ A_STAR = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("
 
 def _standard() -> BasedLattice:
     return BasedLattice(A_STAR, iidentity(8))
+
+
+def _gram(b: BasedLattice):
+    """Gram matrix of the basis rows of b in its ambient form."""
+    return matmul(b.basis, b.ambient_gram, transpose(b.basis))
 
 
 def test_parse_word_roundtrip():
@@ -52,7 +58,7 @@ def test_alpha_hand_check():
     b = alpha(BasedLattice(A2, iidentity(2)), 1)
     assert b.basis == ((1, 1), (1, 0))
     # moves never change the abstract lattice: Gram determinant is preserved
-    assert det_exact(b.gram()) == det_exact(A2)
+    assert det_exact(_gram(b)) == det_exact(A2)
 
 
 def test_replace_validates_like_the_constructor():
@@ -105,6 +111,17 @@ def test_mutation_word_yields_unimodular_basis():
             assert det_exact(b.basis) in (1, -1)
 
 
+@pytest.mark.parametrize(
+    "names", [("A4",), ("A4", "A2"), ("A3", "A2", "A1"), ("A2", "A1", "A2", "A1")],
+    ids="*".join,
+)
+def test_join_coxeter_is_the_coxeter_element_of_the_join(names):
+    # -L⁻¹Lᵗ of the joined polarization: the factors' product carries (-1)^(m+1)
+    ids = [RootSystemId.parse(name) for name in names]
+    joined = reduce(join, [standard_polarization(cartan_matrix(rid)) for rid in ids])
+    assert join_coxeter(ids) == coxeter(joined)
+
+
 FACTORIZATION_IDENTITIES = ["G^t A_* G = A", "G^{-1} C_* G = C_G", "G = reference matrix"]
 
 
@@ -147,7 +164,7 @@ def test_tree_relabeling_is_the_only_compatible_one(target, n_isomorphisms):
     based = apply_word(BasedLattice(A, iidentity(len(A))), j.word)
     C_star = join_coxeter(j.factors)
     C_g = weyl_apply(j.target, j.cg_word)
-    isos = _tree_isomorphisms(based.gram(), j.target)
+    isos = _tree_isomorphisms(_gram(based), j.target)
     assert len(isos) == n_isomorphisms
     compatible = []
     for perm in isos:

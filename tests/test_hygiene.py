@@ -125,8 +125,6 @@ def test_no_module_imports_dataclasses():
 # only shrink; the scan fails on a name missing from it, and on one that has
 # gained a caller and should leave it.
 TEST_ONLY_PUBLIC_NAMES = {
-    "lattice.gauge_transform",
-    "lattice.orthogonality_check",
     "spectral.an_eigenvector",
     "spectral.cartan_coxeter_transfer",
     "spectral.coxeter_cartan_transfer",
@@ -156,15 +154,35 @@ def _used_names(tree: ast.Module) -> set:
     return used
 
 
-def test_no_public_name_serves_only_the_tests():
+def _sources():
+    """The parsed src modules by stem, and the parsed demos."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    demos = sorted((SRC.parent.parent / "demos").glob("*.py"))
-    used = set().union(*map(_used_names, trees.values()),
-                       *(_used_names(ast.parse(p.read_text())) for p in demos))
+    demos = [ast.parse(p.read_text()) for p in sorted((SRC.parent.parent / "demos").glob("*.py"))]
+    return trees, demos
+
+
+def test_no_public_name_serves_only_the_tests():
+    trees, demos = _sources()
+    used = set().union(*map(_used_names, [*trees.values(), *demos]))
     test_only = {f"{stem}.{name}" for stem, tree in trees.items()
                  for name in _public_names(tree)
                  if name not in used and f"{stem}.{name}" not in used}
     assert test_only == TEST_ONLY_PUBLIC_NAMES
+
+
+def test_no_public_method_serves_only_the_tests():
+    # a public method or property of a public class that no src module and no
+    # demo reads as an attribute is a test helper: it belongs in tests/
+    trees, demos = _sources()
+    read = {n.attr for tree in [*trees.values(), *demos]
+            for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    test_only = [f"{stem}.{cls.name}.{fn.name}" for stem, tree in trees.items()
+                 for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) and cls.name in _public_names(tree)
+                 for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                 and fn.name not in read]
+    assert test_only == []
 
 
 # Defaulted parameters that only the tests set, by "module.function".  argv
@@ -211,9 +229,8 @@ def _sets(call: ast.Call, name: str, position, default) -> bool:
 def test_no_option_serves_only_the_tests():
     # an option no caller sets is a branch only the tests take: make it a
     # module constant that a test monkeypatches, or drop it
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    demos = sorted((SRC.parent.parent / "demos").glob("*.py"))
-    calls = [node for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in demos)]
+    trees, demos = _sources()
+    calls = [node for tree in [*trees.values(), *demos]
              for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
     def callee(call):

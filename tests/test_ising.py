@@ -36,6 +36,11 @@ def test_params_validation():
         for field in ("J", "h_z", "h_x"):
             with pytest.raises(ValueError):
                 IsingParams(N=4, **{field: bad})
+    # finite fields whose ||H||_inf bound N·(J + h_z + h_x) overflows
+    for fields in ({"J": 1e308}, {"h_x": 1e308}, {"J": 3e307, "h_z": 3e307}):
+        with pytest.raises(ValueError, match="so H would overflow"):
+            IsingParams(N=8, **fields)
+    IsingParams(N=8, J=1e307, h_x=1e307)  # 8·2e307 = 1.6e308 is still finite
     assert 2 ** IsingParams(N=14).N == MAX_STATES
 
 
@@ -68,6 +73,8 @@ def test_replace_validates_like_the_constructor():
     assert peak < 1 << 20
     with pytest.raises(ValueError, match="need J > 0"):
         params._replace(J=-1.0)
+    with pytest.raises(ValueError, match="so H would overflow"):
+        params._replace(J=1e308)
 
 
 def test_n2_classical_diagonal_frozen():

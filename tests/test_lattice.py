@@ -10,6 +10,7 @@ from coxlat.intmat import (
     add,
     as_imatrix,
     char_poly,
+    det_exact,
     frac_inverse,
     iidentity,
     kron,
@@ -21,9 +22,7 @@ from coxlat.lattice import (
     PolarizedLattice,
     bipartite_coxeter,
     coxeter,
-    gauge_transform,
     join,
-    orthogonality_check,
     standard_polarization,
     steinberg_decomposition,
 )
@@ -32,6 +31,24 @@ from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents
 
 def _pol(name: str) -> PolarizedLattice:
     return standard_polarization(cartan_matrix(RootSystemId.parse(name)))
+
+
+def _orthogonality_check(A, C) -> bool:
+    """True iff CᵗAC = A exactly."""
+    A = as_imatrix(A)
+    C = as_imatrix(C)
+    if len(A) != len(C):
+        raise ValueError("dimension mismatch")
+    return matmul(transpose(C), A, C) == A
+
+
+def _gauge_transform(P: PolarizedLattice, M) -> PolarizedLattice:
+    """Base change L -> MᵗLM by M in GL_n(Z); the Coxeter element transforms to M⁻¹CM."""
+    M = as_imatrix(M)
+    if det_exact(M) not in (1, -1):
+        raise ValueError("M must be unimodular (det M = ±1)")
+    Mt = transpose(M)
+    return PolarizedLattice(A=matmul(Mt, P.A, M), L=matmul(Mt, P.L, M))
 
 
 def test_standard_polarization_a2():
@@ -50,7 +67,7 @@ def test_non_unimodular_forms_are_rejected():
     with pytest.raises(ValueError):
         PolarizedLattice(A=as_imatrix([[4, 0], [0, 2]]), L=as_imatrix([[2, 0], [0, 1]]))
     with pytest.raises(ValueError, match="M must be unimodular"):
-        gauge_transform(_pol("A2"), as_imatrix([[2, 0], [0, 1]]))
+        _gauge_transform(_pol("A2"), as_imatrix([[2, 0], [0, 1]]))
 
 
 def test_replace_validates_like_the_constructor():
@@ -83,7 +100,7 @@ def test_coxeter_a4_frozen():
 def test_coxeter_preserves_form_and_has_order_h(rid):
     A = cartan_matrix(rid)
     C = coxeter(standard_polarization(A))
-    assert orthogonality_check(A, C)
+    assert _orthogonality_check(A, C)
     h, _ = exponents(rid)
     assert matrix_order(C) == h
 
@@ -109,7 +126,7 @@ def test_gauge_law(shears):
         if i != j:
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     M = as_imatrix(rows)
-    Q = gauge_transform(P, M)
+    Q = _gauge_transform(P, M)
     assert Q.A == matmul(transpose(M), P.A, M)
     lhs = coxeter(Q)
     rhs = matmul(frac_inverse(M), coxeter(P), M)
