@@ -25,11 +25,20 @@ unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
 is set: there a second thread does not shorten the solve, and the default
 pool's idle threads only spin.  At N = 14 the pool cuts wall time by about
 30 % on 2 cores, so it is kept.
+
+A ``coxlat`` process (``main()`` with no ``argv``, as the console script and
+``python -m coxlat.cli`` call it) freezes its heap at exit with
+``gc.freeze``: the interpreter's last cyclic collections then skip every
+module it imported, a walk that takes longer than most checks.  Nothing here
+relies on the collector to flush or close a file.  Callers that pass ``argv``
+keep their collector and their exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -510,6 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process exits when main returns; freezing at exit, not now,
+        # also keeps the modules that the command imports out of the last walk
+        atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)

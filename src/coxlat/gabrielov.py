@@ -102,6 +102,8 @@ def _with_rows(b: BasedLattice, rows: Dict[int, Tuple[int, ...]]) -> BasedLattic
 
 
 def _wrap(m: int, rank: int) -> int:
+    if rank == 0:
+        raise ValueError("a rank-0 basis has no row to move")
     return (m - 1) % rank + 1
 
 

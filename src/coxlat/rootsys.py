@@ -29,7 +29,7 @@ __all__ = [
     "CATALOG_IDS",
 ]
 
-_ID_RE = re.compile(r"^([ADE])(\d+)$")
+_ID_RE = re.compile(r"^([ADE])([0-9]+)$")
 # the catalog: admissible ranks of each family
 _RANKS = {"A": range(1, 9), "D": range(4, 9), "E": range(6, 9)}
 

@@ -46,6 +46,13 @@ def test_catalog_bad_system_exits_2(capsys):
     assert main(["catalog", "Z9"]) == 2
 
 
+# an Arabic-Indic three and a fullwidth eight: only ASCII digits name a rank
+@pytest.mark.parametrize("name", ["A٣", "E８"])
+def test_catalog_non_ascii_rank_exits_2(capsys, name):
+    assert main(["catalog", name]) == 2
+    assert "cannot parse root system name" in capsys.readouterr().err
+
+
 def test_systems_outside_the_catalog_exit_2(capsys):
     assert main(["catalog", "A9"]) == 2
     assert main(["eigen", "D9", "--q", "2.0"]) == 2

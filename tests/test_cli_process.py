@@ -246,3 +246,72 @@ def test_stdout_whose_reader_has_gone_exits_2():
             env=_env(), stdout=pipe, stderr=subprocess.PIPE, text=True, timeout=120,
         )
     _write_error_line(proc.returncode, proc.stderr)
+
+
+# an atexit hook runs after every hook registered later, so this one reads
+# the freeze count after main's own hook has run
+_FREEZE_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("freeze count", gc.get_freeze_count()))
+if sys.argv[1] == "argv":
+    import coxlat.cli
+    coxlat.cli.main(["catalog", "A1"])
+else:  # as the console script and `python -m coxlat.cli` run it
+    sys.argv = ["coxlat", "catalog", "A1"]
+    runpy.run_module("coxlat.cli", run_name="__main__")
+"""
+
+
+def _freeze_count_at_exit(caller: str) -> int:
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_AT_EXIT, caller],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("A1: rank 1")
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("freeze count ")
+    return int(last.split()[-1])
+
+
+def test_the_process_command_line_freezes_the_heap_at_exit():
+    assert _freeze_count_at_exit("command-line") > 0
+
+
+def test_main_with_argv_keeps_the_collector_at_exit():
+    assert _freeze_count_at_exit("argv") == 0
+
+
+# main(argv) in a fresh process of its own: in the test process numpy may
+# already run OpenBLAS's default pool, and at N = 12 two CSV lines then
+# differ in the last digit from a one-thread solve
+_MAIN_WITH_ARGV = "import sys, coxlat.cli; sys.exit(coxlat.cli.main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [pytest.param(argv, code, id=" ".join(argv)) for argv, code in [
+        (["verify", "all", "--json"], 0),
+        (["catalog", "E8", "--json"], 0),
+        (["eigen", "E8", "--q", "2.0"], 0),
+        # 4097 lines through a pipe
+        (["ising", "--n", "12", "--hx", "0.7", "--hz", "0.4"], 0),
+        (["ising", "--n", "10", "--hx", "0.7", "--hz", "0.4", "--bands", "1", "--out", "{out}"],
+         0),
+        (["eigen", "E8", "--q", "0"], 2),
+    ]],
+)
+def test_the_process_command_line_prints_what_main_with_argv_prints(tmp_path, argv, code):
+    # the frozen heap is never collected: no output may wait for the collector
+    runs = []
+    for name, launch in [("command-line", ["-m", "coxlat.cli"]),
+                         ("argv", ["-c", _MAIN_WITH_ARGV])]:
+        out = tmp_path / f"{name}.csv"
+        proc = subprocess.run(
+            [sys.executable, *launch, *(a.format(out=out) for a in argv)],
+            env=_env(), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        runs.append((proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert (runs[0][2] is not None) == ("{out}" in argv)

@@ -82,6 +82,17 @@ def test_cyclic_indexing():
     assert alpha(b, 9).basis == alpha(b, 1).basis
 
 
+@pytest.mark.parametrize(
+    "move",
+    [lambda b: alpha(b, 1), lambda b: beta(b, 1), lambda b: gamma(b, 1),
+     lambda b: inverse_move(("alpha", 1), b.rank)],
+    ids=["alpha", "beta", "gamma", "inverse_move"],
+)
+def test_moves_on_a_rank_0_basis_raise_value_error(move):
+    with pytest.raises(ValueError, match="rank-0 basis"):
+        move(BasedLattice((), ()))
+
+
 _moves = st.tuples(
     st.sampled_from(["alpha", "beta", "gamma"]),
     st.integers(min_value=1, max_value=8),

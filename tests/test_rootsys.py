@@ -26,12 +26,15 @@ def test_parse_and_str():
     assert str(RootSystemId.parse("e8")) == "E8"
     assert RootSystemId.parse("A1").rank == 1
     assert RootSystemId.parse("d4").family == "D"
+    assert RootSystemId.parse("A03") == RootSystemId("A", 3)
 
 
 # ranks past the catalog (A9, D9, ...) are rejected: cartan_matrix and
 # tree_levels are quadratic in the rank
 @pytest.mark.parametrize(
-    "bad", ["Q5", "D3", "E9", "E5", "A0", "A", "8E", "", "A9", "D9", "A100000"]
+    "bad", ["Q5", "D3", "E9", "E5", "A0", "A", "8E", "", "A9", "D9", "A100000",
+            # only ASCII digits: an Arabic-Indic three, a fullwidth eight
+            "A٣", "E８"]
 )
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
