@@ -20,11 +20,8 @@ solves the momentum blocks, loads numpy
 named tuples, so no command loads ``dataclasses``, and only ``ising``
 (through numpy) loads the ``inspect``, ``ast`` and ``dis`` that it imports.
 
-Below 2^14 states ``ising`` asks OpenBLAS for one thread before numpy loads,
-unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
-is set: there a second thread does not shorten the solve, and the default
-pool's idle threads only spin.  At N = 14 the pool cuts wall time by about
-30 % on 2 cores, so it is kept.
+``ising`` sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, whatever is
+preset, so every solve runs on one LAPACK thread and prints the same bytes.
 
 A ``coxlat`` process (``main()`` with no ``argv``, as the console script and
 ``python -m coxlat.cli`` call it) freezes its heap at exit with
@@ -425,24 +422,18 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
-# the fewest states at which OpenBLAS's thread pool shortens the solve
-# (measured on 2 cores: -30 % wall at N = 14, none below)
-BLAS_POOL_MIN_STATES = 1 << 14
-# the variables OpenBLAS reads for its thread count
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _cmd_ising(args) -> int:
     from . import ising
 
     params = ising.IsingParams(N=args.n, J=args.J, h_z=args.hz, h_x=args.hx)
-    if args.bands and not args.out:
-        raise ValueError("--bands requires --out (CSV goes to the file, fits to stdout)")
     if args.bands < 0:  # rejected before the solve, not after it
         raise ValueError("band_count must be nonnegative")
-    # OpenBLAS reads its thread count once, when numpy loads
-    if ((1 << params.N) < BLAS_POOL_MIN_STATES and "numpy" not in sys.modules
-            and not any(var in os.environ for var in BLAS_THREAD_VARS)):
+    if args.bands and not args.out:
+        raise ValueError("--bands requires --out (CSV goes to the file, fits to stdout)")
+    # OpenBLAS reads its thread count once, when numpy loads, and reads this
+    # variable before GOTO_NUM_THREADS and OMP_NUM_THREADS: a pool's threads
+    # round differently, so one thread keeps the bytes the same everywhere
+    if "numpy" not in sys.modules:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         levels = ising.momentum_spectrum(params)

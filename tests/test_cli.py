@@ -320,9 +320,11 @@ def test_ising_negative_bands_exits_2_before_the_solve(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(ising, "momentum_spectrum", no_solve)
     target = tmp_path / "levels.csv"
-    assert main(["ising", "--n", "13", "--bands", "-1", "--out", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: band_count must be nonnegative\n")
+    # the sign is the error reported, with --out or without it
+    for out in (["--out", str(target)], []):
+        assert main(["ising", "--n", "13", "--bands", "-1", *out]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: band_count must be nonnegative\n")
     assert not target.exists()
 
 

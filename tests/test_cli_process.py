@@ -142,10 +142,9 @@ def test_verify_loads_no_numpy_and_sets_no_thread_count(argv, modules):
     assert state["env"] == dict.fromkeys(BLAS_THREAD_VARS)
 
 
-def _ising(tmp_path, n, **preset):
+def _ising(tmp_path, n, fields=("--hx", "1.2", "--hz", "0.2"), **preset):
     out = tmp_path / "levels.csv"
-    state = _probe(["ising", "--n", str(n), "--hx", "1.2", "--hz", "0.2", "--out", str(out)],
-                   **preset)
+    state = _probe(["ising", "--n", str(n), *fields, "--out", str(out)], **preset)
     assert state["code"] == 0
     assert state["modules"] == ["coxlat.cli", "coxlat.ising"]
     assert len(out.read_text().splitlines()) == 1 + 2**n
@@ -159,15 +158,32 @@ def test_ising_below_the_crossover_runs_one_blas_thread(tmp_path):
         assert state["tasks"] == 1
 
 
-@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
-def test_ising_keeps_a_preset_thread_count(tmp_path, var):
-    state, _ = _ising(tmp_path, 8, **{var: "2"})
-    assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), var: "2"}
+# fields at which OpenBLAS's two-thread pool prints N = 12 bytes that differ
+# from one thread's: 2 of the 4097 lines, in the last digit
+POOL_SENSITIVE_FIELDS = ("--hx", "0.7", "--hz", "0.4")
 
 
-def test_ising_at_the_crossover_keeps_the_default_pool(tmp_path):
+@pytest.fixture(scope="module")
+def unset_csv_n12(tmp_path_factory):
+    return _ising(tmp_path_factory.mktemp("unset"), 12, POOL_SENSITIVE_FIELDS)[1]
+
+
+@pytest.mark.parametrize("preset", [{}, *({var: "2"} for var in BLAS_THREAD_VARS)],
+                         ids=["unset", *BLAS_THREAD_VARS])
+def test_ising_overrides_a_preset_thread_count(tmp_path, unset_csv_n12, preset):
+    state, csv = _ising(tmp_path, 12, POOL_SENSITIVE_FIELDS, **preset)
+    assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), **preset,
+                            "OPENBLAS_NUM_THREADS": "1"}
+    if state["tasks"] is not None:
+        assert state["tasks"] == 1
+    assert csv == unset_csv_n12
+
+
+def test_ising_at_n_14_runs_one_blas_thread(tmp_path):
     state, _ = _ising(tmp_path, 14)
-    assert state["env"] == dict.fromkeys(BLAS_THREAD_VARS)
+    assert state["env"] == {**dict.fromkeys(BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "1"}
+    if state["tasks"] is not None:
+        assert state["tasks"] == 1
 
 
 def test_ising_csv_is_the_same_under_a_preset_single_thread(tmp_path):

@@ -111,6 +111,26 @@ def test_only_ising_imports_numpy():
     assert found == []
 
 
+def _environment_reads(tree: ast.Module) -> list:
+    """Lines that read the process environment: os.getenv, or os.environ
+    anywhere but as the target of a subscript store."""
+    stored = {id(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and (node.attr == "getenv" or (node.attr == "environ" and id(node) not in stored))]
+
+
+def test_src_reads_no_environment_variable():
+    # an environment variable read is an option no test or caller sees: the
+    # program may set one for a library it loads, but it branches on none
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{line}" for line in _environment_reads(ast.parse(path.read_text()))]
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # the records are named tuples: dataclasses (and the inspect, ast and dis it
     # loads) costs every CLI process start-up time, at module level or in a body
