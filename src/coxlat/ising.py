@@ -201,13 +201,12 @@ def momentum_spectrum(params: IsingParams) -> List[MomentumLevel]:
         idx = np.stack([ra, pair[ra]])[:, None] * n + np.stack([rb, pair[rb]])
         Hk = np.diag(energy[reps[kept]])
         Hk += np.bincount(idx.ravel(), vals.real.ravel(), n * n).reshape(n, n)
-        blocks.append((k, np.linalg.eigvalsh(Hk)))
-    e0 = min(float(w.min()) for _, w in blocks)
+        blocks.append(np.linalg.eigvalsh(Hk))
+    e0 = min(float(w.min()) for w in blocks)
     levels: List[MomentumLevel] = []
-    for k, w in blocks:
-        for q in {k, (N - k) % N}:
-            levels += [MomentumLevel(_wrap_momentum(q, N), float(e) - e0, q) for e in w]
-    levels.sort(key=lambda level: level.k)
+    for q in range(N):
+        p = _wrap_momentum(q, N)
+        levels += [MomentumLevel(p, float(e) - e0, q) for e in blocks[min(q, N - q)]]
     return levels
 
 

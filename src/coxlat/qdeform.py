@@ -122,10 +122,10 @@ def q_eigenvector(x, D: QDeformedCartan, q: float) -> tuple:
         raise ValueError("x is the zero vector")
     Ax = [sum(a * w for a, w in zip(row, x)) for row in A]
     lam = sum(v.conjugate() * y for v, y in zip(x, Ax)).real / norm2
-    if residual(A, x, lam) > IDENTITY_TOL:
+    if not residual(A, x, lam) <= IDENTITY_TOL:
         raise ValueError("x is not an eigenvector of A to tolerance")
     xq = tuple(s * v for s, v in zip(_scales(D, q), x))
-    if residual(evaluate(D, q), xq, q_eigenvalue(lam, q)) > IDENTITY_TOL:
+    if not residual(evaluate(D, q), xq, q_eigenvalue(lam, q)) <= IDENTITY_TOL:
         raise ValueError("transported vector failed the deformed residual check")
     return xq
 

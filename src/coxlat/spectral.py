@@ -1,7 +1,8 @@
-"""Eigenvector machinery: catalog Cartan spectra, Cartan/Coxeter transfer,
-phase dressing, closed-form eigenvectors for A_n, E6, E8, and the
-Perron-Frobenius vector.  Phase dressing reads the black/white coloring of
-the bipartite Coxeter element off lattice.steinberg_decomposition.
+"""Eigenvector machinery: catalog Cartan spectra, the Cartan-to-Coxeter
+transfer, closed-form eigenvectors for A_n, E6, E8, and the Perron-Frobenius
+vector.  The transfer is one map, the phase dressing of
+coxeter_eigvec_from_cartan, which reads the black/white coloring of the
+bipartite Coxeter element off lattice.steinberg_decomposition.
 
 Eigenvalue bookkeeping: a rank-n Cartan matrix has eigenvalues
 lambda_k = 2 - 2cos(k*pi/h) = 4 sin^2(k*pi/2h) over the exponents k,
@@ -33,11 +34,7 @@ __all__ = [
     "jacobi_eigh",
     "normalize_eigvec",
     "cartan_spectrum",
-    "transfer_eigenvalue",
-    "cartan_coxeter_transfer",
-    "coxeter_cartan_transfer",
     "coxeter_eigvec_from_cartan",
-    "an_eigenvector",
     "an_coxeter_eigenvector",
     "eigenvalue_for_angles",
     "e8_eigenvector",
@@ -146,37 +143,6 @@ def cartan_spectrum(rid: RootSystemId) -> List[Eigenpair]:
     return pairs
 
 
-def _branch_sqrt(mu: complex, branch: int) -> complex:
-    """branch·sqrt(mu), principal square root; mu = 0 raises ValueError."""
-    if mu == 0:
-        raise ValueError("mu must be nonzero")
-    return branch * cmath.sqrt(mu)
-
-
-def transfer_eigenvalue(mu: complex, branch: int = 1) -> complex:
-    """lambda = 2 - (±sqrt(mu) + 1/±sqrt(mu)), principal square root."""
-    r = _branch_sqrt(mu, branch)
-    return 2 - r - 1 / r
-
-
-def cartan_coxeter_transfer(v1, v2, mu: complex, branch: int = 1) -> tuple:
-    """Coxeter eigenvector (v1; v2) for mu -> Cartan eigenvector (v1; sqrt(mu)·v2).
-
-    Block order follows the bipartite split used to build C = -U⁻¹L: the
-    first block is the one with the identity upper-left in both factors
-    (white), the second (black) picks up the sqrt(mu) factor.  The image
-    is an eigenvector for lambda = 2 - sqrt(mu) - 1/sqrt(mu).
-    """
-    r = _branch_sqrt(mu, branch)
-    return (*map(complex, v1), *(r * x for x in v2))
-
-
-def coxeter_cartan_transfer(w1, w2, mu: complex, branch: int = 1) -> tuple:
-    """Inverse of cartan_coxeter_transfer: (w1; w2) -> (w1; w2/sqrt(mu))."""
-    r = _branch_sqrt(mu, branch)
-    return (*map(complex, w1), *(x / r for x in w2))
-
-
 def coxeter_eigvec_from_cartan(x, theta: float, A) -> tuple:
     """Phase-dress a Cartan eigenvector into a bipartite-Coxeter eigenvector.
 
@@ -185,34 +151,22 @@ def coxeter_eigvec_from_cartan(x, theta: float, A) -> tuple:
     lattice.steinberg_decomposition(A): -1 at the black vertices, where C_B
     reflects, and +1 at the white ones.  The result is an eigenvector of
     C_W·C_B for e^{2i theta}.  Both the precondition (x is an A-eigenvector
-    for 2 - 2cos(theta)) and the postcondition are verified.  lattice is
-    imported here, so that the rest of this module loads no exact layer.
+    for 2 - 2cos(theta)) and the postcondition are verified; the zero vector
+    and a NaN residual fail them.  lattice is imported here, so that the rest
+    of this module loads no exact layer.
     """
     from .intmat import matmul
     from .lattice import steinberg_decomposition
 
-    if residual(A, x, 2 - 2 * math.cos(theta)) > IDENTITY_TOL:
+    if not any(x):
+        raise ValueError("x is the zero vector")
+    if not residual(A, x, 2 - 2 * math.cos(theta)) <= IDENTITY_TOL:
         raise ValueError("x is not an eigenvector for 2 - 2cos(theta)")
     C_B, C_W = steinberg_decomposition(A)
     xc = tuple(cmath.exp(1j * theta / 2 * row[j]) * xj for j, (row, xj) in enumerate(zip(C_B, x)))
-    if residual(matmul(C_W, C_B), xc, cmath.exp(2j * theta)) > IDENTITY_TOL:
+    if not residual(matmul(C_W, C_B), xc, cmath.exp(2j * theta)) <= IDENTITY_TOL:
         raise ValueError("phase-dressed vector failed the Coxeter residual check")
     return xc
-
-
-def an_eigenvector(n: int, k: int) -> tuple:
-    """Eigenvector of A(A_n) for 2 - 2cos(k*pi/(n+1)), component sums of phases.
-
-    Component j (1-based) is sum_{m=0}^{n-j} e^{i(n-j-2m)theta}; the
-    symmetric sum is real.
-    """
-    if not 1 <= k <= n:
-        raise ValueError("exponent out of range")
-    theta = k * math.pi / (n + 1)
-    return tuple(
-        sum(cmath.exp(1j * (n - j - 2 * m) * theta) for m in range(n - j + 1)).real
-        for j in range(1, n + 1)
-    )
 
 
 def an_coxeter_eigenvector(n: int, theta: float) -> tuple:

@@ -10,11 +10,13 @@ must not be loosened to make a criterion pass.
 
 from __future__ import annotations
 
+import cmath
+import math
 import time
 
 import numpy as np
 
-from coxlat import cli, gabrielov, ising, qdeform, spectral
+from coxlat import cli, gabrielov, ising, lattice, qdeform, rootsys, spectral
 
 EXACT = 0
 RESIDUAL_TOL = 1e-9
@@ -82,22 +84,36 @@ def test_criterion_09_q_deformation_grid(capsys):
     _record(capsys, 9, "q-deformation-grid", _passes("q-spectrum", "q-certificate"))
 
 
+def _transfer_round_trip_error(rid, pair, c: complex) -> float:
+    """Worst deviation of one transfer, NaN kept: the Coxeter residual of the
+    dressed c·x, and c·x against the dressed vector with its phases
+    e^{-i c_jj theta/2} undone; inf if the transfer refuses c·x."""
+    A = rootsys.cartan_matrix(rid)
+    theta = pair.k * math.pi / pair.h
+    x = [c * xj for xj in pair.vector]
+    try:
+        y = spectral.coxeter_eigvec_from_cartan(x, theta, A)
+    except ValueError:
+        return math.inf
+    C_B, _ = lattice.steinberg_decomposition(A)
+    back = [cmath.exp(-1j * theta / 2 * C_B[j][j]) * yj for j, yj in enumerate(y)]
+    coxeter = spectral.residual(lattice.bipartite_coxeter(A), y, cmath.exp(2j * theta))
+    return spectral.max_abs([coxeter, *(b - xj for b, xj in zip(back, x))])
+
+
 def test_criterion_10_transfer_round_trip(capsys):
+    # 200 seeded draws of (catalog system, eigenpair, complex scale c): the
+    # phase dressing takes c·x to an eigenvector of C_W·C_B for e^{2i theta},
+    # and undoing its phases gives c·x back
     rng = np.random.default_rng(12345)
-    worst = 0.0
+    spectra = {rid: spectral.cartan_spectrum(rid) for rid in rootsys.CATALOG_IDS}
+    errors = []
     for _ in range(200):
-        p = int(rng.integers(1, 4))
-        r = int(rng.integers(1, 4))
-        v1 = rng.normal(size=p) + 1j * rng.normal(size=p)
-        v2 = rng.normal(size=r) + 1j * rng.normal(size=r)
-        mu = complex(rng.normal(), rng.normal())
-        if abs(mu) < 1e-2:
-            mu += 1.0
-        branch = 1 if rng.integers(2) else -1
-        w = spectral.cartan_coxeter_transfer(v1, v2, mu, branch=branch)
-        back = spectral.coxeter_cartan_transfer(w[:p], w[p:], mu, branch=branch)
-        worst = max(worst, float(np.max(np.abs(back - np.concatenate([v1, v2])))))
-    _record(capsys, 10, "transfer-round-trip", worst <= ROUND_TRIP_TOL)
+        rid = rootsys.CATALOG_IDS[int(rng.integers(len(rootsys.CATALOG_IDS)))]
+        pair = spectra[rid][int(rng.integers(rid.rank))]
+        c = complex(rng.normal(), rng.normal())
+        errors.append(_transfer_round_trip_error(rid, pair, c))
+    _record(capsys, 10, "transfer-round-trip", spectral.max_abs(errors) <= ROUND_TRIP_TOL)
 
 
 def test_criterion_11_steinberg_split(capsys):

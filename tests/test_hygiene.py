@@ -140,18 +140,6 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
-# Public names that no src module and no demo uses: only the tests do.
-# Each should join a `verify` record or move into tests/, so this list may
-# only shrink; the scan fails on a name missing from it, and on one that has
-# gained a caller and should leave it.
-TEST_ONLY_PUBLIC_NAMES = {
-    "spectral.an_eigenvector",
-    "spectral.cartan_coxeter_transfer",
-    "spectral.coxeter_cartan_transfer",
-    "spectral.transfer_eigenvalue",
-}
-
-
 def _public_names(tree: ast.Module) -> list:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -182,12 +170,49 @@ def _sources():
 
 
 def test_no_public_name_serves_only_the_tests():
+    # a public name that no src module and no demo uses is a test helper: it
+    # joins a `verify` record or moves into tests/
     trees, demos = _sources()
     used = set().union(*map(_used_names, [*trees.values(), *demos]))
     test_only = {f"{stem}.{name}" for stem, tree in trees.items()
                  for name in _public_names(tree)
                  if name not in used and f"{stem}.{name}" not in used}
-    assert test_only == TEST_ONLY_PUBLIC_NAMES
+    assert test_only == set()
+
+
+def _module_level_names(tree: ast.Module) -> list:
+    """Names a module binds at its top level: defs, classes and assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Every identifier a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_no_private_name_is_dead():
+    # a private helper that no src module reads has lost its last caller
+    trees, _ = _sources()
+    read = set().union(*map(_read_names, trees.values()))
+    dead = [f"{stem}.{name}" for stem, tree in trees.items()
+            for name in _module_level_names(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert dead == []
 
 
 def test_no_public_method_serves_only_the_tests():
@@ -264,8 +289,6 @@ def test_no_option_serves_only_the_tests():
             if not (isinstance(fn, ast.FunctionDef) and fn.name in public):
                 continue
             key = f"{stem}.{fn.name}"
-            if key in TEST_ONLY_PUBLIC_NAMES:
-                continue
             for name, (position, default) in _defaulted_params(fn).items():
                 if not any(_sets(c, name, position, default)
                            for c in calls if callee(c) == fn.name):

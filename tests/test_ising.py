@@ -193,6 +193,15 @@ def test_conjugate_sectors_share_levels(N):
         assert sectors[k] == sectors[(N - k) % N]
 
 
+@pytest.mark.parametrize("N", [2, 3, 8, 9])
+def test_levels_come_in_momentum_then_energy_order(N):
+    # the documented order: sector k = 0..N-1, each sector's levels ascending
+    levels = momentum_spectrum(IsingParams(N=N, h_z=0.3, h_x=0.8))
+    keys = [(l.k, l.epsilon) for l in levels]
+    assert keys == sorted(keys)
+    assert sorted({l.k for l in levels}) == list(range(N))
+
+
 def test_momenta_are_wrapped_and_sorted():
     levels = momentum_spectrum(IsingParams(N=4, h_x=0.7))
     ks = [l.k for l in levels]

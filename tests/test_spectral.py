@@ -1,4 +1,4 @@
-"""Closed-form eigenvectors, transfer maps, and the Perron-Frobenius vector."""
+"""Closed-form eigenvectors, the phase dressing, and the Perron-Frobenius vector."""
 
 from __future__ import annotations
 
@@ -8,16 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from coxlat.lattice import bipartite_coxeter
+from coxlat.lattice import bipartite_coxeter, steinberg_decomposition
+from coxlat.qdeform import deform, q_eigenvector
 from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents, root_system
 from coxlat.spectral import (
     DELTA,
     IDENTITY_TOL,
     an_coxeter_eigenvector,
-    an_eigenvector,
-    cartan_coxeter_transfer,
     cartan_spectrum,
-    coxeter_cartan_transfer,
     coxeter_eigvec_from_cartan,
     e6_eigenvector,
     e8_eigenvector,
@@ -27,7 +25,6 @@ from coxlat.spectral import (
     perron_frobenius,
     pf_closed_form,
     residual,
-    transfer_eigenvalue,
     zamolodchikov_vector,
 )
 
@@ -74,53 +71,21 @@ def test_cartan_spectrum_on_catalog(rid):
         assert p.residual == residual(A, p.vector, p.lam) <= IDENTITY_TOL
 
 
-def test_transfer_eigenvalue_branches():
-    # mu on the unit circle: lambda = 2 - 2cos(theta) on one branch
-    mu = cmath.exp(2j * math.pi / 3)
-    lam_plus = transfer_eigenvalue(mu, branch=1)
-    lam_minus = transfer_eigenvalue(mu, branch=-1)
-    assert abs(lam_plus - (2 - 2 * math.cos(math.pi / 3))) < 1e-14
-    assert abs(lam_plus + lam_minus - 4) < 1e-14
-    with pytest.raises(ValueError):
-        transfer_eigenvalue(0.0)
-
-
 @pytest.mark.parametrize("name", ["A2", "A5", "D4", "D5", "E6", "E8"])
-def test_block_transfer_on_catalog(name):
-    # white-first block order: A = L + U, C = -U^{-1} L; each eigenpair of C
-    # transfers to an eigenpair of A on one of the two branches
-    data = root_system(RootSystemId.parse(name))
-    A = np.array(data.cartan, dtype=float)
-    whites = [v - 1 for v in sorted(data.coloring) if data.coloring[v] == "white"]
-    blacks = [v - 1 for v in sorted(data.coloring) if data.coloring[v] == "black"]
-    perm = whites + blacks
-    Ap = A[np.ix_(perm, perm)]
-    p = len(whites)
-    n = data.rank
-    L = np.eye(n)
-    L[p:, :p] = Ap[p:, :p]
-    U = np.eye(n)
-    U[:p, p:] = Ap[:p, p:]
-    assert np.allclose(L + U, Ap)
-    C = -np.linalg.inv(U) @ L
-    mus, vecs = np.linalg.eig(C)
-    for mu, v in zip(mus, vecs.T):
+def test_undressed_coxeter_eigenvectors_are_cartan_eigenvectors(name):
+    # the inverse of the phase dressing: each eig eigenvector of C_W·C_B for
+    # e^{2i theta}, its phases e^{i c_jj theta/2} undone, is an eigenvector of A
+    # for 2 - 2cos(theta) on one of the two branches theta and theta + pi
+    A = cartan_matrix(RootSystemId.parse(name))
+    C_B, _ = steinberg_decomposition(A)
+    mus, vecs = np.linalg.eig(np.array(bipartite_coxeter(A), dtype=float))
+    for mu, y in zip(mus, vecs.T):
         best = min(
-            residual(Ap, cartan_coxeter_transfer(v[:p], v[p:], mu, branch=br),
-                     transfer_eigenvalue(mu, branch=br))
-            for br in (1, -1)
+            residual(A, [cmath.exp(-1j * theta / 2 * C_B[j][j]) * yj for j, yj in enumerate(y)],
+                     2 - 2 * math.cos(theta))
+            for theta in (cmath.phase(mu) / 2 + branch * math.pi for branch in (0, 1))
         )
-        assert best <= 1e-9
-
-
-def test_transfer_round_trip():
-    rng = np.random.default_rng(0)
-    v1 = rng.normal(size=3) + 1j * rng.normal(size=3)
-    v2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-    mu = 0.3 + 1.1j
-    w = cartan_coxeter_transfer(v1, v2, mu)
-    back = coxeter_cartan_transfer(w[:3], w[3:], mu)
-    assert np.max(np.abs(back - np.concatenate([v1, v2]))) < 1e-12
+        assert best <= IDENTITY_TOL
 
 
 @pytest.mark.parametrize("name", ["A2", "D4", "E6", "E8"])
@@ -138,6 +103,38 @@ def test_phase_dressing_rejects_non_eigenvector():
     A = cartan_matrix(RootSystemId.parse("A2"))
     with pytest.raises(ValueError, match="not an eigenvector"):
         coxeter_eigvec_from_cartan(np.array([1.0, 0.0]), math.pi / 3, A)
+
+
+_A2, _E8 = (cartan_matrix(RootSystemId.parse(name)) for name in ("A2", "E8"))
+# inputs the residual guards of both transfers must refuse: a NaN residual
+# compares false against any tolerance, and the zero vector has residual 0
+_REFUSED = {
+    "q-nan": lambda: q_eigenvector((math.nan, 1.0), deform(_A2), 2.0),
+    "q-inf": lambda: q_eigenvector((math.inf, 1.0), deform(_A2), 2.0),
+    "q-zero": lambda: q_eigenvector((0.0, 0.0), deform(_A2), 2.0),
+    "dress-nan": lambda: coxeter_eigvec_from_cartan((math.nan,) * 8, math.pi / 30, _E8),
+    "dress-inf": lambda: coxeter_eigvec_from_cartan((math.inf,) * 8, math.pi / 30, _E8),
+    "dress-zero": lambda: coxeter_eigvec_from_cartan((0.0,) * 8, 0.123, _E8),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_transfers_refuse_nan_inf_and_zero_vectors(case):
+    with pytest.raises(ValueError):
+        _REFUSED[case]()
+
+
+def an_eigenvector(n: int, k: int) -> tuple:
+    """Eigenvector of A(A_n) for 2 - 2cos(k*pi/(n+1)), component sums of phases.
+
+    Component j (1-based) is sum_{m=0}^{n-j} e^{i(n-j-2m)theta}; the
+    symmetric sum is real.
+    """
+    theta = k * math.pi / (n + 1)
+    return tuple(
+        sum(cmath.exp(1j * (n - j - 2 * m) * theta) for m in range(n - j + 1)).real
+        for j in range(1, n + 1)
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -158,6 +155,14 @@ def test_an_coxeter_eigenvectors(n, k):
     theta = k * math.pi / (n + 1)
     v = an_coxeter_eigenvector(n, theta)
     assert residual(C, v, cmath.exp(2j * theta)) <= IDENTITY_TOL
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cartan_spectrum_matches_an_closed_form(n):
+    # the closed form is the oracle for the Jacobi eigenvectors of A_1..A_8,
+    # whose eigenvalues are all simple
+    for pair in cartan_spectrum(RootSystemId("A", n)):
+        assert projective_distance(pair.vector, an_eigenvector(n, pair.k)) < 1e-12
 
 
 def test_a1_vectors_are_scalars():
