@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from coxlat.lattice import bipartite_coxeter
-from coxlat.rootsys import RootSystemId, root_system
+from coxlat.rootsys import RootSystemId, cartan_matrix
 from coxlat.spectral import (
     coxeter_eigvec_from_cartan,
     e8_eigenvector,
@@ -29,8 +29,8 @@ from coxlat.spectral import (
     zamolodchikov_vector,
 )
 
-e8 = root_system(RootSystemId.parse("E8"))
-A = np.array(e8.cartan, dtype=float)
+e8 = cartan_matrix(RootSystemId.parse("E8"))
+A = np.array(e8, dtype=float)
 
 # the eight closed forms, checked against the residual contract
 print("closed-form eigenvectors of A(E8):")
@@ -51,8 +51,8 @@ print("long vs simplified form, max diff:",
 # 2 - 2cos(pi/30), so the dressing angle is theta = pi/30
 x = e8_eigenvector(4, 2)
 theta = math.pi / 30
-y = coxeter_eigvec_from_cartan(x, theta, e8.cartan)
-C = np.array(bipartite_coxeter(e8.cartan), dtype=float)
+y = coxeter_eigvec_from_cartan(x, theta, e8)
+C = np.array(bipartite_coxeter(e8), dtype=float)
 print("dressed vector residual vs C_W C_B:",
       f"{residual(C, y, cmath.exp(2j * theta)):.2e}")
 

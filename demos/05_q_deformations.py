@@ -37,9 +37,8 @@ print("A(1) == A:", bool(np.allclose(evaluate(D, 1.0),
 
 # both identities are polynomial in sqrt(q): each is proved once, over the
 # integers, for every q > 0, so the deviations are exact zeros
-print("spectrum-law deviation (every q > 0):", q_spectrum(D, 2.0)["max_abs_deviation"])
-cert = conjugation_certificate(D, 2.0)
-print("certificate deviation (every q > 0): ", cert["max_abs_deviation"])
+print("spectrum-law deviation (every q > 0):", q_spectrum(D, 2.0))
+print("certificate deviation (every q > 0): ", conjugation_certificate(D, 2.0))
 
 # the law's values, which `coxlat eigen E8 --q Q` prints at the lambda that
 # `coxlat eigen E8` solves, against numpy's solve of A(q)

@@ -225,9 +225,8 @@ def _q_records() -> dict:
 
 
 def _q_grid_worst(measure: Callable) -> float:
-    """Worst max_abs_deviation of measure(D, q) over Q_SYSTEMS x Q_GRID."""
-    return _worst([measure(D, q)["max_abs_deviation"]
-                   for D in _q_records().values() for q in Q_GRID])
+    """Worst deviation measure(D, q) over Q_SYSTEMS x Q_GRID."""
+    return _worst([measure(D, q) for D in _q_records().values() for q in Q_GRID])
 
 
 def _verify_q_spectrum(tol: Optional[float]) -> dict:
@@ -349,29 +348,29 @@ def _cmd_catalog(args) -> int:
     from .rootsys import RootSystemId
 
     rid = RootSystemId.parse(args.system)
-    data = rootsys.root_system(rid)
+    h, exps = rootsys.exponents(rid)
+    edges = rootsys.dynkin_edges(rid)
+    A = rootsys.cartan_matrix(rid)
+    colors = sorted(rootsys.coloring(A).items())
     if args.json:
         payload = {
             "system": str(rid),
-            "rank": data.rank,
-            "h": data.h,
-            "exponents": list(data.exponents),
-            "edges": [list(e) for e in data.edges],
-            "coloring": {str(v): c for v, c in sorted(data.coloring.items())},
-            "cartan": data.cartan,
+            "rank": rid.rank,
+            "h": h,
+            "exponents": exps,
+            "edges": [list(e) for e in edges],
+            "coloring": {str(v): c for v, c in colors},
+            "cartan": A,
         }
         print(_json_text(payload))
         return 0
-    print(f"{rid}: rank {data.rank}, Coxeter number h = {data.h}")
-    print(f"exponents: {list(data.exponents)}")
-    print(f"edges: {list(data.edges)}")
-    print(
-        "coloring: "
-        + ", ".join(f"{v}:{c[0].upper()}" for v, c in sorted(data.coloring.items()))
-    )
+    print(f"{rid}: rank {rid.rank}, Coxeter number h = {h}")
+    print(f"exponents: {exps}")
+    print(f"edges: {edges}")
+    print("coloring: " + ", ".join(f"{v}:{c[0].upper()}" for v, c in colors))
     print("Cartan matrix:")
-    for row in data.cartan:
-        print("  [" + " ".join(f"{int(v):2d}" for v in row) + "]")
+    for row in A:
+        print("  [" + " ".join(f"{v:2d}" for v in row) + "]")
     return 0
 
 
@@ -416,7 +415,7 @@ def _cmd_eigen(args) -> int:
             "q": args.q,
             "eigenvalues": lams,
             "exponent_vector": list(D.exponent_vector),
-            "certificate_deviation": cert["max_abs_deviation"],
+            "certificate_deviation": cert,
         }
     print(_json_text(payload))
     return 0

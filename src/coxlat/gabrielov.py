@@ -148,12 +148,13 @@ def parse_word(text: str) -> Tuple[Move, ...]:
     """Parse a compact move word like "g2 g1 b4 a3" (a/b/g = alpha/beta/gamma).
 
     Tokens are written leftmost-first; evaluation applies them
-    rightmost-first (operator composition order).
+    rightmost-first (operator composition order).  An index is ASCII digits.
     """
     kinds = {"a": "alpha", "b": "beta", "g": "gamma"}
     out = []
     for tok in text.split():
-        if tok[0] not in kinds or not tok[1:].isdigit():
+        # isdigit alone would take any Unicode digit, such as "٣" or "２"
+        if tok[0] not in kinds or not (tok[1:].isascii() and tok[1:].isdigit()):
             raise ValueError(f"bad move token {tok!r}")
         out.append((kinds[tok[0]], int(tok[1:])))
     return tuple(out)

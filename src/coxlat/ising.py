@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import index
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 if TYPE_CHECKING:
@@ -53,13 +54,14 @@ MAX_STATES = 16384
 class IsingParams(namedtuple("IsingParams", "N J h_z h_x")):
     """Chain length and couplings, validated on construction and on _replace.
 
-    2 <= N with 2^N <= MAX_STATES, finite J > 0 and h_z, h_x >= 0, and a
-    finite N·(J + h_z + h_x), which bounds every entry and level of H.
+    An integer 2 <= N with 2^N <= MAX_STATES, finite J > 0 and h_z, h_x >= 0,
+    and a finite N·(J + h_z + h_x), which bounds every entry and level of H.
     """
 
     __slots__ = ()
 
     def __new__(cls, N: int, J: float = 1.0, h_z: float = 0.0, h_x: float = 0.0):
+        N = index(N)  # an int; a float raises TypeError
         # compare N before exponentiating: 2**N of a huge N exhausts memory
         if N < 2 or N > MAX_STATES.bit_length() - 1:
             raise ValueError(f"N must satisfy 2 <= N and 2^N <= {MAX_STATES}")

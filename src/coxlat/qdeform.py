@@ -14,7 +14,7 @@ record, exactly, for every q > 0: conjugation_certificate compares the two
 sides of the conjugation as Laurent monomials in t, and q_spectrum compares
 characteristic polynomials in Z[x, t] (intmat.char_poly after one Kronecker
 substitution), using neither the exponent vector nor the conjugation.  No
-eigensolver runs for either; an exact deviation is 0.0.
+eigensolver runs for either; each returns its deviation, 0.0 when exact.
 
 q is restricted to positive reals, so sqrt(q) is unambiguous.
 Disconnected graphs are rejected along with cycles; per-component
@@ -156,19 +156,16 @@ def _certificate_deviation(D: QDeformedCartan) -> int:
     return dev
 
 
-def conjugation_certificate(D: QDeformedCartan, q: float) -> dict:
+def conjugation_certificate(D: QDeformedCartan, q: float) -> float:
     """Deviation of S·(sqrt(q)A + (1-sqrt(q))² I)·S⁻¹ from A(q), S = diag(q^{k_i/2}).
 
     The identity is checked once per record over Z[t, 1/t], t = sqrt(q), so a
     deviation of 0.0 certifies the deformed spectrum law constructively for
-    every q > 0 (S is invertible there), this q included.
+    every q > 0 (S is invertible there), this q included.  A q that is not
+    positive and finite raises ValueError.
     """
-    q = _check_q(q)
-    return {
-        "q": q,
-        "max_abs_deviation": float(_certificate_deviation(D)),
-        "exponent_vector": list(D.exponent_vector),
-    }
+    _check_q(q)
+    return float(_certificate_deviation(D))
 
 
 @cache
@@ -212,13 +209,13 @@ def _law_deviation(D: QDeformedCartan) -> int:
     return dev
 
 
-def q_spectrum(D: QDeformedCartan, q: float) -> dict:
-    """The spectrum law {1+(lambda-2)sqrt(q)+q} of A(q) at this q.
+def q_spectrum(D: QDeformedCartan, q: float) -> float:
+    """Deviation of A(q)'s spectrum from the law {1+(lambda-2)sqrt(q)+q} at this q.
 
-    max_abs_deviation is that of the record's exact proof (_law_deviation),
-    made once per record and valid for every q > 0: 0.0 when the law holds.
-    Nothing is solved; the law's values are q_eigenvalue(lambda, q) over the
-    eigenvalues lambda of A.
+    It is that of the record's exact proof (_law_deviation), made once per
+    record and valid for every q > 0: 0.0 when the law holds.  Nothing is
+    solved; the law's values are q_eigenvalue(lambda, q) over the eigenvalues
+    lambda of A.  A q that is not positive and finite raises ValueError.
     """
-    q = _check_q(q)
-    return {"q": q, "max_abs_deviation": float(_law_deviation(D))}
+    _check_q(q)
+    return float(_law_deviation(D))

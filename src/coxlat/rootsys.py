@@ -1,12 +1,12 @@
 """Catalog of finite simply-laced root systems in Bourbaki numbering.
 
-Provides Cartan matrices, Dynkin tree edge lists, Coxeter numbers,
-exponents, and the one walk of a Dynkin tree.  tree_levels decides what
-a Cartan tree is (diagonal 2, symmetric zero pattern, tree graph) and
-gives each vertex its level k_i; the bipartite (black/white) coloring of
-the Coxeter element machinery (coloring) and the exponent vector of the
-q-deformation are both read off those levels.  Vertices are numbered
-1..rank throughout.
+Each fact about a catalog system comes from one function: cartan_matrix,
+dynkin_edges, exponents (h and the sorted exponents) and coloring.
+tree_levels is the one walk of a Dynkin tree: it decides what a Cartan
+tree is (diagonal 2, symmetric zero pattern, tree graph) and gives each
+vertex its level k_i; the bipartite (black/white) coloring of the Coxeter
+element machinery (coloring) and the exponent vector of the q-deformation
+are both read off those levels.  Vertices are numbered 1..rank throughout.
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from operator import index
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "RootSystemId",
-    "RootSystemData",
     "cartan_matrix",
     "dynkin_edges",
     "exponents",
     "tree_levels",
     "coloring",
-    "root_system",
     "join_exponent_arithmetic",
     "CATALOG_IDS",
 ]
@@ -40,6 +39,7 @@ class RootSystemId(namedtuple("RootSystemId", "family rank")):
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int):
+        rank = index(rank)  # an int; a float raises TypeError
         if rank not in _RANKS.get(family, ()):
             raise ValueError(f"root system {family}{rank} is not in the catalog")
         return super().__new__(cls, family, rank)
@@ -57,18 +57,6 @@ class RootSystemId(namedtuple("RootSystemId", "family rank")):
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-class RootSystemData(NamedTuple):
-    """Immutable catalog record for one root system."""
-
-    id: RootSystemId
-    rank: int
-    cartan: Tuple[Tuple[int, ...], ...]
-    edges: Tuple[Tuple[int, int], ...]
-    h: int
-    exponents: Tuple[int, ...]
-    coloring: Dict[int, str]
 
 
 def dynkin_edges(rid: RootSystemId) -> List[Tuple[int, int]]:
@@ -158,20 +146,6 @@ def coloring(A) -> Dict[int, str]:
     """
     k = tree_levels(A)
     return {v: "white" if (kv - k[0]) % 2 == 0 else "black" for v, kv in enumerate(k, 1)}
-
-
-def root_system(rid: RootSystemId) -> RootSystemData:
-    h, exps = exponents(rid)
-    A = cartan_matrix(rid)
-    return RootSystemData(
-        id=rid,
-        rank=rid.rank,
-        cartan=A,
-        edges=tuple(dynkin_edges(rid)),
-        h=h,
-        exponents=tuple(exps),
-        coloring=coloring(A),
-    )
 
 
 def join_exponent_arithmetic(ids: Sequence[RootSystemId]) -> Tuple[int, List[int]]:

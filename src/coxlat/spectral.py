@@ -24,7 +24,7 @@ import math
 from itertools import combinations
 from typing import List, NamedTuple, Tuple
 
-from .rootsys import RootSystemId, root_system
+from .rootsys import RootSystemId, cartan_matrix, exponents
 
 __all__ = [
     "Eigenpair",
@@ -74,7 +74,11 @@ def _matvec(A, v) -> tuple:
 
 
 def residual(A, v, lam) -> float:
-    """Relative infinity-norm eigen residual."""
+    """Relative infinity-norm eigen residual of an n x n A and an n-vector v;
+    any other shapes raise ValueError."""
+    n = len(v)
+    if len(A) != n or any(len(row) != n for row in A):
+        raise ValueError(f"v has {n} entries, so A must be {n} x {n}")
     num = max_abs(y - lam * x for y, x in zip(_matvec(A, v), v))
     scale = max(1.0, max_abs(a for row in A for a in row) * max_abs(v))
     return float(num / scale)
@@ -132,14 +136,14 @@ def normalize_eigvec(v) -> tuple:
 
 def cartan_spectrum(rid: RootSystemId) -> List[Eigenpair]:
     """Spectrum of the catalog Cartan matrix with (k, h) exponent labels."""
-    data = root_system(rid)
-    A = data.cartan
+    A = cartan_matrix(rid)
+    h, exps = exponents(rid)
     w, V = jacobi_eigh(A)
     pairs = []
-    for lam, col, k in zip(w, V, data.exponents):
+    for lam, col, k in zip(w, V, exps):
         vec = normalize_eigvec(col)
         res = residual(A, vec, lam)
-        pairs.append(Eigenpair(lam, vec, k=int(k), h=data.h, residual=res))
+        pairs.append(Eigenpair(lam, vec, k=k, h=h, residual=res))
     return pairs
 
 

@@ -52,6 +52,13 @@ def test_parse_word_roundtrip():
     assert word == (("gamma", 2), ("beta", 4), ("alpha", 3), ("alpha", 1))
 
 
+# an index is ASCII digits: an Arabic-Indic three and a fullwidth two are refused
+@pytest.mark.parametrize("bad", ["a\u0663 g\uff12", "g\uff12", "a", "a-1", "x2"])
+def test_parse_word_rejects(bad):
+    with pytest.raises(ValueError, match="bad move token"):
+        parse_word(bad)
+
+
 def test_alpha_hand_check():
     # A2 ambient, identity basis: alpha_1 sends (x1, x2) -> (x2 - (x2,x1) x1, x1)
     A2 = join_cartan([RootSystemId("A", 2)])

@@ -294,3 +294,30 @@ def test_no_option_serves_only_the_tests():
                            for c in calls if callee(c) == fn.name):
                     unset.setdefault(key, []).append(name)
     assert {k: ", ".join(v) for k, v in unset.items()} == TEST_ONLY_OPTIONS
+
+
+def _record_fields(cls: ast.ClassDef) -> list:
+    """Fields of a NamedTuple class or of a class built on a namedtuple(...) base."""
+    fields = []
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id == "NamedTuple":
+            fields += [n.target.id for n in cls.body
+                       if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        elif (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+              and base.func.id == "namedtuple"):
+            spec = ast.literal_eval(base.args[1])
+            fields += spec.replace(",", " ").split() if isinstance(spec, str) else list(spec)
+    return fields
+
+
+def test_no_record_field_is_dead():
+    # a field that no src module and no demo reads as an attribute is data the
+    # record carries for nobody: drop it, or the record
+    trees, demos = _sources()
+    read = {n.attr for tree in [*trees.values(), *demos]
+            for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    fields = [(f"{stem}.{cls.name}", field) for stem, tree in trees.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for field in _record_fields(cls)]
+    assert len(fields) >= 20  # the scan sees the records
+    assert [f"{rec}.{field}" for rec, field in fields if field not in read] == []

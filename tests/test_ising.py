@@ -42,6 +42,13 @@ def test_params_validation():
             IsingParams(N=8, **fields)
     IsingParams(N=8, J=1e307, h_x=1e307)  # 8·2e307 = 1.6e308 is still finite
     assert 2 ** IsingParams(N=14).N == MAX_STATES
+    # N is an integer: a float is refused at construction and on _replace,
+    # and an integer type is stored as int
+    with pytest.raises(TypeError):
+        IsingParams(8.0, 1.0, 0.0, 0.5)
+    with pytest.raises(TypeError):
+        IsingParams(N=8)._replace(N=8.0)
+    assert type(IsingParams(N=np.int64(8)).N) is int
 
 
 def test_huge_n_is_refused_before_2_to_the_n():

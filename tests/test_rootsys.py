@@ -17,7 +17,6 @@ from coxlat.rootsys import (
     dynkin_edges,
     exponents,
     join_exponent_arithmetic,
-    root_system,
     tree_levels,
 )
 
@@ -49,6 +48,16 @@ def test_replace_validates_like_the_constructor():
         e8._replace(rank=9)
     with pytest.raises(ValueError, match="root system E9 is not in the catalog"):
         RootSystemId._make(("E", 9))
+
+
+def test_rank_is_an_integer():
+    # a float rank is refused at construction, as by _replace; an integer type is stored as int
+    with pytest.raises(TypeError):
+        RootSystemId("A", 3.0)
+    with pytest.raises(TypeError):
+        RootSystemId("E", 8)._replace(rank=8.0)
+    rid = RootSystemId("D", np.int64(5))
+    assert type(rid.rank) is int and str(rid) == "D5"
 
 
 def test_catalog_contents():
@@ -116,18 +125,11 @@ def test_exponents_match_cartan_spectrum(rid):
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
 def test_bipartition_proper(rid):
-    colors = root_system(rid).coloring
+    colors = coloring(cartan_matrix(rid))
     assert colors[1] == "white"
     assert set(colors) == set(range(1, rid.rank + 1))
     for i, j in dynkin_edges(rid):
         assert colors[i] != colors[j]
-
-
-def test_root_system_record():
-    data = root_system(RootSystemId.parse("E6"))
-    assert data.rank == 6
-    assert data.h == 12
-    assert data.coloring == coloring(data.cartan)
 
 
 def test_tree_levels_e8():

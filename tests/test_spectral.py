@@ -10,7 +10,7 @@ import pytest
 
 from coxlat.lattice import bipartite_coxeter, steinberg_decomposition
 from coxlat.qdeform import deform, q_eigenvector
-from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents, root_system
+from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents
 from coxlat.spectral import (
     DELTA,
     IDENTITY_TOL,
@@ -91,11 +91,11 @@ def test_undressed_coxeter_eigenvectors_are_cartan_eigenvectors(name):
 @pytest.mark.parametrize("name", ["A2", "D4", "E6", "E8"])
 def test_phase_dressing_gives_coxeter_eigenvectors(name):
     rid = RootSystemId.parse(name)
-    data = root_system(rid)
-    C = np.array(bipartite_coxeter(data.cartan), dtype=float)
+    A = cartan_matrix(rid)
+    C = np.array(bipartite_coxeter(A), dtype=float)
     for pair in cartan_spectrum(rid):
         theta = pair.k * math.pi / pair.h
-        y = coxeter_eigvec_from_cartan(pair.vector, theta, data.cartan)
+        y = coxeter_eigvec_from_cartan(pair.vector, theta, A)
         assert residual(C, y, cmath.exp(2j * theta)) <= IDENTITY_TOL
 
 
@@ -105,9 +105,10 @@ def test_phase_dressing_rejects_non_eigenvector():
         coxeter_eigvec_from_cartan(np.array([1.0, 0.0]), math.pi / 3, A)
 
 
-_A2, _E8 = (cartan_matrix(RootSystemId.parse(name)) for name in ("A2", "E8"))
+_A2, _A3, _E8 = (cartan_matrix(RootSystemId.parse(name)) for name in ("A2", "A3", "E8"))
 # inputs the residual guards of both transfers must refuse: a NaN residual
-# compares false against any tolerance, and the zero vector has residual 0
+# compares false against any tolerance, the zero vector has residual 0, and
+# (1, 1), an A2 eigenvector for 1, has no A3 residual at all
 _REFUSED = {
     "q-nan": lambda: q_eigenvector((math.nan, 1.0), deform(_A2), 2.0),
     "q-inf": lambda: q_eigenvector((math.inf, 1.0), deform(_A2), 2.0),
@@ -115,6 +116,8 @@ _REFUSED = {
     "dress-nan": lambda: coxeter_eigvec_from_cartan((math.nan,) * 8, math.pi / 30, _E8),
     "dress-inf": lambda: coxeter_eigvec_from_cartan((math.inf,) * 8, math.pi / 30, _E8),
     "dress-zero": lambda: coxeter_eigvec_from_cartan((0.0,) * 8, 0.123, _E8),
+    "q-short": lambda: q_eigenvector((1.0, 1.0), deform(_A3), 2.0),
+    "dress-short": lambda: coxeter_eigvec_from_cartan((1.0, 1.0), math.pi / 3, _A3),
 }
 
 
@@ -122,6 +125,16 @@ _REFUSED = {
 def test_transfers_refuse_nan_inf_and_zero_vectors(case):
     with pytest.raises(ValueError):
         _REFUSED[case]()
+
+
+@pytest.mark.parametrize("A,v", [
+    (_A3, (1.0, 1.0)),                # fewer entries than rows: zip would read 0.0
+    (_A2, (1.0, 1.0, 1.0)),           # more entries than columns
+    (((2, -1), (-1,)), (1.0, 1.0)),   # a short row
+], ids=["short-v", "long-v", "short-row"])
+def test_residual_refuses_mismatched_shapes(A, v):
+    with pytest.raises(ValueError, match="entries"):
+        residual(A, v, 1.0)
 
 
 def an_eigenvector(n: int, k: int) -> tuple:
