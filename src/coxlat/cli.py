@@ -24,18 +24,14 @@ named tuples, so no command loads ``dataclasses``, and only ``ising``
 preset, so every solve runs on one LAPACK thread and prints the same bytes.
 
 A ``coxlat`` process (``main()`` with no ``argv``, as the console script and
-``python -m coxlat.cli`` call it) freezes its heap at exit with
-``gc.freeze``: the interpreter's last cyclic collections then skip every
-module it imported, a walk that takes longer than most checks.  Nothing here
-relies on the collector to flush or close a file.  Callers that pass ``argv``
-keep their collector and their exit.
+``python -m coxlat.cli`` call it) ends with ``os._exit`` once its output is
+flushed, so it skips the interpreter's teardown.  Callers that pass ``argv``
+get the exit code back.
 """
 
 from __future__ import annotations
 
 import argparse
-import atexit
-import gc
 import json
 import math
 import os
@@ -509,29 +505,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        # the process exits when main returns; freezing at exit, not now,
-        # also keeps the modules that the command imports out of the last walk
-        atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
-        return code
-    except ValueError as exc:
+    except ValueError as exc:  # every command raises it before it writes to stdout
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except OSError as exc:  # stdout is full or its reader has gone
         print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
-        try:
-            fd = sys.stdout.fileno()
-        except ValueError:  # an in-process stdout, such as a StringIO, has none
-            return 2
-        # the interpreter flushes stdout again at exit: let that write go nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
-        return 2
+        code = 2
+    if argv is None:
+        # the last flush: teardown would flush a failed stdout again and walk
+        # the heap, and every file is closed already
+        sys.stderr.flush()
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

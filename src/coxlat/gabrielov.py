@@ -137,6 +137,8 @@ _MOVES = {"alpha": alpha, "beta": beta, "gamma": gamma}
 def inverse_move(move: Move, rank: int) -> Move:
     """Inverse of a single move: beta_{m+1} undoes alpha_m and conversely."""
     kind, m = move
+    if kind not in _MOVES:
+        raise ValueError(f"unknown move kind {kind!r}")
     if kind == "alpha":
         return ("beta", _wrap(m + 1, rank))
     if kind == "beta":
@@ -163,6 +165,8 @@ def parse_word(text: str) -> Tuple[Move, ...]:
 def apply_word(b: BasedLattice, word: Sequence[Move]) -> BasedLattice:
     """Apply a move word; the rightmost symbol acts first."""
     for kind, m in reversed(list(word)):
+        if kind not in _MOVES:
+            raise ValueError(f"unknown move kind {kind!r}")
         b = _MOVES[kind](b, m)
     return b
 

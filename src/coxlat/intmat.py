@@ -25,7 +25,6 @@ __all__ = [
     "kron",
     "add",
     "deviation",
-    "is_symmetric",
     "half_split",
     "frac_inverse",
     "det_exact",
@@ -97,10 +96,6 @@ def deviation(lhs: IMatrix, rhs: IMatrix) -> int:
         raise ValueError("deviation of matrices of different shapes")
     diffs = map(sub, chain.from_iterable(lhs), chain.from_iterable(rhs))
     return max(map(abs, map(index, diffs)), default=0)
-
-
-def is_symmetric(A: IMatrix) -> bool:
-    return A == transpose(A)
 
 
 def half_split(A: IMatrix) -> Tuple[IMatrix, IMatrix]:

@@ -17,7 +17,7 @@ from collections import namedtuple
 from typing import Tuple
 
 from .intmat import (IMatrix, add, as_imatrix, det_exact, frac_inverse, half_split,
-                     iidentity, is_symmetric, kron, matmul, transpose)
+                     iidentity, kron, matmul, transpose)
 from .rootsys import coloring
 
 __all__ = [
@@ -40,8 +40,6 @@ class PolarizedLattice(namedtuple("PolarizedLattice", "A L")):
         L = as_imatrix(L)
         if len(A) != len(L):
             raise ValueError("A and L must have equal shape")
-        if not is_symmetric(A):
-            raise ValueError("A must be symmetric")
         if A != add(L, transpose(L)):
             raise ValueError("A = L + L^t violated")
         if det_exact(L) not in (1, -1):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import combinations
+from operator import index
 from typing import List, NamedTuple, Tuple
 
 from .rootsys import RootSystemId, cartan_matrix, exponents
@@ -194,6 +195,7 @@ def e8_eigenvector(a: int, b: int, form: str = "simplified") -> tuple:
     Both forms return the same vector: "long" is the raw cosine sums,
     "simplified" the factored products.
     """
+    a, b = index(a), index(b)  # ints; a float raises TypeError
     if not (1 <= a <= 4 and 1 <= b <= 2):
         raise ValueError("need 1 <= a <= 4 and 1 <= b <= 2")
     t = a * math.pi / 5
@@ -231,6 +233,7 @@ def e8_eigenvector(a: int, b: int, form: str = "simplified") -> tuple:
 def e6_eigenvector(a: int, b: int) -> tuple:
     """Closed-form eigenvector of A(E6) for 2 - 2cos(a*pi/4 + b*pi/3 + pi/2),
     with 1 <= a <= 3, 1 <= b <= 2 covering the 6 eigenvalues."""
+    a, b = index(a), index(b)  # ints; a float raises TypeError
     if not (1 <= a <= 3 and 1 <= b <= 2):
         raise ValueError("need 1 <= a <= 3 and 1 <= b <= 2")
     t = a * math.pi / 4
@@ -264,6 +267,7 @@ def factorized_coxeter_eigenvector(k4: int, k2: int) -> tuple:
 
     j = gabrielov.JOINS["E8"]
     n4, n2, n1 = (rid.rank for rid in j.factors)
+    k4, k2 = index(k4), index(k2)  # ints; a float raises TypeError
     if not (1 <= k4 <= n4 and 1 <= k2 <= n2):
         raise ValueError(f"need 1 <= k4 <= {n4} and 1 <= k2 <= {n2}")
     theta = k4 * math.pi / (n4 + 1)

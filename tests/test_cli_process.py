@@ -2,7 +2,9 @@
 
 Every test starts a new interpreter with no thread-count variable in its
 environment unless it presets one, so a thread count that a command sets
-shows up in the probe, along with the threads the process runs.
+shows up in the probe, along with the threads the process runs.  Nor does
+it inherit PYTHONUNBUFFERED: stdout is block-buffered, as users run it,
+unless a test presets the variable.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from pathlib import Path
 
 import pytest
 
+from coxlat.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 # the variables OpenBLAS reads for its thread count
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# the child's environment holds none of these unless a test presets one
+UNSET_VARS = (*BLAS_THREAD_VARS, "PYTHONUNBUFFERED")
 # the records are named tuples: no request but ising (numpy imports inspect)
 # loads these, counted only when absent before `import coxlat.cli`
 INTROSPECTION = ("dataclasses", "inspect")
@@ -42,7 +48,7 @@ print(json.dumps({
 
 
 def _env(**preset):
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in UNSET_VARS}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -240,18 +246,29 @@ def _write_error_line(proc_code: int, stderr: str) -> None:
     assert line.startswith("error: cannot write to stdout:")
 
 
+# a failed write must exit 2 whether stdout is written through at each print
+# or held in a buffer until main flushes it
+UNBUFFERED = {"PYTHONUNBUFFERED": "1"}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-@pytest.mark.parametrize("argv", [["eigen", "E8"], ["--help"]], ids=["eigen", "help"])
-def test_full_stdout_exits_2(argv):
+@pytest.mark.parametrize(
+    "argv, preset",
+    [(["eigen", "E8"], UNBUFFERED), (["--help"], UNBUFFERED),
+     (["eigen", "E8"], {}), (["--help"], {})],
+    ids=["eigen", "help", "eigen-buffered", "help-buffered"],
+)
+def test_full_stdout_exits_2(argv, preset):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "coxlat.cli", *argv],
-            env=_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=_env(**preset), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
         )
     _write_error_line(proc.returncode, proc.stderr)
 
 
-def test_stdout_whose_reader_has_gone_exits_2():
+@pytest.mark.parametrize("preset", [UNBUFFERED, {}], ids=["unbuffered", "buffered"])
+def test_stdout_whose_reader_has_gone_exits_2(preset):
     # as in `coxlat ising --n 12 | head -c 5` once head has read its bytes and
     # exited; the reader closes first, so the CSV write fails whatever its size
     read_end, write_end = os.pipe()
@@ -259,43 +276,50 @@ def test_stdout_whose_reader_has_gone_exits_2():
     with open(write_end, "wb") as pipe:
         proc = subprocess.run(
             [sys.executable, "-m", "coxlat.cli", "ising", "--n", "12", "--hx", "1"],
-            env=_env(), stdout=pipe, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=_env(**preset), stdout=pipe, stderr=subprocess.PIPE, text=True, timeout=120,
         )
     _write_error_line(proc.returncode, proc.stderr)
 
 
-# an atexit hook runs after every hook registered later, so this one reads
-# the freeze count after main's own hook has run
-_FREEZE_AT_EXIT = """
-import atexit, gc, runpy, sys
-atexit.register(lambda: print("freeze count", gc.get_freeze_count()))
+# an atexit hook registered before main runs; it writes to fd 2, which stays
+# writable when stdout is /dev/full
+_TEARDOWN = """
+import atexit, os, runpy, sys
+atexit.register(os.write, 2, b"teardown\\n")
 if sys.argv[1] == "argv":
     import coxlat.cli
-    coxlat.cli.main(["catalog", "A1"])
+    code = coxlat.cli.main(["catalog", "A1"])
+    on_full = os.path.samestat(os.fstat(1), os.stat("/dev/full"))
+    os.write(2, f"main returned {code}; fd 1 on /dev/full: {on_full}\\n".encode())
 else:  # as the console script and `python -m coxlat.cli` run it
     sys.argv = ["coxlat", "catalog", "A1"]
     runpy.run_module("coxlat.cli", run_name="__main__")
 """
 
 
-def _freeze_count_at_exit(caller: str) -> int:
+def test_the_process_command_line_ends_without_teardown(capsys):
     proc = subprocess.run(
-        [sys.executable, "-c", _FREEZE_AT_EXIT, caller],
+        [sys.executable, "-c", _TEARDOWN, "command-line"],
         env=_env(), capture_output=True, text=True, timeout=120,
     )
+    assert main(["catalog", "A1"]) == 0
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("A1: rank 1")
-    last = proc.stdout.splitlines()[-1]
-    assert last.startswith("freeze count ")
-    return int(last.split()[-1])
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stderr == ""  # the hook never ran
 
 
-def test_the_process_command_line_freezes_the_heap_at_exit():
-    assert _freeze_count_at_exit("command-line") > 0
-
-
-def test_main_with_argv_keeps_the_collector_at_exit():
-    assert _freeze_count_at_exit("argv") == 0
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_main_with_argv_returns_to_its_caller():
+    # the caller's stdout stays its own: main neither exits nor rewires fd 1
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", _TEARDOWN, "argv"],
+            env=_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("error: cannot write to stdout:")
+    assert "main returned 2; fd 1 on /dev/full: True" in lines
+    assert "teardown" in lines
 
 
 # main(argv) in a fresh process of its own: in the test process numpy may
@@ -318,7 +342,7 @@ _MAIN_WITH_ARGV = "import sys, coxlat.cli; sys.exit(coxlat.cli.main(sys.argv[1:]
     ]],
 )
 def test_the_process_command_line_prints_what_main_with_argv_prints(tmp_path, argv, code):
-    # the frozen heap is never collected: no output may wait for the collector
+    # the process ends with os._exit: no output may wait for the interpreter's teardown
     runs = []
     for name, launch in [("command-line", ["-m", "coxlat.cli"]),
                          ("argv", ["-c", _MAIN_WITH_ARGV])]:

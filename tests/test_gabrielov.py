@@ -114,6 +114,14 @@ def test_move_inverse_property(prefix, move):
     assert undone.basis == b.basis
 
 
+def test_unknown_move_kind_raises_value_error():
+    # only alpha, beta and gamma are moves: no other kind is read as one of them
+    with pytest.raises(ValueError, match="unknown move kind 'delta'"):
+        inverse_move(("delta", 3), 8)
+    with pytest.raises(ValueError, match="unknown move kind 'delta'"):
+        apply_word(_standard(), [("delta", 1)])
+
+
 def test_beta_undoes_alpha_explicitly():
     b = _standard()
     assert beta(alpha(b, 3), 4).basis == b.basis

@@ -140,6 +140,35 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def _teardown_reliance(stem: str, tree: ast.Module) -> list:
+    """atexit imports, os._exit calls outside cli.main, and open() calls that
+    are not the context expression of a with statement."""
+    found = _imports_of(stem, ast.walk(tree), "atexit")
+    exits = {id(n): n for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "_exit"
+             and isinstance(n.value, ast.Name) and n.value.id == "os"}
+    if stem == "cli":
+        [main] = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "main"]
+        for node in ast.walk(main):
+            exits.pop(id(node), None)
+    found += [f"{stem}:{n.lineno}: os._exit" for n in exits.values()]
+    managed = {id(item.context_expr) for node in ast.walk(tree)
+               if isinstance(node, ast.With) for item in node.items}
+    found += [f"{stem}:{n.lineno}: open" for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id == "open" and id(n) not in managed]
+    return found
+
+
+def test_nothing_relies_on_interpreter_teardown():
+    # a coxlat process ends with os._exit in cli.main, which runs no atexit
+    # hook and flushes no open file: a with block closes every file first
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _teardown_reliance(path.stem, ast.parse(path.read_text()))
+    assert found == []
+
+
 def _public_names(tree: ast.Module) -> list:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(

@@ -75,6 +75,8 @@ def test_replace_validates_like_the_constructor():
     assert P._replace(A=[[2, -1], [-1, 2]]) == P  # the constructor's as_imatrix normalization
     with pytest.raises(ValueError, match="A = L \\+ L\\^t violated"):
         P._replace(A=as_imatrix([[2, 0], [0, 2]]))
+    with pytest.raises(ValueError, match="A = L \\+ L\\^t violated"):  # A not symmetric
+        P._replace(A=as_imatrix([[2, -1], [0, 2]]))
     with pytest.raises(ValueError, match="L must be unimodular"):
         P._replace(A=as_imatrix([[4, 0], [0, 2]]), L=as_imatrix([[2, 0], [0, 1]]))
 

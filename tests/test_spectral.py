@@ -231,6 +231,18 @@ def test_factorized_coxeter_pipeline(k4, k2):
     assert residual(C, x, lam) <= IDENTITY_TOL
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [(e8_eigenvector, (1.5, 1)), (e8_eigenvector, (1, 1.0)), (e6_eigenvector, (1.5, 1)),
+     (factorized_coxeter_eigenvector, (1.5, 1)), (factorized_coxeter_eigenvector, (1, 2.0))],
+    ids=["e8-a", "e8-b", "e6-a", "factorized-k4", "factorized-k2"],
+)
+def test_closed_form_builders_take_integers(build, args):
+    # a fractional index passes the range check but builds no eigenvector
+    with pytest.raises(TypeError):
+        build(*args)
+
+
 def test_perron_frobenius_matches_closed_form():
     v = perron_frobenius(_A("E8"))
     assert all(x > 0 for x in v)
