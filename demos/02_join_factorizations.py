@@ -7,6 +7,7 @@ product.  A4 * A2 * A1 carries an order-30 Coxeter element, and a
 mutation word turns its standard basis into a set of E8 simple roots;
 the change of basis G conjugates the tensor Coxeter element into a
 product of simple reflections — all exactly, over the integers.  The
+join's singularity weights give the same h and exponents as E8's.  The
 reports give each identity's exact deviation (0 means it holds);
 `coxlat verify e8-factorization` and `e6-factorization` grade them.
 """
@@ -22,7 +23,7 @@ from coxlat.gabrielov import (
 )
 from coxlat.intmat import det_exact, matrix_order, transpose
 from coxlat.lattice import coxeter, join, standard_polarization
-from coxlat.rootsys import RootSystemId, cartan_matrix
+from coxlat.rootsys import RootSystemId, cartan_matrix, exponents
 
 # build the triple join A4 * A2 * A1
 P = standard_polarization(cartan_matrix(RootSystemId.parse("A4")))
@@ -31,6 +32,11 @@ for name in ("A2", "A1"):
 C_star = coxeter(P)
 print(f"join rank {P.rank}, det L = {det_exact(P.L)} (unimodular, so C is integral), "
       f"order {matrix_order(C_star)}")
+
+# Sebastiani–Thom: the join's singularity weights give E8's h and exponents
+factors = [RootSystemId.parse(name) for name in ("A4", "A2", "A1")]
+print("exponents(A4, A2, A1):", exponents(*factors))
+print("exponents(E8):        ", exponents(RootSystemId.parse("E8")))
 
 # the mutation word produces E8 simple roots; every deviation is exact
 G, deviations = e8_factorization()

@@ -3,7 +3,7 @@
 Subpackage map:
 
 - ``intmat``    exact integer matrices as tuples of int rows (no numpy)
-- ``rootsys``   ADE catalog: Cartan matrices, exponents, Cartan-tree levels and colorings
+- ``rootsys``   ADE catalog: Cartan matrices, exponents of a system or a join, tree levels, colorings
 - ``lattice``   polarized lattices, Coxeter elements, joins, Steinberg splits
 - ``gabrielov`` basis moves, the E8/E6 join records and factorizations, Weyl-word checks
 - ``spectral``  closed-form eigenvectors, the phase dressing (the Cartan-to-Coxeter transfer), PF vector

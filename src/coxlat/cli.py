@@ -132,7 +132,7 @@ def _verify_factorization(target: str, tol: Optional[float]) -> dict:
         tol, EXACT_TOL,
         "; ".join(parts),
         ok=((word is None or len(word) <= REPAIR_MAX_LEN)
-            and rootsys.join_exponent_arithmetic(j.factors) == rootsys.exponents(j.target)),
+            and rootsys.exponents(*j.factors) == rootsys.exponents(j.target)),
     )
 
 

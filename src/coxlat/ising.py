@@ -264,8 +264,8 @@ def dispersion_probe(params: IsingParams, band_count: int) -> dict:
 
 
 def free_fermion_energy(J: float, h_x: float, p: float) -> float:
-    """Single-quasiparticle energy on the h_z = 0 line:
-    2·sqrt(J² + h_x² - 2·J·h_x·cos p).  Its minimum, at p = 0, is the gap
-    2|J - h_x|, which closes at the critical field h_x = J."""
-    return 2 * math.sqrt(J**2 + h_x**2 - 2 * J * h_x * math.cos(p))
+    """Single-quasiparticle energy on the h_z = 0 line, 2·sqrt(J² + h_x² - 2·J·h_x·cos p),
+    its radicand written as (J - h_x)² + 4·J·h_x·sin²(p/2), never negative.  Its
+    minimum, at p = 0, is the gap 2|J - h_x|, which closes at h_x = J."""
+    return 2 * math.sqrt((J - h_x) ** 2 + 4 * J * h_x * math.sin(p / 2) ** 2)
 

@@ -1,7 +1,8 @@
 """Catalog of finite simply-laced root systems in Bourbaki numbering.
 
 Each fact about a catalog system comes from one function: cartan_matrix,
-dynkin_edges, exponents (h and the sorted exponents) and coloring.
+dynkin_edges, exponents (h and the sorted exponents, read off the weights
+of the system's singularity, for one system or a join) and coloring.
 tree_levels is the one walk of a Dynkin tree: it decides what a Cartan
 tree is (diagonal 2, symmetric zero pattern, tree graph) and gives each
 vertex its level k_i; the bipartite (black/white) coloring of the Coxeter
@@ -15,7 +16,7 @@ import math
 import re
 from collections import namedtuple
 from operator import index
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "RootSystemId",
@@ -24,7 +25,6 @@ __all__ = [
     "exponents",
     "tree_levels",
     "coloring",
-    "join_exponent_arithmetic",
     "CATALOG_IDS",
 ]
 
@@ -84,21 +84,45 @@ def cartan_matrix(rid: RootSystemId) -> Tuple[Tuple[int, ...], ...]:
     return tuple(map(tuple, A))
 
 
-def exponents(rid: RootSystemId) -> Tuple[int, List[int]]:
-    """Coxeter number h and the sorted exponent list (with multiplicity)."""
-    n = rid.rank
-    if rid.family == "A":
-        return n + 1, list(range(1, n + 1))
-    if rid.family == "D":
-        # 1, 3, ..., 2n-3 together with n-1 (repeated for even n)
-        return 2 * n - 2, sorted(list(range(1, 2 * n - 2, 2)) + [n - 1])
-    table = {
-        6: (12, [1, 4, 5, 7, 8, 11]),
-        7: (18, [1, 5, 7, 9, 11, 13, 17]),
-        8: (30, [1, 7, 11, 13, 17, 19, 23, 29]),
-    }
-    h, exps = table[n]
-    return h, list(exps)
+def _weights(rid: RootSystemId) -> Tuple[Tuple[int, int], ...]:
+    """Weights w = p/q, as pairs (p, q), of the variables of rid's normal form (Arnold)."""
+    n, z2 = rid.rank, (1, 2)
+    if rid.family == "A":  # x^(n+1) + y² + z²
+        return (1, n + 1), z2, z2
+    if rid.family == "D":  # x^(n-1) + xy² + z²
+        return (1, n - 1), (n - 2, 2 * n - 2), z2
+    # E6: x³ + y⁴ + z², E7: x³ + xy³ + z², E8: x³ + y⁵ + z²
+    return (1, 3), {6: (1, 4), 7: (2, 9), 8: (1, 5)}[n], z2
+
+
+def exponents(*ids: RootSystemId) -> Tuple[int, List[int]]:
+    """Coxeter number h and the sorted exponents (with multiplicity) of one
+    catalog system, or of the Sebastiani–Thom join of several.
+
+    A join concatenates its factors' weights.  Written a/d over one
+    denominator d, they give the Milnor algebra the Poincaré polynomial
+    prod (1 - s^(d-a))/(1 - s^a) in s^(1/d), and each of its terms s^(e/d) a
+    Coxeter eigenvalue argument (e + sum a)/d mod 1 (Milnor–Orlik, Topology 9
+    (1970)).  h is the least common denominator of the reduced arguments and
+    the exponents are their numerators over h: (A4, A2, A1) gives E8's.
+    """
+    if not ids:
+        raise ValueError("need at least one root system id")
+    weights = [w for rid in ids for w in _weights(rid)]
+    d = math.lcm(*(q for _, q in weights))
+    num = [p * (d // q) for p, q in weights]
+    # the polynomial has degree sum (d - 2a): work in power series cut past it
+    size = sum(d - 2 * a for a in num) + 1
+    poly = [1] + [0] * (size - 1)
+    for a in num:
+        for i in range(a, size):  # divide by 1 - s^a: a running sum
+            poly[i] += poly[i - a]
+        for i in range(size - 1, d - a - 1, -1):  # times 1 - s^(d-a)
+            poly[i] -= poly[i - d + a]
+    shift = sum(num)
+    sums = [(e + shift) % d for e, c in enumerate(poly) for _ in range(c)]
+    g = math.gcd(d, *sums)
+    return d // g, sorted(s // g for s in sums)
 
 
 def tree_levels(A) -> Tuple[int, ...]:
@@ -146,30 +170,6 @@ def coloring(A) -> Dict[int, str]:
     """
     k = tree_levels(A)
     return {v: "white" if (kv - k[0]) % 2 == 0 else "black" for v, kv in enumerate(k, 1)}
-
-
-def join_exponent_arithmetic(ids: Sequence[RootSystemId]) -> Tuple[int, List[int]]:
-    """Exponent arithmetic for a join of root systems.
-
-    The Coxeter eigenvalue arguments of a join are the sums k_1/h_1 + ... +
-    k_m/h_m taken mod 1 over all exponent combinations.  The result is
-    returned in canonical reduced form: h is the least common denominator of
-    the reduced fractional parts and the exponents are the numerators over
-    that h, sorted with multiplicity.
-
-    For (A4, A2, A1) this reproduces Exp(E8) over h = 30, and for
-    (A3, A2, A1) it reproduces Exp(E6) over h = 12.
-    """
-    if not ids:
-        raise ValueError("need at least one root system id")
-    H = math.lcm(*(exponents(rid)[0] for rid in ids))
-    # each argument is s/H with 0 <= s < H; dividing by g = gcd(H, every s) reduces them
-    sums = [0]
-    for rid in ids:
-        h, exps = exponents(rid)
-        sums = [(s + k * (H // h)) % H for s in sums for k in exps]
-    g = math.gcd(H, *sums)
-    return H // g, sorted(s // g for s in sums)
 
 
 CATALOG_IDS: Tuple[RootSystemId, ...] = tuple(

@@ -18,6 +18,8 @@ from coxlat import cli, gabrielov, ising, qdeform, rootsys, spectral
 from coxlat.cli import VERIFY_NAMES, main, run_verification
 from coxlat.rootsys import CATALOG_IDS, RootSystemId
 
+E8 = RootSystemId("E", 8)
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -538,14 +540,30 @@ def test_join_exponent_arithmetic_is_graded(monkeypatch):
     # E8's exponent 7 misread as 9: A4*A2*A1 no longer adds up to it, E6's join still does
     exponents = rootsys.exponents
 
-    def misread(rid):
-        h, exps = exponents(rid)
-        return (h, [9 if k == 7 else k for k in exps]) if str(rid) == "E8" else (h, exps)
+    def misread(*ids):
+        h, exps = exponents(*ids)
+        return (h, [9 if k == 7 else k for k in exps]) if ids == (E8,) else (h, exps)
 
     monkeypatch.setattr(rootsys, "exponents", misread)
     [e8] = run_verification("e8-factorization")
     [e6] = run_verification("e6-factorization")
     assert (e8["status"], e8["deviation"]) == ("fail", 0)
+    assert e6["status"] == "pass"
+
+
+def test_e8_weight_row_is_graded(monkeypatch):
+    # E8's normal form misread as E6's, x³ + y⁴ + z²: E8 then gets h = 12 and
+    # E6's exponents.  The join A4*A2*A1 reads its own weights, and the E8
+    # Cartan spectrum its own matrix, so both E8 records fail; E6's passes
+    weights = rootsys._weights
+    monkeypatch.setattr(
+        rootsys, "_weights", lambda rid: ((1, 3), (1, 4), (1, 2)) if rid == E8 else weights(rid)
+    )
+    assert rootsys.exponents(E8) == (12, [1, 4, 5, 7, 8, 11])
+    [factorization] = run_verification("e8-factorization")
+    [eigvecs] = run_verification("e8-eigvecs")
+    [e6] = run_verification("e6-factorization")
+    assert (factorization["status"], eigvecs["status"]) == ("fail", "fail")
     assert e6["status"] == "pass"
 
 

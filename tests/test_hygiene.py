@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coxlat"
@@ -350,3 +351,16 @@ def test_no_record_field_is_dead():
               for field in _record_fields(cls)]
     assert len(fields) >= 20  # the scan sees the records
     assert [f"{rec}.{field}" for rec, field in fields if field not in read] == []
+
+
+def test_no_stale_layer_name_in_the_docs_or_code():
+    # every <layer>.<name> that README.md, src and the demos write must exist;
+    # ROADMAP.md, CHANGES.md and perfbench name removed names on purpose
+    root = SRC.parent.parent
+    texts = [root / "README.md", *sorted(SRC.glob("*.py")), *sorted((root / "demos").glob("*.py"))]
+    layers = [path.stem for path in texts if path.parent == SRC and path.stem != "__init__"]
+    written = re.compile(r"\b(%s)\.([A-Za-z_]\w*)" % "|".join(layers))
+    stale = sorted({f"{path.name}: {m.group(0)}" for path in texts
+                    for m in written.finditer(path.read_text())
+                    if not hasattr(importlib.import_module(f"coxlat.{m.group(1)}"), m.group(2))})
+    assert stale == []

@@ -294,6 +294,12 @@ def test_free_fermion_energy_values():
     assert abs(free_fermion_energy(1.0, 2.0, math.pi) - 6.0) < 1e-14
 
 
+def test_free_fermion_energy_near_the_critical_field():
+    # J² + h_x² - 2·J·h_x·cos 0 rounds below zero here; the gap 2|J - h_x| stays exact
+    J, h_x = 1.584594825498461, 1.5845948254984614
+    assert free_fermion_energy(J, h_x, 0.0) == 2 * abs(J - h_x) > 0
+
+
 def test_dispersion_probe_shape():
     probe = dispersion_probe(IsingParams(N=8, J=1.0, h_x=2.0), band_count=2)
     assert probe["exploratory"] is True

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coxlat.intmat import as_imatrix, det_exact, transpose
+from coxlat.intmat import as_imatrix, char_poly, det_exact, transpose
+from coxlat.lattice import bipartite_coxeter
 from coxlat.rootsys import (
     CATALOG_IDS,
     RootSystemId,
@@ -16,7 +18,6 @@ from coxlat.rootsys import (
     coloring,
     dynkin_edges,
     exponents,
-    join_exponent_arithmetic,
     tree_levels,
 )
 
@@ -95,21 +96,81 @@ def test_cartan_well_formed(rid):
     assert det_exact(A) > 0  # positive definite on the catalog
 
 
-@pytest.mark.parametrize(
-    "name,h,exps",
-    [
-        ("A1", 2, [1]),
-        ("A4", 5, [1, 2, 3, 4]),
-        ("D4", 6, [1, 3, 3, 5]),
-        ("D5", 8, [1, 3, 4, 5, 7]),
-        ("E6", 12, [1, 4, 5, 7, 8, 11]),
-        ("E7", 18, [1, 5, 7, 9, 11, 13, 17]),
-        ("E8", 30, [1, 7, 11, 13, 17, 19, 23, 29]),
-    ],
-)
+# The hand table of h and Exp (Bourbaki, Lie Groups, ch. VI, Planches I and IV-VII),
+# the oracle of the rule that reads them off the singularity weights.  The
+# first seven rows keep their places, and with them their test ids.
+_EXPONENT_TABLE = [
+    ("A1", 2, [1]),
+    ("A4", 5, [1, 2, 3, 4]),
+    ("D4", 6, [1, 3, 3, 5]),
+    ("D5", 8, [1, 3, 4, 5, 7]),
+    ("E6", 12, [1, 4, 5, 7, 8, 11]),
+    ("E7", 18, [1, 5, 7, 9, 11, 13, 17]),
+    ("E8", 30, [1, 7, 11, 13, 17, 19, 23, 29]),
+    ("A2", 3, [1, 2]),
+    ("A3", 4, [1, 2, 3]),
+    ("A5", 6, [1, 2, 3, 4, 5]),
+    ("A6", 7, [1, 2, 3, 4, 5, 6]),
+    ("A7", 8, [1, 2, 3, 4, 5, 6, 7]),
+    ("A8", 9, [1, 2, 3, 4, 5, 6, 7, 8]),
+    ("D6", 10, [1, 3, 5, 5, 7, 9]),
+    ("D7", 12, [1, 3, 5, 6, 7, 9, 11]),
+    ("D8", 14, [1, 3, 5, 7, 7, 9, 11, 13]),
+]
+_TABLE = {name: (h, exps) for name, h, exps in _EXPONENT_TABLE}
+
+
+@pytest.mark.parametrize("name,h,exps", _EXPONENT_TABLE)
 def test_exponent_tables(name, h, exps):
     got_h, got = exponents(RootSystemId.parse(name))
     assert (got_h, got) == (h, exps)
+
+
+def test_exponents_need_an_id():
+    with pytest.raises(ValueError, match="need at least one root system id"):
+        exponents()
+
+
+@functools.cache
+def _cyclotomic(d: int) -> tuple:
+    """Φ_d, highest degree first: z^d - 1 divided exactly by Φ_e for each
+    proper divisor e of d."""
+    phi = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            divisor = _cyclotomic(e)  # monic
+            for i in range(len(phi) - len(divisor) + 1):
+                for j, c in enumerate(divisor[1:], 1):
+                    phi[i + j] -= phi[i] * c
+            assert not any(phi[len(phi) - len(divisor) + 1:])  # the division is exact
+            phi = phi[: len(phi) - len(divisor) + 1]
+    return tuple(phi)
+
+
+def _poly_mul(p, q) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
+def test_coxeter_polynomial_is_the_exponent_product(rid):
+    # det(zI - C) = prod over k in Exp of (z - ζ_h^k) for C = C_W·C_B, exactly
+    # (Kostant 1959; Bourbaki, ch. V §6.2).  Exp is Galois-stable: every unit u
+    # mod h permutes it, so the product is prod over d | h of Φ_d raised to the
+    # multiplicity of h/d, the exponent of order d
+    h, exps = exponents(rid)
+    for u in range(1, h):
+        if math.gcd(u, h) == 1:
+            assert sorted(u * k % h for k in exps) == exps, u
+    product = [1]
+    for d in range(1, h + 1):
+        if h % d == 0:
+            for _ in range(exps.count(h // d)):
+                product = _poly_mul(product, _cyclotomic(d))
+    assert product == char_poly(bipartite_coxeter(cartan_matrix(rid)))
 
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
@@ -154,24 +215,25 @@ def test_tree_levels_rejects_non_cartan_trees(A, message):
 
 def test_join_exponent_arithmetic_e8():
     ids = [RootSystemId.parse(s) for s in ("A4", "A2", "A1")]
-    h, exps = join_exponent_arithmetic(ids)
+    h, exps = exponents(*ids)
     assert h == 30
     assert exps == [1, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_join_exponent_arithmetic_e6():
     ids = [RootSystemId.parse(s) for s in ("A3", "A2", "A1")]
-    h, exps = join_exponent_arithmetic(ids)
+    h, exps = exponents(*ids)
     assert h == 12
     assert exps == [1, 4, 5, 7, 8, 11]
 
 
 def _fraction_join_exponents(ids):
-    """Oracle: the sums k_1/h_1 + ... + k_m/h_m as Fractions mod 1, written
-    over the least common denominator of their reduced forms."""
+    """Oracle: the sums k_1/h_1 + ... + k_m/h_m over the hand table, as
+    Fractions mod 1, written over the least common denominator of their
+    reduced forms."""
     fracs = [Fraction(0)]
     for rid in ids:
-        h, exps = exponents(rid)
+        h, exps = _TABLE[str(rid)]
         fracs = [f + Fraction(k, h) for f in fracs for k in exps]
     fracs = [f - math.floor(f) for f in fracs]
     hout = math.lcm(*(f.denominator for f in fracs))
@@ -188,4 +250,4 @@ def test_join_exponent_arithmetic_matches_fractions(first):
     if first.rank <= 4:
         joins += [(first, b, c) for b in _SMALL_IDS for c in _SMALL_IDS]
     for ids in joins:
-        assert join_exponent_arithmetic(ids) == _fraction_join_exponents(ids), ids
+        assert exponents(*ids) == _fraction_join_exponents(ids), ids
