@@ -193,14 +193,18 @@ def _verify_pf(tol: Optional[float]) -> dict:
     from . import rootsys, spectral
     from .rootsys import RootSystemId
 
-    v = sorted(spectral.perron_frobenius(rootsys.cartan_matrix(RootSystemId("E", 8))))
+    A = rootsys.cartan_matrix(RootSystemId("E", 8))
+    v = sorted(spectral.perron_frobenius(A))
     zam = spectral.zamolodchikov_vector()
     dev_sorted = _worst([abs(a - z) for a, z in zip(v, zam)])
     closed = sorted(spectral.pf_closed_form())
     dev_closed = _worst([abs(c / closed[0] - z) for c, z in zip(closed, zam)])
     rounded = tuple(round(t, 2) for t in v)
     golden_err = abs(v[1] / v[0] - (1 + math.sqrt(5)) / 2)
-    ok = rounded == (1.0, 1.62, 1.99, 2.40, 2.96, 3.22, 3.89, 4.78) and golden_err <= GOLDEN_TOL
+    # the closed form in vertex order is the PF eigenvector, for 4 sin²(π/2h), h = 30
+    pf_residual = spectral.residual(A, spectral.pf_closed_form(), 4 * math.sin(math.pi / 60) ** 2)
+    ok = (rounded == (1.0, 1.62, 1.99, 2.40, 2.96, 3.22, 3.89, 4.78) and golden_err <= GOLDEN_TOL
+          and pf_residual <= spectral.IDENTITY_TOL)
     return _report(
         _worst([dev_sorted, dev_closed]),
         tol, spectral.IDENTITY_TOL,

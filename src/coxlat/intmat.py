@@ -5,12 +5,13 @@ tuple of row tuples of Python ints.  Python integers never overflow, so
 every identity checked through this module is an exact statement, and
 equal matrices compare equal with == and hash alike.  On tuples, + joins
 and * repeats, so all matrix arithmetic goes through the helpers here.
-The lattices here are unimodular, so inverses stay integral: frac_inverse
-rejects any matrix without an integer inverse.  No numpy is imported.
+One fraction-free elimination (Bareiss) gives every determinant, and
+char_poly and frac_inverse are read off it.  No numpy is imported.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache, reduce
 from itertools import chain
 from operator import index, sub
@@ -28,6 +29,7 @@ __all__ = [
     "half_split",
     "frac_inverse",
     "det_exact",
+    "balanced_digits",
     "char_poly",
     "matrix_order",
 ]
@@ -109,40 +111,9 @@ def half_split(A: IMatrix) -> Tuple[IMatrix, IMatrix]:
     return L, add(A, L, -1)
 
 
-def frac_inverse(M: IMatrix) -> IMatrix:
-    """Exact integer inverse of a unimodular integer matrix.
-
-    Runs fraction-free Gauss-Jordan on [M | I]: each step's division by the
-    previous pivot is exact (Bareiss), and the last step leaves d·[I | M⁻¹]
-    with d = ±det M.  So the right block times d is M⁻¹ when d = ±1; a
-    singular or non-unimodular M raises ValueError.
-    """
-    n = len(M)
-    rows = [list(map(index, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(M)]
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix has no inverse")
-            rows[k], rows[piv] = rows[piv], rows[k]
-        rk = rows[k]
-        p = rk[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], rk)]
-        prev = p
-    if prev not in (1, -1):
-        raise ValueError(f"det = ±{abs(prev)}: no integer inverse")
-    return tuple(tuple(prev * v for v in r[n:]) for r in rows)
-
-
-def det_exact(M: IMatrix) -> int:
-    """Exact integer determinant via fraction-free Bareiss elimination.
-
-    The 0×0 matrix has determinant 1, the empty product.
-    """
+def _det(M: IMatrix) -> int:
+    """Exact integer determinant by fraction-free Bareiss forward elimination,
+    the module's one elimination: each division by the previous pivot is exact."""
     n = len(M)
     if n == 0:
         return 1
@@ -165,30 +136,53 @@ def det_exact(M: IMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def char_poly(M: IMatrix) -> list:
-    """Coefficients of det(xI - M), highest degree first, exact.
+def det_exact(M: IMatrix) -> int:
+    """Exact integer determinant (Bareiss); the 0×0 matrix has determinant 1."""
+    return _det(M)  # not an alias: a tracer that wraps det_exact must not count char_poly's
 
-    Integer Faddeev-LeVerrier: M_1 = I, M_{k+1} = M·M_k + c_{n-k}·I and
-    c_{n-k} = -tr(M·M_k)/k, where each division is exact.  Row i of M·M_k
-    sums the rows of M_k over the nonzero entries of row i of M only.
+
+def balanced_digits(c: int, bits: int, count: int) -> list:
+    """The count digits of c in balanced base B = 2^bits, lowest first, each in
+    [-B/2, B/2); a c that needs more digits raises ValueError."""
+    base = 1 << bits
+    digits = []
+    for _ in range(count):
+        digits.append((c + base // 2) % base - base // 2)
+        c = (c - digits[-1]) >> bits
+    if c:
+        raise ValueError(f"the integer needs more than {count} base-2^{bits} digits")
+    return digits
+
+
+def char_poly(M: IMatrix) -> list:
+    """Coefficients c_0 = 1, c_1, ..., c_n of det(xI - M), highest degree first, exact.
+
+    They are the balanced base-X digits of one determinant det(X·I - M) =
+    Σ_k c_k·X^(n-k), X = 2^b: expanding over principal minors bounds Σ_k |c_k|
+    by Π_i (1 + Σ_j |m_ij|), and b is one bit above that bound.
     """
-    n = len(M)
-    nonzero = [[(j, a) for j, a in enumerate(map(index, row)) if a] for row in M]
-    coeffs = [1]
-    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        MMk = []
-        for terms in nonzero:
-            acc = [0] * n
-            for j, a in terms:
-                acc = [x + a * y for x, y in zip(acc, Mk[j])]
-            MMk.append(acc)
-        c = -sum(MMk[i][i] for i in range(n)) // k
-        coeffs.append(c)
-        for i in range(n):
-            MMk[i][i] += c
-        Mk = MMk
-    return coeffs
+    rows = [[-a for a in map(index, row)] for row in M]
+    bits = math.prod(1 + sum(map(abs, row)) for row in rows).bit_length() + 1
+    for i, row in enumerate(rows):
+        row[i] += 1 << bits
+    return balanced_digits(_det(rows), bits, len(rows) + 1)[::-1]
+
+
+def frac_inverse(M: IMatrix) -> IMatrix:
+    """Exact integer inverse of a unimodular integer matrix, by Cayley–Hamilton:
+    M⁻¹ = -(M^(n-1) + c_1·M^(n-2) + ... + c_(n-1)·I)/c_n over char_poly(M), by
+    Horner's rule.  c_n = (-1)^n det M: a singular or non-unimodular M raises
+    ValueError."""
+    M = tuple([tuple(map(index, row)) for row in M])
+    *cs, cn = char_poly(M)
+    if cn == 0:
+        raise ValueError("singular matrix has no inverse")
+    if cn not in (1, -1):
+        raise ValueError(f"det = ±{abs(cn)}: no integer inverse")
+    P = I = iidentity(len(M))
+    for c in cs[1:]:
+        P = add(_mul2(M, P), I, c)
+    return tuple(tuple(-cn * v for v in row) for row in P)
 
 
 def matrix_order(M: IMatrix) -> int:

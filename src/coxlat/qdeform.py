@@ -32,7 +32,7 @@ import math
 from functools import cache
 from typing import Dict, NamedTuple, Tuple
 
-from .intmat import IMatrix, as_imatrix, char_poly, half_split
+from .intmat import IMatrix, as_imatrix, balanced_digits, char_poly, half_split
 from .rootsys import tree_levels
 
 __all__ = [
@@ -181,26 +181,22 @@ def _law_deviation(D: QDeformedCartan) -> int:
     and 0 when n - k is odd.
 
     g_k comes from one intmat.char_poly of B·L₀ + U₀, B = 2^LAW_BASE_BITS, as
-    the balanced base-B digits of g_k(B).  The digits are the coefficients of
-    g_k when every coefficient is below B/2 in absolute value.  Expanding the
-    determinant over permutations bounds them all by Π_i (1 + Σ_j (|l₀_ij| +
-    |u₀_ij|)); a record whose bound reaches B/2 raises ValueError.
+    the balanced base-B digits of g_k(B) (intmat.balanced_digits).  The digits
+    are the coefficients of g_k when every coefficient is below B/2 in
+    absolute value.  Expanding the determinant over permutations bounds them
+    all by Π_i (1 + Σ_j (|l₀_ij| + |u₀_ij|)); a record whose bound reaches B/2
+    raises ValueError.
     """
     L0 = tuple(tuple(l - (i == j) for j, l in enumerate(row)) for i, row in enumerate(D.L))
     U0 = tuple(tuple(u - (i == j) for j, u in enumerate(row)) for i, row in enumerate(D.U))
     bits = LAW_BASE_BITS
-    base, half = 1 << bits, 1 << (bits - 1)
     bound = math.prod(1 + sum(map(abs, rl)) + sum(map(abs, ru)) for rl, ru in zip(L0, U0))
-    if bound >= half:
+    if bound >= 1 << (bits - 1):
         raise ValueError(f"the law's coefficient bound {bound} reaches 2^{bits - 1}")
-    M = tuple(tuple(base * l + u for l, u in zip(rl, ru)) for rl, ru in zip(L0, U0))
+    M = tuple(tuple((l << bits) + u for l, u in zip(rl, ru)) for rl, ru in zip(L0, U0))
     dev = 0
-    for j, c in enumerate(char_poly(M)):  # c = g_{n-j}(B)
-        digits = []
-        while c:
-            d = ((c + half) & (base - 1)) - half
-            digits.append(d)
-            c = (c - d) >> bits
+    for j, c in enumerate(char_poly(M)):  # c = g_{n-j}(B), of degree <= j in q
+        digits = balanced_digits(c, bits, j + 1)
         # the law allows only the digit at q^{j/2} (none for odd j): the others
         # are coefficients of the difference, and so is minus their sum, at t^j
         off = [d for p, d in enumerate(digits) if 2 * p != j]

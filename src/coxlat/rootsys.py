@@ -99,16 +99,21 @@ def exponents(*ids: RootSystemId) -> Tuple[int, List[int]]:
     """Coxeter number h and the sorted exponents (with multiplicity) of one
     catalog system, or of the Sebastiani–Thom join of several.
 
-    A join concatenates its factors' weights.  Written a/d over one
-    denominator d, they give the Milnor algebra the Poincaré polynomial
+    A join of m factors concatenates their weights, with one more z² (weight
+    1/2) for even m: it is the lattice join (-1)^(m+1)·C_1 ⊗ ... ⊗ C_m of
+    gabrielov.join_coxeter.  Written a/d over one denominator d, the weights
+    give the Milnor algebra the Poincaré polynomial
     prod (1 - s^(d-a))/(1 - s^a) in s^(1/d), and each of its terms s^(e/d) a
     Coxeter eigenvalue argument (e + sum a)/d mod 1 (Milnor–Orlik, Topology 9
     (1970)).  h is the least common denominator of the reduced arguments and
-    the exponents are their numerators over h: (A4, A2, A1) gives E8's.
+    the exponents are their numerators over h: (A4, A2, A1) and (A2, A4) give
+    E8's.
     """
     if not ids:
         raise ValueError("need at least one root system id")
     weights = [w for rid in ids for w in _weights(rid)]
+    if len(ids) % 2 == 0:
+        weights.append((1, 2))  # the join's sign: every argument moves by 1/2
     d = math.lcm(*(q for _, q in weights))
     num = [p * (d // q) for p, q in weights]
     # the polynomial has degree sum (d - 2a): work in power series cut past it

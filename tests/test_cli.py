@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlat import cli, gabrielov, ising, qdeform, rootsys, spectral
+from coxlat import cli, gabrielov, ising, lattice, qdeform, rootsys, spectral
 from coxlat.cli import VERIFY_NAMES, main, run_verification
 from coxlat.rootsys import CATALOG_IDS, RootSystemId
 
@@ -565,6 +565,92 @@ def test_e8_weight_row_is_graded(monkeypatch):
     [e6] = run_verification("e6-factorization")
     assert (factorization["status"], eigvecs["status"]) == ("fail", "fail")
     assert e6["status"] == "pass"
+
+
+def _bump_first(vector):
+    return (vector[0] + 1, *vector[1:])
+
+
+def _plus_one_in_reference_g(target):
+    def plant(mp):
+        j = gabrielov.JOINS[target]
+        G = [list(row) for row in j.change_of_basis]
+        G[0][0] += 1
+        mp.setitem(gabrielov.JOINS, target, j._replace(change_of_basis=tuple(map(tuple, G))))
+    return plant
+
+
+def _patch(module, attr, mutate):
+    """A plant that replaces module.attr by mutate(real)."""
+    return lambda mp: mp.setattr(module, attr, mutate(getattr(module, attr)))
+
+
+# one planted defect per record and the exact set of records that then fail.
+# The L <-> U swap passes q-spectrum, and rightly: q·law(1/q) = law(q)
+_PLANTED_DEFECTS = [
+    ("coloring-all-white",
+     _patch(lattice, "coloring", lambda real: lambda A: dict.fromkeys(real(A), "white")),
+     {"steinberg", "e8-factorization", "e6-factorization"}),
+    ("e8-reference-g", _plus_one_in_reference_g("E8"), {"e8-factorization"}),
+    ("e6-reference-g", _plus_one_in_reference_g("E6"), {"e6-factorization"}),
+    ("alpha1-six-word-short", _patch(gabrielov, "ALPHA1_SIX_WORD", lambda real: real[:-1]),
+     {"gamma-alpha"}),
+    ("e8-move-word-short",
+     lambda mp: mp.setitem(gabrielov.JOINS, "E8", gabrielov.JOINS["E8"]._replace(
+         word=gabrielov.JOINS["E8"].word[:-1])),
+     {"e8-factorization", "root-image"}),
+    ("a-n-root-dropped",
+     _patch(gabrielov, "_contract_roots", lambda real: lambda rows, n: real(rows, n)[:-1]),
+     {"root-image"}),
+    ("e8-eigenvector-entry",
+     _patch(spectral, "e8_eigenvector", lambda real: lambda a, b: _bump_first(real(a, b))),
+     {"e8-eigvecs"}),
+    ("e6-eigenvector-entry",
+     _patch(spectral, "e6_eigenvector", lambda real: lambda a, b: _bump_first(real(a, b))),
+     {"e6-eigvecs"}),
+    ("m8-off",
+     _patch(spectral, "zamolodchikov_vector", lambda real: lambda: (*real()[:7], real()[7] * 1.001)),
+     {"pf-zamolodchikov"}),
+    ("pf-entries-swapped",
+     _patch(spectral, "pf_closed_form", lambda real: lambda: (real()[1], real()[0], *real()[2:])),
+     {"pf-zamolodchikov"}),
+    ("law-constant-term",
+     _patch(qdeform, "char_poly", lambda real: lambda M: [*real(M)[:-1], real(M)[-1] + 1]),
+     {"q-spectrum"}),
+    ("last-tree-level",
+     _patch(qdeform, "tree_levels", lambda real: lambda A: (*real(A)[:-1], real(A)[-1] + 1)),
+     {"q-certificate"}),
+    ("l-u-swapped",
+     _patch(qdeform, "deform", lambda real: lambda A: real(A)._replace(L=real(A).U, U=real(A).L)),
+     {"q-certificate"}),
+    ("classical-energies",
+     _patch(ising, "classical_energies", lambda real: lambda p: [e + 1e-3 for e in real(p)]),
+     {"ising-symmetry"}),
+]
+
+
+@pytest.fixture
+def fresh_q_proofs():
+    # the q records and their proofs are cached per process: a plant must reach them
+    caches = (cli._q_records, qdeform._law_deviation, qdeform._certificate_deviation)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+@pytest.mark.parametrize("plant, failing", [row[1:] for row in _PLANTED_DEFECTS],
+                         ids=[row[0] for row in _PLANTED_DEFECTS])
+def test_each_record_fails_on_its_planted_defect(monkeypatch, fresh_q_proofs, plant, failing):
+    plant(monkeypatch)
+    reports = run_verification("all")
+    assert {r["name"] for r in reports if r["status"] == "fail"} == failing
+
+
+def test_every_record_has_a_planted_defect():
+    planted = set().union(*(failing for *_, failing in _PLANTED_DEFECTS))
+    assert planted == set(VERIFY_NAMES[:-1])
 
 
 _SYSTEMS = st.sampled_from(

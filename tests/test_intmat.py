@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import index
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from coxlat import intmat
 from coxlat.intmat import (
     add,
     as_imatrix,
+    balanced_digits,
     char_poly,
     det_exact,
     deviation,
@@ -89,13 +91,13 @@ def test_frac_inverse_known_2x2():
 
 
 def test_frac_inverse_singular_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^singular matrix has no inverse$"):
         frac_inverse(as_imatrix([[1, 2], [2, 4]]))
 
 
 def test_frac_inverse_rejects_non_unimodular():
     # invertible over the rationals, but its inverse is not integral
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^det = ±2: no integer inverse$"):
         frac_inverse(as_imatrix([[2, 0], [0, 1]]))
 
 
@@ -191,6 +193,105 @@ def test_char_poly_matches_determinant_at_integer_points(rows):
         value = sum(c * x ** (n - i) for i, c in enumerate(coeffs))
         xI = tuple(tuple(x * v for v in row) for row in iidentity(n))
         assert value == det_exact(add(xI, M, -1))
+
+
+def _faddeev_leverrier(M) -> list:
+    """The reference for char_poly: integer Faddeev-LeVerrier, M_1 = I,
+    M_{k+1} = M·M_k + c_{n-k}·I and c_{n-k} = -tr(M·M_k)/k, each division exact."""
+    n = len(M)
+    nonzero = [[(j, a) for j, a in enumerate(map(index, row)) if a] for row in M]
+    coeffs = [1]
+    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        MMk = []
+        for terms in nonzero:
+            acc = [0] * n
+            for j, a in terms:
+                acc = [x + a * y for x, y in zip(acc, Mk[j])]
+            MMk.append(acc)
+        c = -sum(MMk[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            MMk[i][i] += c
+        Mk = MMk
+    return coeffs
+
+
+def _gauss_jordan_inverse(M):
+    """The reference for frac_inverse: fraction-free (Bareiss) Gauss-Jordan on
+    [M | I], which leaves d·[I | M⁻¹] with d = ±det M."""
+    n = len(M)
+    rows = [list(map(index, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(M)]
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if piv is None:
+                raise ValueError("singular matrix has no inverse")
+            rows[k], rows[piv] = rows[piv], rows[k]
+        rk = rows[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], rk)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError(f"det = ±{abs(prev)}: no integer inverse")
+    return tuple(tuple(prev * v for v in r[n:]) for r in rows)
+
+
+@st.composite
+def _matrices_to_rank_8(draw):
+    """Integer matrices of rank 0-8: any entries, singular ones, or a unimodular
+    product of shears and row sign flips."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    kind = draw(st.sampled_from(["any", "repeat", "zero", "unimodular"]))
+    if kind == "unimodular":
+        rows = [list(r) for r in iidentity(n)]
+        for i, j, c in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                               st.integers(-3, 3)), max_size=20)):
+            if n:
+                i, j = i % n, j % n
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])] if i != j else [-a for a in rows[i]]
+        return as_imatrix(rows)
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "repeat" and n > 1:
+        rows[-1] = list(rows[0])
+    elif kind == "zero":
+        for r in rows:
+            r[0] = 0
+    return as_imatrix(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_matrices_to_rank_8())
+def test_char_poly_matches_faddeev_leverrier(M):
+    assert char_poly(M) == _faddeev_leverrier(M)
+
+
+def _inverse_or_error(inverse, M):
+    try:
+        return inverse(M)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_matrices_to_rank_8())
+def test_frac_inverse_matches_gauss_jordan(M):
+    # the same inverse, or the same message for a singular or non-unimodular M
+    assert _inverse_or_error(frac_inverse, M) == _inverse_or_error(_gauss_jordan_inverse, M)
+
+
+def test_balanced_digits():
+    # 5 - 3·16 + 1·256 in balanced base 16, digits in [-8, 8)
+    assert balanced_digits(5 - 3 * 16 + 256, 4, 3) == [5, -3, 1]
+    assert balanced_digits(-8, 4, 1) == [-8]
+    assert balanced_digits(8, 4, 2) == [-8, 1]
+    assert balanced_digits(0, 4, 2) == [0, 0]
+    with pytest.raises(ValueError, match="more than 1 base-2\\^4 digits"):
+        balanced_digits(8, 4, 1)
 
 
 def test_matrix_order(monkeypatch):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from coxlat.gabrielov import join_coxeter
 from coxlat.intmat import as_imatrix, char_poly, det_exact, transpose
 from coxlat.lattice import bipartite_coxeter
 from coxlat.rootsys import (
@@ -155,22 +157,29 @@ def _poly_mul(p, q) -> list:
     return out
 
 
-@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
-def test_coxeter_polynomial_is_the_exponent_product(rid):
-    # det(zI - C) = prod over k in Exp of (z - ζ_h^k) for C = C_W·C_B, exactly
-    # (Kostant 1959; Bourbaki, ch. V §6.2).  Exp is Galois-stable: every unit u
-    # mod h permutes it, so the product is prod over d | h of Φ_d raised to the
-    # multiplicity of h/d, the exponent of order d
-    h, exps = exponents(rid)
+def _exponent_product(h: int, exps) -> list:
+    """prod over k in exps of (z - ζ_h^k), exactly.  Exp is Galois-stable
+    (every unit u mod h permutes it), so the exponents of order d (those with
+    gcd(k, h) = h/d; 0 has order 1) are whole orbits, and they contribute Φ_d
+    once per φ(d) = deg Φ_d of them."""
     for u in range(1, h):
         if math.gcd(u, h) == 1:
             assert sorted(u * k % h for k in exps) == exps, u
     product = [1]
     for d in range(1, h + 1):
         if h % d == 0:
-            for _ in range(exps.count(h // d)):
-                product = _poly_mul(product, _cyclotomic(d))
-    assert product == char_poly(bipartite_coxeter(cartan_matrix(rid)))
+            phi = _cyclotomic(d)
+            of_order_d = sum(math.gcd(k, h) == h // d for k in exps)
+            for _ in range(of_order_d // (len(phi) - 1)):
+                product = _poly_mul(product, phi)
+    return product
+
+
+@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
+def test_coxeter_polynomial_is_the_exponent_product(rid):
+    # det(zI - C) = prod over k in Exp of (z - ζ_h^k) for C = C_W·C_B, exactly
+    # (Kostant 1959; Bourbaki, ch. V §6.2)
+    assert _exponent_product(*exponents(rid)) == char_poly(bipartite_coxeter(cartan_matrix(rid)))
 
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
@@ -228,10 +237,11 @@ def test_join_exponent_arithmetic_e6():
 
 
 def _fraction_join_exponents(ids):
-    """Oracle: the sums k_1/h_1 + ... + k_m/h_m over the hand table, as
-    Fractions mod 1, written over the least common denominator of their
+    """Oracle: the sums k_1/h_1 + ... + k_m/h_m over the hand table, plus 1/2
+    for an even number m of factors (the sign (-1)^(m+1) of the lattice join),
+    as Fractions mod 1, written over the least common denominator of their
     reduced forms."""
-    fracs = [Fraction(0)]
+    fracs = [Fraction(0) if len(ids) % 2 else Fraction(1, 2)]
     for rid in ids:
         h, exps = _TABLE[str(rid)]
         fracs = [f + Fraction(k, h) for f in fracs for k in exps]
@@ -251,3 +261,18 @@ def test_join_exponent_arithmetic_matches_fractions(first):
         joins += [(first, b, c) for b in _SMALL_IDS for c in _SMALL_IDS]
     for ids in joins:
         assert exponents(*ids) == _fraction_join_exponents(ids), ids
+
+
+# every join of one to three catalog systems of rank <= 27: 16 + 61 + 74
+_JOINS = [
+    ids for m in (1, 2, 3) for ids in itertools.combinations_with_replacement(CATALOG_IDS, m)
+    if math.prod(rid.rank for rid in ids) <= 27
+]
+
+
+def test_join_monodromy_is_the_exponent_product():
+    # Sebastiani–Thom: the Coxeter polynomial of the lattice join is the one
+    # that the join's weights give, for any number of factors
+    assert len(_JOINS) == 151
+    for ids in _JOINS:
+        assert char_poly(join_coxeter(ids)) == _exponent_product(*exponents(*ids)), ids

@@ -251,6 +251,11 @@ def test_perron_frobenius_matches_closed_form():
     assert np.max(np.abs(np.sort(v) - zam)) <= 1e-9
     closed = pf_closed_form()
     assert np.max(np.abs(np.sort(closed) / np.min(closed) - zam)) <= 1e-9
+    # sorting forgets the vertices: in vertex order the closed form is the
+    # eigenvector for 4 sin²(π/2h), h = 30, and with entries 1 and 2 swapped it is not
+    A, lam = cartan_matrix(RootSystemId("E", 8)), 4 * math.sin(math.pi / 60) ** 2
+    assert residual(A, closed, lam) <= IDENTITY_TOL
+    assert residual(A, (closed[1], closed[0], *closed[2:]), lam) > 0.1
 
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
