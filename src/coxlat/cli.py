@@ -163,6 +163,11 @@ def _verify_root_image(tol: Optional[float]) -> dict:
     )
 
 
+def _cartan_law(k: int, h: int) -> float:
+    """The Cartan eigenvalue 4·sin²(kπ/2h) of exponent k, Coxeter number h."""
+    return 4 * math.sin(k * math.pi / (2 * h)) ** 2
+
+
 def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
     """The closed-form eigenvectors of system ("E8" or "E6"), a in 1..a_range."""
     from . import rootsys, spectral
@@ -179,7 +184,7 @@ def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
             residuals.append(spectral.residual(A, closed_form(a, b), lam))
             lams.append(lam)
     worst = _worst(residuals)
-    target = [4 * math.sin(k * math.pi / (2 * h)) ** 2 for k in exps]
+    target = [_cartan_law(k, h) for k in exps]
     spec_dev = _worst([abs(l - t) for l, t in zip(sorted(lams), target)])
     return _report(
         _worst([worst, spec_dev]),
@@ -193,7 +198,8 @@ def _verify_pf(tol: Optional[float]) -> dict:
     from . import rootsys, spectral
     from .rootsys import RootSystemId
 
-    A = rootsys.cartan_matrix(RootSystemId("E", 8))
+    rid = RootSystemId("E", 8)
+    A = rootsys.cartan_matrix(rid)
     v = sorted(spectral.perron_frobenius(A))
     zam = spectral.zamolodchikov_vector()
     dev_sorted = _worst([abs(a - z) for a, z in zip(v, zam)])
@@ -201,8 +207,9 @@ def _verify_pf(tol: Optional[float]) -> dict:
     dev_closed = _worst([abs(c / closed[0] - z) for c, z in zip(closed, zam)])
     rounded = tuple(round(t, 2) for t in v)
     golden_err = abs(v[1] / v[0] - (1 + math.sqrt(5)) / 2)
-    # the closed form in vertex order is the PF eigenvector, for 4 sin²(π/2h), h = 30
-    pf_residual = spectral.residual(A, spectral.pf_closed_form(), 4 * math.sin(math.pi / 60) ** 2)
+    # the closed form in vertex order is the PF eigenvector, for exponent 1
+    h, _ = rootsys.exponents(rid)
+    pf_residual = spectral.residual(A, spectral.pf_closed_form(), _cartan_law(1, h))
     ok = (rounded == (1.0, 1.62, 1.99, 2.40, 2.96, 3.22, 3.89, 4.78) and golden_err <= GOLDEN_TOL
           and pf_residual <= spectral.IDENTITY_TOL)
     return _report(
@@ -234,7 +241,7 @@ def _verify_q_spectrum(tol: Optional[float]) -> dict:
 
     return _report(
         _q_grid_worst(qdeform.q_spectrum),
-        tol, qdeform.Q_SPECTRUM_TOL,
+        tol, EXACT_TOL,
         f"multiset law over {len(Q_SYSTEMS)} systems x q in {Q_GRID}",
     )
 
@@ -246,7 +253,7 @@ def _verify_q_certificate(tol: Optional[float]) -> dict:
     e8_exp = _q_records()["E8"].exponent_vector
     return _report(
         worst,
-        tol, qdeform.CERTIFICATE_TOL,
+        tol, EXACT_TOL,
         f"diagonal conjugation over {len(Q_SYSTEMS)} systems x q in {Q_GRID}; "
         f"E8 exponent vector {list(e8_exp)}",
         ok=e8_exp == (0, 1, 1, 2, 3, 4, 5, 6),
@@ -428,7 +435,7 @@ def _cmd_ising(args) -> int:
     if args.bands < 0:  # rejected before the solve, not after it
         raise ValueError("band_count must be nonnegative")
     if args.bands and not args.out:
-        raise ValueError("--bands requires --out (CSV goes to the file, fits to stdout)")
+        raise ValueError("--bands requires --out (CSV goes to the file, masses to stdout)")
     # OpenBLAS reads its thread count once, when numpy loads, and reads this
     # variable before GOTO_NUM_THREADS and OMP_NUM_THREADS: a pool's threads
     # round differently, so one thread keeps the bytes the same everywhere
@@ -447,8 +454,8 @@ def _cmd_ising(args) -> int:
     csv = "p,epsilon\n" + "".join(
         f"{level.p:.12g},{level.epsilon:.12g}\n" for level in levels
     )
-    # fit and serialize first: a failed band fit must leave no CSV behind
-    fit = _json_text(ising.dispersion_probe(params, args.bands)) if args.bands else None
+    # read and serialize the masses first: too few k = 0 levels leave no CSV behind
+    masses = _json_text(ising.dispersion_probe(params, args.bands)) if args.bands else None
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -457,8 +464,8 @@ def _cmd_ising(args) -> int:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(csv)
-    if fit is not None:
-        print(fit)
+    if masses is not None:
+        print(masses)
     return 0
 
 
@@ -502,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_is.add_argument("--J", type=float, default=1.0)
     p_is.add_argument("--hx", type=float, default=0.0)
     p_is.add_argument("--hz", type=float, default=0.0)
-    p_is.add_argument("--bands", type=int, default=0, help="fit this many bands (JSON to stdout)")
+    p_is.add_argument("--bands", type=int, default=0,
+                      help="print this many zero-momentum gaps (JSON to stdout)")
     p_is.add_argument("--out", default=None, help="write the p,epsilon CSV here")
     p_is.set_defaults(func=_cmd_ising)
     return parser

@@ -22,7 +22,9 @@ after it.  No dense H or U is formed.
 `verify ising-symmetry` reads them and `build_hamiltonian`, the dense oracle,
 fills them in, so only the functions that densify H or solve it import numpy.
 This exists for property verification at desk scale — it makes no attempt at
-scaling-limit physics, and the dispersion fit is explicitly exploratory.
+scaling-limit physics, and `dispersion_probe`'s zero-momentum gaps, the
+masses of the E8 claim at h_x = J, h_z > 0 (Zamolodchikov 1989), are
+explicitly exploratory.
 """
 
 from __future__ import annotations
@@ -213,53 +215,23 @@ def momentum_spectrum(params: IsingParams) -> List[MomentumLevel]:
 
 
 def dispersion_probe(params: IsingParams, band_count: int) -> dict:
-    """Exploratory quasiparticle fit epsilon ~ sqrt(m^2 + c·p_lat^2).
+    """Exploratory masses: the band_count lowest zero-momentum gaps.
 
-    Bands are the j-th excitation energies per momentum (ground level
-    dropped), p_lat = 2 sin(p/2) is the lattice momentum proxy, and the
-    fit is linear least squares on epsilon^2.  Finite chains are far
-    from the scaling limit: the output carries no pass/fail meaning.
+    Mass j is the epsilon of the (j+1)-th lowest k = 0 level minus that of
+    the lowest, and mass_ratios divides by mass 0 (empty when it is 0).  At
+    h_x = J with h_z > 0 these gaps approach Zamolodchikov's E8 masses as N
+    grows; in the ordered phase the first is the tunnelling splitting, not a
+    mass.  Finite chains carry no pass/fail meaning.
     """
-    import numpy as np
-
     if band_count < 0:
         raise ValueError("band_count must be nonnegative")
-    levels = momentum_spectrum(params)
-    by_p: Dict[float, List[float]] = {}
-    ground_dropped = False
-    for level in sorted(levels, key=lambda l: l.epsilon):
-        if not ground_dropped and level.epsilon == 0.0:
-            ground_dropped = True
-            continue
-        by_p.setdefault(round(level.p, 12), []).append(level.epsilon)
-    bands = []
-    for j in range(band_count):
-        pts = [
-            (p, es[j])
-            for p, es in sorted(by_p.items())
-            if len(es) > j
-        ]
-        if len(pts) < 2:
-            raise ValueError(f"insufficient momentum points for band {j}")
-        x = np.array([(2 * math.sin(p / 2)) ** 2 for p, _ in pts])
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = np.array([e for _, e in pts]) ** 2  # overflows to inf, not OverflowError
-        design = np.vstack([np.ones_like(x), x]).T
-        (m2, c), *_ = np.linalg.lstsq(design, y, rcond=None)
-        mass = math.sqrt(max(m2, 0.0))
-        fit = np.sqrt(np.maximum(m2 + c * x, 0.0))
-        rms = float(np.sqrt(np.mean((np.sqrt(y) - fit) ** 2)))
-        bands.append(
-            {
-                "band": j,
-                "points": pts,
-                "mass": mass,
-                "slope": float(c),
-                "rms_residual": rms,
-            }
-        )
-    masses = [b["mass"] for b in bands]
+    zero = sorted(level.epsilon for level in momentum_spectrum(params) if level.k == 0)
+    if len(zero) <= band_count:
+        raise ValueError(f"{band_count} bands need {band_count + 1} zero-momentum levels; "
+                         f"N = {params.N} has {len(zero)}")
+    masses = [e - zero[0] for e in zero[1:band_count + 1]]
     ratios = [m / masses[0] for m in masses] if masses and masses[0] > 0 else []
+    bands = [{"band": j, "mass": m} for j, m in enumerate(masses)]
     return {"exploratory": True, "bands": bands, "masses": masses, "mass_ratios": ratios}
 
 

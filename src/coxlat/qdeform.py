@@ -43,14 +43,8 @@ __all__ = [
     "q_eigenvector",
     "conjugation_certificate",
     "q_spectrum",
-    "Q_SPECTRUM_TOL",
-    "CERTIFICATE_TOL",
 ]
 
-# default tolerances of the `coxlat verify` q-spectrum and q-certificate
-# checks, which grade the deviations q_spectrum and conjugation_certificate return
-Q_SPECTRUM_TOL = 1e-8
-CERTIFICATE_TOL = 1e-10
 # q_spectrum substitutes q = 2^LAW_BASE_BITS, so it proves the law for records
 # whose coefficient bound (see _law_deviation) is below 2^(LAW_BASE_BITS - 1)
 LAW_BASE_BITS = 32

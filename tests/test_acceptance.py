@@ -16,12 +16,10 @@ import time
 
 import numpy as np
 
-from coxlat import cli, gabrielov, ising, lattice, qdeform, rootsys, spectral
+from coxlat import cli, gabrielov, ising, lattice, rootsys, spectral
 
 EXACT = 0
 RESIDUAL_TOL = 1e-9
-Q_SPECTRUM_TOL = 1e-8
-CERTIFICATE_TOL = 1e-10
 ROUND_TRIP_TOL = 1e-10
 GOLDEN_TOL = 1e-12
 REPAIR_MAX_LEN = 12
@@ -154,12 +152,10 @@ def test_gate_constants_are_the_verify_defaults():
         "e8-eigvecs": RESIDUAL_TOL,
         "e6-eigvecs": RESIDUAL_TOL,
         "pf-zamolodchikov": RESIDUAL_TOL,
-        "q-spectrum": Q_SPECTRUM_TOL,
-        "q-certificate": CERTIFICATE_TOL,
+        "q-spectrum": EXACT,
+        "q-certificate": EXACT,
         "ising-symmetry": EXACT,
     }
     assert spectral.IDENTITY_TOL == RESIDUAL_TOL
-    assert qdeform.Q_SPECTRUM_TOL == Q_SPECTRUM_TOL
-    assert qdeform.CERTIFICATE_TOL == CERTIFICATE_TOL
     assert cli.GOLDEN_TOL == GOLDEN_TOL
     assert cli.REPAIR_MAX_LEN == REPAIR_MAX_LEN

@@ -148,13 +148,19 @@ EXACT_RECORD_LINES = [
     "gamma2·gamma1 = alpha1^6 from the standard rank-8 basis (exact)",
     "PASS root-image           deviation=0.000e+00 tol=0.0e+00  "
     "240 root triples -> 60 distinct images, all norm 2: True",
+    "PASS q-spectrum           deviation=0.000e+00 tol=0.0e+00  "
+    "multiset law over 13 systems x q in (0.25, 0.5, 2.0, 4.0)",
+    "PASS q-certificate        deviation=0.000e+00 tol=0.0e+00  "
+    "diagonal conjugation over 13 systems x q in (0.25, 0.5, 2.0, 4.0); "
+    "E8 exponent vector [0, 1, 1, 2, 3, 4, 5, 6]",
 ]
 
 
 def test_exact_verify_records_print_byte_for_byte(capsys):
     code, out = _run(capsys, "verify", "all")
     assert code == 0
-    assert out.splitlines()[:len(EXACT_RECORD_LINES)] == EXACT_RECORD_LINES
+    names = [line.split()[1] for line in EXACT_RECORD_LINES]
+    assert [line for line in out.splitlines() if line.split()[1] in names] == EXACT_RECORD_LINES
 
 
 ISING_DETAILS = ("H symmetric, [H,T] = 0, classical diagonal matches brute force "
@@ -346,10 +352,13 @@ def test_ising_nonfinite_levels_exit_2(tmp_path, capsys):
     assert main(["ising", "--n", "2", "--hx", "1e308"]) == 2
     assert capsys.readouterr().out == ""
     assert not target.exists()
-    # finite levels whose band fit overflows: no CSV outlives the failed fit
-    argv = ["ising", "--n", "2", "--J", "1e300", "--bands", "1", "--out", str(target)]
+    # N = 2 has three k = 0 levels, so two gaps at most: no CSV outlives the
+    # refused third
+    argv = ["ising", "--n", "2", "--bands", "3", "--out", str(target)]
     assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 3 bands need 4 zero-momentum levels; N = 2 has 3\n"
     assert not target.exists()
 
 

@@ -216,7 +216,6 @@ def test_ising_without_numpy_names_the_extra(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ising", "--n", "2", "--J", "1e300", "--bands", "1", "--out", "{out}"],
         # couplings whose Hamiltonian overflows are refused before it is built
         ["ising", "--n", "8", "--J", "1e308"],
         ["ising", "--n", "8", "--hx", "1e308"],
@@ -224,7 +223,7 @@ def test_ising_without_numpy_names_the_extra(tmp_path):
         ["ising", "--n", "8", "--J", "5e307", "--hz", "5e307"],
         ["ising", "--n", "8", "--J", "1e308", "--hx", "1e308"],
     ],
-    ids=["ising-bands", "ising-J", "ising-hx", "ising-hz", "ising-J-hz", "ising-J-hx"],
+    ids=["ising-J", "ising-hx", "ising-hz", "ising-J-hz", "ising-J-hx"],
 )
 def test_overflow_prints_one_error_line(tmp_path, argv):
     out = tmp_path / "levels.csv"
@@ -236,6 +235,21 @@ def test_overflow_prints_one_error_line(tmp_path, argv):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and "not finite" in line
+    assert not out.exists()
+
+
+def test_too_few_zero_momentum_levels_print_one_error_line(tmp_path):
+    # N = 2 has three k = 0 levels, so a third gap is refused and no CSV is left
+    out = tmp_path / "levels.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxlat.cli", "ising", "--n", "2", "--bands", "3",
+         "--out", str(out)],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "zero-momentum levels" in line
     assert not out.exists()
 
 

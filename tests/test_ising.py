@@ -303,21 +303,33 @@ def test_free_fermion_energy_near_the_critical_field():
 def test_dispersion_probe_shape():
     probe = dispersion_probe(IsingParams(N=8, J=1.0, h_x=2.0), band_count=2)
     assert probe["exploratory"] is True
-    assert len(probe["bands"]) == 2
-    # band 0 is the single-particle branch: epsilon^2 is exactly affine in
-    # (2 sin(p/2))^2 with mass 2|J - h_x|, up to finite-size sector offsets
-    band0 = probe["bands"][0]
-    assert band0["rms_residual"] < 0.01
-    assert abs(band0["mass"] - 2.0) < 0.05
-    # band 1 sits in the two-particle continuum; only its presence is checked
-    assert probe["bands"][1]["rms_residual"] < 1.0
-    assert len(probe["masses"]) == 2
+    assert [b["band"] for b in probe["bands"]] == [0, 1]
+    assert [b["mass"] for b in probe["bands"]] == probe["masses"]
+    # band 0 is the single particle at p = 0: the gap 2|J - h_x|, up to a
+    # finite-size offset between the fermion-parity sectors
+    assert abs(probe["masses"][0] - 2.0) < 0.05
     assert probe["mass_ratios"][0] == 1.0
+    assert probe["mass_ratios"][1] == probe["masses"][1] / probe["masses"][0]
 
 
 def test_dispersion_probe_zero_bands():
     probe = dispersion_probe(IsingParams(N=6, h_x=1.5), band_count=0)
     assert probe["bands"] == []
+
+
+def test_dispersion_probe_needs_band_count_plus_one_zero_momentum_levels():
+    # N = 2 has three k = 0 levels: the orbits {00}, {11} and {01, 10}
+    assert len(dispersion_probe(IsingParams(N=2, h_x=0.5), band_count=2)["masses"]) == 2
+    with pytest.raises(ValueError, match="3 bands need 4 zero-momentum levels; N = 2 has 3"):
+        dispersion_probe(IsingParams(N=2, h_x=0.5), band_count=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dispersion_probe(IsingParams(N=2), band_count=-1)
+
+
+def test_dispersion_probe_without_a_gap_has_no_ratios():
+    # h_x = 0: the two classical ground states tie at k = 0, so mass 0 is 0
+    probe = dispersion_probe(IsingParams(N=2, J=1e300), band_count=1)
+    assert probe["masses"] == [0.0] and probe["mass_ratios"] == []
 
 
 def _jordan_wigner_levels(N, J, h_x):
@@ -341,6 +353,17 @@ def _jordan_wigner_levels(N, J, h_x):
         energies.append(occ @ eps - eps.sum() / 2)
         sectors.append((occ @ twice_m) % (2 * N) // 2)
     return np.concatenate(energies), np.concatenate(sectors)
+
+
+@pytest.mark.parametrize("N, h_x", [(N, h_x) for N in (8, 9, 10) for h_x in (0.5, 2.0)])
+def test_dispersion_probe_masses_are_the_jordan_wigner_gaps(N, h_x):
+    J, bands = 1.0, 4
+    E, k = _jordan_wigner_levels(N, J, h_x)
+    zero = np.sort(E[k == 0])
+    probe = dispersion_probe(IsingParams(N=N, J=J, h_x=h_x), band_count=bands)
+    # the residual contract, with ||H||_inf <= N(J + h_x)
+    tol = 1e-9 * max(1.0, N * (J + h_x))
+    assert np.max(np.abs(np.array(probe["masses"]) - (zero[1:bands + 1] - zero[0]))) <= tol
 
 
 def _by_sector(E, k, N):
