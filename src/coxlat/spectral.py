@@ -91,10 +91,13 @@ def jacobi_eigh(A) -> Tuple[Tuple[float, ...], Tuple[Tuple[float, ...], ...]]:
     Cyclic Jacobi (Golub & Van Loan, Matrix Computations, §8.5): each sweep
     zeroes every off-diagonal entry in turn with one plane rotation, until the
     off-diagonal mass is negligible next to ||A||_F.  vectors[k] belongs to
-    values[k].  Input that is not symmetric, or that has not converged after
-    JACOBI_MAX_SWEEPS sweeps, raises ValueError.
+    values[k].  A NaN or infinite entry raises ValueError before anything else,
+    as does input that is not symmetric, or that has not converged after
+    JACOBI_MAX_SWEEPS sweeps.
     """
     a = [[float(x) for x in row] for row in A]
+    if not all(math.isfinite(x) for row in a for x in row):
+        raise ValueError("A must be finite")
     n = len(a)
     if any(len(r) != n for r in a) or any(a[i][j] != a[j][i] for i, j in combinations(range(n), 2)):
         raise ValueError("A must be a square symmetric matrix")
@@ -290,6 +293,8 @@ def perron_frobenius(A) -> tuple:
     matrix, and anything else raises ValueError.
     """
     _, vectors = jacobi_eigh(A)
+    if not vectors:
+        raise ValueError("A is empty")
     v = vectors[0]
     v = v if max(v) > 0 else tuple(-x for x in v)
     low = min(v)

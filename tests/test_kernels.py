@@ -1,9 +1,9 @@
-"""The dense eigen kernels against numpy.linalg, and the q-law against both.
+"""The dense eigen kernels against numpy.linalg, and the q-law against numpy.
 
-spectral.jacobi_eigh (cyclic Jacobi, symmetric) is the float layer's solver;
-francis_qr.general_eigenvalues (Hessenberg QR, general real) is the tests'
-float oracle for the spectrum of A(q), which coxlat proves exactly and never
-solves.  Both run on Python floats; numpy stays the oracle of each.
+spectral.jacobi_eigh (cyclic Jacobi, symmetric, on Python floats) is the float
+layer's solver, and numpy.linalg.eigvalsh is its oracle.  numpy.linalg.eigvals
+is the tests' one float solver of A(q), whose spectrum coxlat proves exactly
+and never solves.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import francis_qr
 from coxlat import spectral
 from coxlat.intmat import as_imatrix
 from coxlat.qdeform import deform, evaluate, q_eigenvalue, q_spectrum
 from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents
 from coxlat.spectral import jacobi_eigh
-from francis_qr import general_eigenvalues
 
 Q_GRID = (0.25, 0.5, 2.0, 4.0)
 # non-symmetric tree Cartan matrices, outside the ADE catalog
@@ -100,6 +98,18 @@ def test_jacobi_rejects_asymmetric_and_nonconvergence(monkeypatch):
         jacobi_eigh(cartan_matrix(CATALOG_IDS[-1]))
 
 
+@pytest.mark.parametrize("solve, A, match", [
+    pytest.param(solve, A, "finite", id=f"{solve.__name__}-{name}")
+    for solve in (jacobi_eigh, spectral.perron_frobenius)
+    for name, A in [("nan", [[math.nan]]), ("nan-pivot", [[math.nan, -1.0], [-1.0, 2.0]]),
+                    ("inf-pair", [[2.0, math.inf], [math.inf, 2.0]]),
+                    ("nan-pair", [[2.0, math.nan], [math.nan, 2.0]])]
+] + [pytest.param(spectral.perron_frobenius, (), "empty", id="perron_frobenius-empty")])
+def test_symmetric_solvers_refuse_nonfinite_and_empty_input(solve, A, match):
+    with pytest.raises(ValueError, match=match):
+        solve(A)
+
+
 def _sorted_numpy(M):
     w = np.linalg.eigvals(np.array(M, dtype=float))
     return w[np.lexsort((w.imag, w.real))]
@@ -107,12 +117,10 @@ def _sorted_numpy(M):
 
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
 @pytest.mark.parametrize("q", Q_GRID)
-def test_general_eigenvalues_on_the_q_grid(rid, q):
+def test_eigvals_on_the_q_grid(rid, q):
     D = deform(cartan_matrix(rid))
-    M = evaluate(D, q)
-    got = general_eigenvalues(M)
-    assert np.max(np.abs(np.array(got) - _sorted_numpy(M))) <= 1e-12
-    # and the law itself, which neither solver is told
+    got = _sorted_numpy(evaluate(D, q))
+    # the law itself, which the solver is not told
     h, exps = exponents(rid)
     law = sorted(1 + (4 * math.sin(k * math.pi / (2 * h)) ** 2 - 2) * math.sqrt(q) + q
                  for k in exps)
@@ -126,43 +134,12 @@ def test_general_eigenvalues_on_the_q_grid(rid, q):
 
 @pytest.mark.parametrize("name", list(NONSYMMETRIC))
 @pytest.mark.parametrize("q", Q_GRID)
-def test_general_eigenvalues_follow_the_law_off_the_catalog(name, q):
+def test_eigvals_follow_the_law_off_the_catalog(name, q):
     D = deform(as_imatrix(NONSYMMETRIC[name]))
-    got = general_eigenvalues(evaluate(D, q))
+    got = _sorted_numpy(evaluate(D, q))
     assert q_spectrum(D, q) == 0.0
-    # off the catalog the lambda come from the oracle's solve of A = A(1), all real
-    solved = general_eigenvalues(evaluate(D, 1.0))
+    # off the catalog the lambda come from numpy's solve of A = A(1), all real
+    solved = _sorted_numpy(evaluate(D, 1.0))
     assert all(lam.imag == 0 for lam in solved)
     law = [q_eigenvalue(lam.real, q) for lam in solved]
     assert max(abs(z - w) for z, w in zip(got, law)) <= 1e-13
-
-
-def test_general_eigenvalues_complex_pair_is_conjugate():
-    M = [[1.0, 2.0, 0.5], [-3.0, 1.0, 4.0], [0.0, -1.0, 2.0]]
-    got = general_eigenvalues(M)
-    assert np.max(np.abs(np.array(got) - _sorted_numpy(M))) <= 1e-12
-    pair = [z for z in got if z.imag]
-    assert len(pair) == 2 and pair[0] == pair[1].conjugate()
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(n=st.integers(1, 8), data=st.data())
-def test_general_eigenvalues_on_integer_matrices(n, data):
-    xs = data.draw(st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n))
-    M = [xs[i * n:(i + 1) * n] for i in range(n)]
-    got = np.array(general_eigenvalues(M))
-    ref = _sorted_numpy(M)
-    # a defective eigenvalue is only determined to about sqrt(eps)
-    err = max(min(abs(g - r) for r in ref) for g in got)
-    assert err <= 1e-6 * max(1.0, float(np.max(np.abs(ref))))
-
-
-def test_general_eigenvalues_rejects_nonfinite_and_nonconvergence(monkeypatch):
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="not finite"):
-            general_eigenvalues([[1.0, bad], [0.0, 1.0]])
-    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]  # its eigenvalues all have modulus 1
-    assert np.max(np.abs(np.array(general_eigenvalues(cycle)) - _sorted_numpy(cycle))) <= 1e-12
-    monkeypatch.setattr(francis_qr, "QR_MAX_ITERATIONS", 0)  # a 3 x 3 block needs a sweep
-    with pytest.raises(ValueError, match="did not converge"):
-        general_eigenvalues(cycle)

@@ -23,7 +23,6 @@ from coxlat.qdeform import (
     q_spectrum,
 )
 from coxlat.rootsys import RootSystemId, cartan_matrix
-from francis_qr import general_eigenvalues
 
 Q_GRID = (0.25, 0.5, 2.0, 4.0)
 SYSTEMS = [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "E6", "E7", "E8"]
@@ -226,9 +225,3 @@ def test_q_eigenvector_rejects_garbage():
     D = _D("A4")
     with pytest.raises(ValueError):
         q_eigenvector(np.array([1.0, 0.0, 0.0, 0.0]), D, 2.0)
-
-
-def test_general_eigenvalues_deterministic_order():
-    M = np.array([[0.0, -1.0], [1.0, 0.0]])
-    got = general_eigenvalues(M)
-    assert np.allclose(got, [-1j, 1j])

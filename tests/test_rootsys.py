@@ -182,6 +182,37 @@ def test_coxeter_polynomial_is_the_exponent_product(rid):
     assert _exponent_product(*exponents(rid)) == char_poly(bipartite_coxeter(cartan_matrix(rid)))
 
 
+def _cartan_and_coxeter_sides(A, C) -> tuple:
+    """w^n·χ_A(2 - w - 1/w) and (-1)^n·χ_C(w²) in Z[w], lowest degree first."""
+    chi_a, chi_c = char_poly(A), char_poly(C)
+    n = len(chi_a) - 1
+    cartan, power = [0] * (2 * n + 1), [1]
+    for k in range(n, -1, -1):  # c_k·(2 - w - 1/w)^(n-k)·w^n = c_k·(-(w - 1)²)^(n-k)·w^k
+        for i, a in enumerate(power):
+            cartan[k + i] += chi_a[k] * a
+        power = _poly_mul(power, [-1, 2, -1])
+    coxeter = [0] * (2 * n + 1)
+    for k, d in enumerate(chi_c):
+        coxeter[2 * (n - k)] = (-1) ** n * d
+    return cartan, coxeter
+
+
+@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
+def test_cartan_polynomial_is_the_coxeter_polynomial_at_w_squared(rid):
+    # with the exponent product above and k <-> h - k on Exp, the eigenvalues
+    # of A are exactly 2 - 2cos(k*pi/h) over Exp (Kostant 1959)
+    A = cartan_matrix(rid)
+    cartan, coxeter = _cartan_and_coxeter_sides(A, bipartite_coxeter(A))
+    assert cartan == coxeter
+
+
+def test_cartan_coxeter_identity_fails_on_a_mismatched_pair():
+    A = cartan_matrix(RootSystemId.parse("E8"))
+    C = bipartite_coxeter(cartan_matrix(RootSystemId.parse("A8")))
+    cartan, coxeter = _cartan_and_coxeter_sides(A, C)
+    assert cartan != coxeter
+
+
 @pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
 def test_exponents_match_cartan_spectrum(rid):
     # lambda_k = 4 sin^2(k*pi/2h) over the exponents, against numpy's eigvalsh
