@@ -15,6 +15,7 @@ reports give each identity's exact deviation (0 means it holds);
 from __future__ import annotations
 
 from coxlat.gabrielov import (
+    JOINS,
     TREE_RELABELING,
     conjugation_report,
     e6_factorization,
@@ -53,12 +54,14 @@ _, deviations6 = e6_factorization()
 print("\nE6 factorization deviations:", list(deviations6.values()))
 
 # conjugating words between the bipartite and factorized Coxeter elements
-rep8 = conjugation_report("E8")
-print(f"\nE8 conjugator {rep8['word']}: deviations {rep8['deviations']}")
-rep6 = conjugation_report("E6")
-print(f"E6 conjugator {rep6['word']}: deviations {rep6['deviations']}")
-if rep6["repaired_word"] is not None:
-    print(f"  repaired by its pinned word: {rep6['repaired_word']}")
+# (a second deviation is the join's pinned repair word, tried where the
+# written word fails)
+print()
+for target, j in JOINS.items():
+    devs = conjugation_report(target)
+    print(f"{target} conjugator {list(j.conjugator_word)}: deviations {devs}")
+    if len(devs) > 1:
+        print(f"  repaired by its pinned word: {list(j.repair_word)}")
 
 # the 240 tensor root triples map onto the 60 roots seen by the basis change
 count, all_norm_2 = root_image_count()

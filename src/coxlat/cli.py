@@ -69,25 +69,12 @@ GOLDEN_TOL = 1e-12
 REPAIR_MAX_LEN = 12
 
 
-def _report(deviation: float, tol: Optional[float], default: float, details: str,
-            ok: bool = True) -> dict:
-    """A check record without its name (run_verification puts it first),
-    graded against tol, or against the check's default when tol is None."""
-    tolerance = default if tol is None else tol
-    return {
-        "status": "pass" if ok and deviation <= tolerance else "fail",
-        "deviation": deviation,
-        "tolerance": tolerance,
-        "details": details,
-    }
-
-
 def _worst(deviations) -> float:
     """Largest deviation; a NaN at any position makes the result NaN (which fails)."""
     return float(max(deviations, key=lambda d: (math.isnan(d), d)))
 
 
-def _verify_steinberg(tol: Optional[float]) -> dict:
+def _verify_steinberg() -> tuple:
     from . import lattice, rootsys
     from .intmat import add, deviation, iidentity, matmul
     from .rootsys import CATALOG_IDS
@@ -103,40 +90,32 @@ def _verify_steinberg(tol: Optional[float]) -> dict:
             deviation(matmul(C_B, C_B), I),
             deviation(matmul(C_W, C_W), I),
         )
-    return _report(
-        float(dev),
-        tol, EXACT_TOL,
-        f"C_B + C_W = 2I - A over {len(CATALOG_IDS)} systems (exact)",
-    )
+    return float(dev), EXACT_TOL, f"C_B + C_W = 2I - A over {len(CATALOG_IDS)} systems (exact)"
 
 
-def _verify_factorization(target: str, tol: Optional[float]) -> dict:
+def _verify_factorization(target: str) -> tuple:
     """The e8- or e6-factorization record; target is "E8" or "E6"."""
     from . import gabrielov, rootsys
 
     factorization = {"E8": gabrielov.e8_factorization, "E6": gabrielov.e6_factorization}
     _, deviations = factorization[target]()
-    crep = gabrielov.conjugation_report(target)
-    shown = {**deviations, **crep["deviations"]}
-    parts = [f"{label}: {'pass' if dev == 0 else 'fail'}" for label, dev in shown.items()]
+    conjugation = gabrielov.conjugation_report(target)
+    parts = [f"{label}: {'pass' if dev == 0 else 'fail'}"
+             for label, dev in {**deviations, **conjugation}.items()]
     # the conjugator identity graded is the one listed last: the reference
     # word as written, or the join's pinned repair word when that fails
-    *_, conj_dev = crep["deviations"].values()
-    word = crep["repaired_word"]
+    *_, conj_dev = conjugation.values()
+    j = gabrielov.JOINS[target]
+    word = list(j.repair_word) if len(conjugation) > 1 else None
     if word is not None:
         parts.append(f"reference conjugator failed as written; repaired word {word}")
     # Sebastiani–Thom: the exponents of the factors add up to those of the target
-    j = gabrielov.JOINS[target]
-    return _report(
-        float(max(*deviations.values(), conj_dev)),
-        tol, EXACT_TOL,
-        "; ".join(parts),
-        ok=((word is None or len(word) <= REPAIR_MAX_LEN)
-            and rootsys.exponents(*j.factors) == rootsys.exponents(j.target)),
-    )
+    return (float(max(*deviations.values(), conj_dev)), EXACT_TOL, "; ".join(parts),
+            word is None or len(word) <= REPAIR_MAX_LEN,
+            rootsys.exponents(*j.factors) == rootsys.exponents(j.target))
 
 
-def _verify_gamma_alpha(tol: Optional[float]) -> dict:
+def _verify_gamma_alpha() -> tuple:
     from . import gabrielov
     from .intmat import deviation, iidentity
 
@@ -144,23 +123,17 @@ def _verify_gamma_alpha(tol: Optional[float]) -> dict:
     start = gabrielov.BasedLattice(A_star, iidentity(len(A_star)))
     left = gabrielov.apply_word(start, gabrielov.GAMMA_SQUARE_WORD)
     right = gabrielov.apply_word(start, gabrielov.ALPHA1_SIX_WORD)
-    return _report(
-        float(deviation(left.basis, right.basis)),
-        tol, EXACT_TOL,
-        f"gamma2·gamma1 = alpha1^6 from the standard rank-{len(A_star)} basis (exact)",
-    )
+    return (float(deviation(left.basis, right.basis)), EXACT_TOL,
+            f"gamma2·gamma1 = alpha1^6 from the standard rank-{len(A_star)} basis (exact)")
 
 
-def _verify_root_image(tol: Optional[float]) -> dict:
+def _verify_root_image() -> tuple:
     from . import gabrielov
 
     count, all_norm_2 = gabrielov.root_image_count()
-    return _report(
-        float(abs(count - 60)),
-        tol, EXACT_TOL,
-        f"240 root triples -> {count} distinct images, all norm 2: {all_norm_2}",
-        ok=(count == 60 and all_norm_2),
-    )
+    return (float(abs(count - 60)), EXACT_TOL,
+            f"240 root triples -> {count} distinct images, all norm 2: {all_norm_2}",
+            count == 60, all_norm_2)
 
 
 def _cartan_law(k: int, h: int) -> float:
@@ -168,7 +141,7 @@ def _cartan_law(k: int, h: int) -> float:
     return 4 * math.sin(k * math.pi / (2 * h)) ** 2
 
 
-def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
+def _verify_eigvecs(system: str, a_range: int) -> tuple:
     """The closed-form eigenvectors of system ("E8" or "E6"), a in 1..a_range."""
     from . import rootsys, spectral
 
@@ -186,15 +159,12 @@ def _verify_eigvecs(system: str, a_range: int, tol: Optional[float]) -> dict:
     worst = _worst(residuals)
     target = [_cartan_law(k, h) for k in exps]
     spec_dev = _worst([abs(l - t) for l, t in zip(sorted(lams), target)])
-    return _report(
-        _worst([worst, spec_dev]),
-        tol, spectral.IDENTITY_TOL,
-        f"{len(lams)} closed-form vectors, worst residual {worst:.3e}, "
-        f"eigenvalue-set deviation {spec_dev:.3e}",
-    )
+    return (_worst([worst, spec_dev]), spectral.IDENTITY_TOL,
+            f"{len(lams)} closed-form vectors, worst residual {worst:.3e}, "
+            f"eigenvalue-set deviation {spec_dev:.3e}")
 
 
-def _verify_pf(tol: Optional[float]) -> dict:
+def _verify_pf() -> tuple:
     from . import rootsys, spectral
     from .rootsys import RootSystemId
 
@@ -210,15 +180,11 @@ def _verify_pf(tol: Optional[float]) -> dict:
     # the closed form in vertex order is the PF eigenvector, for exponent 1
     h, _ = rootsys.exponents(rid)
     pf_residual = spectral.residual(A, spectral.pf_closed_form(), _cartan_law(1, h))
-    ok = (rounded == (1.0, 1.62, 1.99, 2.40, 2.96, 3.22, 3.89, 4.78) and golden_err <= GOLDEN_TOL
-          and pf_residual <= spectral.IDENTITY_TOL)
-    return _report(
-        _worst([dev_sorted, dev_closed]),
-        tol, spectral.IDENTITY_TOL,
-        f"sorted-vector deviation {dev_sorted:.3e}, closed-form deviation "
-        f"{dev_closed:.3e}, rounds to {rounded}, golden-ratio error {golden_err:.3e}",
-        ok=ok,
-    )
+    return (_worst([dev_sorted, dev_closed]), spectral.IDENTITY_TOL,
+            f"sorted-vector deviation {dev_sorted:.3e}, closed-form deviation "
+            f"{dev_closed:.3e}, rounds to {rounded}, golden-ratio error {golden_err:.3e}",
+            rounded == (1.0, 1.62, 1.99, 2.40, 2.96, 3.22, 3.89, 4.78),
+            golden_err <= GOLDEN_TOL, pf_residual <= spectral.IDENTITY_TOL)
 
 
 @cache
@@ -236,28 +202,22 @@ def _q_grid_worst(measure: Callable) -> float:
     return _worst([measure(D, q) for D in _q_records().values() for q in Q_GRID])
 
 
-def _verify_q_spectrum(tol: Optional[float]) -> dict:
+def _verify_q_spectrum() -> tuple:
     from . import qdeform
 
-    return _report(
-        _q_grid_worst(qdeform.q_spectrum),
-        tol, EXACT_TOL,
-        f"multiset law over {len(Q_SYSTEMS)} systems x q in {Q_GRID}",
-    )
+    return (_q_grid_worst(qdeform.q_spectrum), EXACT_TOL,
+            f"multiset law over {len(Q_SYSTEMS)} systems x q in {Q_GRID}")
 
 
-def _verify_q_certificate(tol: Optional[float]) -> dict:
+def _verify_q_certificate() -> tuple:
     from . import qdeform
 
     worst = _q_grid_worst(qdeform.conjugation_certificate)
     e8_exp = _q_records()["E8"].exponent_vector
-    return _report(
-        worst,
-        tol, EXACT_TOL,
-        f"diagonal conjugation over {len(Q_SYSTEMS)} systems x q in {Q_GRID}; "
-        f"E8 exponent vector {list(e8_exp)}",
-        ok=e8_exp == (0, 1, 1, 2, 3, 4, 5, 6),
-    )
+    return (worst, EXACT_TOL,
+            f"diagonal conjugation over {len(Q_SYSTEMS)} systems x q in {Q_GRID}; "
+            f"E8 exponent vector {list(e8_exp)}",
+            e8_exp == (0, 1, 1, 2, 3, 4, 5, 6))
 
 
 def _entry_deviation(X: dict, Y: dict) -> float:
@@ -270,7 +230,7 @@ def _entry_deviation(X: dict, Y: dict) -> float:
     return _worst([abs(X.get(key, 0.0) - Y.get(key, 0.0)) for key in X.keys() | Y.keys()])
 
 
-def _verify_ising(tol: Optional[float]) -> dict:
+def _verify_ising() -> tuple:
     from . import ising
 
     deviations = []
@@ -294,18 +254,16 @@ def _verify_ising(tol: Optional[float]) -> dict:
     diagonal = sorted(Hc.get((s, s), 0.0) for s in range(1 << classical.N))
     deviations.append(
         _worst([abs(d - e) for d, e in zip(diagonal, ising.classical_energies(classical))]))
-    return _report(
-        _worst(deviations),
-        tol, EXACT_TOL,
-        f"H symmetric, [H,T] = 0, classical diagonal matches brute force "
-        f"({len(cases)} parameter sets, exact)",
-    )
+    return (_worst(deviations), EXACT_TOL,
+            f"H symmetric, [H,T] = 0, classical diagonal matches brute force "
+            f"({len(cases)} parameter sets, exact)")
 
 
-# name -> check(tol), in run order.  A check imports the modules it runs
-# when it runs, and none loads numpy; it grades its deviation against tol, or
-# its own default tolerance when tol is None, and its other conditions ignore tol.
-_CHECKS: Dict[str, Callable[[Optional[float]], dict]] = {
+# name -> check, in run order.  A check imports the modules it runs when it
+# runs, and none loads numpy.  It grades nothing: it returns what it measured,
+# (deviation, default tolerance, details, *conditions), and run_verification
+# grades that.
+_CHECKS: Dict[str, Callable[[], tuple]] = {
     "steinberg": _verify_steinberg,
     "e8-factorization": partial(_verify_factorization, "E8"),
     "e6-factorization": partial(_verify_factorization, "E6"),
@@ -322,9 +280,11 @@ VERIFY_NAMES = (*_CHECKS, "all")
 
 
 def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
-    """Run one named verification (or all of them, in fixed order).
+    """Run one named verification (or all of them, in fixed order) and grade it.
 
-    ``tol`` replaces each check's default tolerance.
+    A record passes when every condition of its check holds and its
+    deviation is at most its tolerance (so a NaN deviation fails): ``tol``
+    when given, else the check's default.  ``tol`` moves no other condition.
     """
     if tol is not None and not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tolerance must be finite and non-negative")
@@ -332,7 +292,14 @@ def run_verification(name: str, tol: Optional[float] = None) -> List[dict]:
         tol += 0.0  # -0.0 + 0.0 is +0.0, so a zero tolerance prints without a sign
     if name not in VERIFY_NAMES:
         raise ValueError(f"unknown verification {name!r}")
-    return [{"name": n, **_CHECKS[n](tol)} for n in (_CHECKS if name == "all" else [name])]
+    reports = []
+    for n in _CHECKS if name == "all" else [name]:
+        deviation, default, details, *conditions = _CHECKS[n]()
+        tolerance = default if tol is None else tol
+        status = "pass" if all(conditions) and deviation <= tolerance else "fail"
+        reports.append({"name": n, "status": status, "deviation": deviation,
+                        "tolerance": tolerance, "details": details})
+    return reports
 
 
 def _print_reports(reports: List[dict], as_json: bool) -> None:

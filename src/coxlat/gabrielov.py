@@ -328,30 +328,21 @@ def e6_factorization():
     return _factorization(JOINS["E6"])
 
 
-def conjugation_report(target: str) -> dict:
-    """Deviation of the reference conjugator of JOINS[target], and of its repair.
-
-    "word" is the reference word x as written and "deviations" starts with
-    the exact deviation of x⁻¹·C_BW·x = C_G.  When that fails and the join
-    pins a repair_word w, the report also carries w ("repaired_word", None
-    otherwise) and w's exact deviation, listed last.
-    """
+def conjugation_report(target: str) -> Dict[str, int]:
+    """Exact deviation of x⁻¹·C_BW·x = C_G, keyed by identity, for the
+    reference conjugator x of JOINS[target].  When x fails as written and
+    the join pins a repair_word w, w's deviation follows, listed last."""
     j = JOINS[target]
     C_bw = bipartite_coxeter(cartan_matrix(j.target))
     C_g = weyl_apply(j.target, j.cg_word)
     x = weyl_apply(j.target, j.conjugator_word)
     dev = deviation(matmul(C_bw, x), matmul(x, C_g))
     deviations = {f"{j.conjugator_name}^{{-1}} C_BW {j.conjugator_name} = C_G": dev}
-    repaired = list(j.repair_word) if dev and j.repair_word is not None else None
-    if repaired is not None:
-        w = weyl_apply(j.target, repaired)
-        label = f"repaired w^{{-1}} C_BW w = C_G (word {repaired})"
+    if dev and j.repair_word is not None:
+        w = weyl_apply(j.target, j.repair_word)
+        label = f"repaired w^{{-1}} C_BW w = C_G (word {list(j.repair_word)})"
         deviations[label] = deviation(matmul(C_bw, w), matmul(w, C_g))
-    return {
-        "word": list(j.conjugator_word),
-        "deviations": deviations,
-        "repaired_word": repaired,
-    }
+    return deviations
 
 
 def _contract_roots(rows: Sequence[Tuple[int, ...]], n: int) -> List[Tuple[Tuple[int, ...], ...]]:

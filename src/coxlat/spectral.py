@@ -130,8 +130,11 @@ def jacobi_eigh(A) -> Tuple[Tuple[float, ...], Tuple[Tuple[float, ...], ...]]:
 
 
 def normalize_eigvec(v) -> tuple:
-    """Scale so the largest-modulus coordinate equals +1."""
+    """Scale so the largest-modulus coordinate equals +1.  A NaN or infinite
+    coordinate raises ValueError, as jacobi_eigh does."""
     v = tuple(v)
+    if not all(map(cmath.isfinite, v)):
+        raise ValueError("v must be finite")
     j = max(range(len(v)), key=lambda i: abs(v[i]))
     if v[j] == 0:
         raise ValueError("zero vector")

@@ -393,6 +393,9 @@ def test_nan_deviation_fails_the_check(monkeypatch, capsys, name, module, attr, 
     [report] = run_verification(name)
     assert report["status"] == "fail"
     assert math.isnan(report["deviation"])
+    # no tolerance admits a NaN, however large
+    [loose] = run_verification(name, tol=1e300)
+    assert loose["status"] == "fail" and loose["tolerance"] == 1e300
     # strict JSON has no NaN: the failed record prints with a null deviation
     capsys.readouterr()
     assert main(["verify", name, "--json"]) == 1
@@ -558,6 +561,9 @@ def test_join_exponent_arithmetic_is_graded(monkeypatch):
     [e6] = run_verification("e6-factorization")
     assert (e8["status"], e8["deviation"]) == ("fail", 0)
     assert e6["status"] == "pass"
+    # a failed condition ignores the tolerance, however large
+    [loose] = run_verification("e8-factorization", tol=1e300)
+    assert (loose["status"], loose["tolerance"]) == ("fail", 1e300)
 
 
 def test_e8_weight_row_is_graded(monkeypatch):

@@ -21,12 +21,7 @@ from coxlat.qdeform import deform, evaluate, q_eigenvalue, q_spectrum
 from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents
 from coxlat.spectral import jacobi_eigh
 
-Q_GRID = (0.25, 0.5, 2.0, 4.0)
-# non-symmetric tree Cartan matrices, outside the ADE catalog
-NONSYMMETRIC = {
-    "G2": [[2, -1], [-3, 2]],
-    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
-}
+from test_qdeform import NONSYMMETRIC, Q_GRID  # the q-law tests' grid and G2/B3
 
 
 def _check_eigh(A, tol=1e-13):

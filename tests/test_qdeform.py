@@ -24,6 +24,7 @@ from coxlat.qdeform import (
 )
 from coxlat.rootsys import RootSystemId, cartan_matrix
 
+# the q grid and NONSYMMETRIC below also serve the q-law tests in test_kernels
 Q_GRID = (0.25, 0.5, 2.0, 4.0)
 SYSTEMS = [f"A{n}" for n in range(1, 9)] + ["D4", "D5", "E6", "E7", "E8"]
 # non-symmetric tree Cartan matrices, outside the ADE catalog

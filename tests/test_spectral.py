@@ -50,6 +50,18 @@ def test_normalize_eigvec_sets_largest_component_to_one():
     assert projective_distance(v, np.array([1.0, -3.0, 2.0])) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "v",
+    [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0], [1.0, -math.inf],
+     [1.0, complex(0, math.nan)]],
+    ids=["nan-first", "nan-last", "inf", "-inf", "complex-nan"],
+)
+def test_normalize_eigvec_refuses_nonfinite_entries(v):
+    # a NaN compares false, so the largest-modulus pick would skip or keep it
+    with pytest.raises(ValueError, match="finite"):
+        normalize_eigvec(v)
+
+
 def test_cartan_spectrum_labels():
     pairs = cartan_spectrum(RootSystemId.parse("E8"))
     assert [p.k for p in pairs] == [1, 7, 11, 13, 17, 19, 23, 29]
