@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import accumulate
-from operator import add, mul, sub
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intmat import (IMatrix, as_imatrix, det_exact, deviation, frac_inverse, iidentity,
                      kron, matmul, transpose)
-from .lattice import bipartite_coxeter, coxeter, join, standard_polarization
+from .lattice import PolarizedLattice, bipartite_coxeter, coxeter, join, standard_polarization
 from .rootsys import RootSystemId, cartan_matrix
 
 __all__ = [
@@ -277,9 +276,17 @@ def weyl_apply(rid: RootSystemId, word: Sequence[int]) -> IMatrix:
     return transpose(Mt)
 
 
+def _polarizations(ids: Sequence[RootSystemId]) -> List[PolarizedLattice]:
+    """The standard polarizations of a join's factors; a join needs at least one."""
+    factors = [standard_polarization(cartan_matrix(rid)) for rid in ids]
+    if not factors:
+        raise ValueError("need at least one root system id")
+    return factors
+
+
 def join_cartan(ids: Sequence[RootSystemId]) -> IMatrix:
     """Gram matrix of the join of standard polarizations (tensor basis)."""
-    return reduce(join, [standard_polarization(cartan_matrix(rid)) for rid in ids]).A
+    return reduce(join, _polarizations(ids)).A
 
 
 def join_coxeter(ids: Sequence[RootSystemId]) -> IMatrix:
@@ -289,7 +296,7 @@ def join_coxeter(ids: Sequence[RootSystemId]) -> IMatrix:
     -Ci, so the join's element is (-1)^(m+1)·C1 ⊗ ... ⊗ Cm: -C1 ⊗ C2 for
     two factors, C1 ⊗ C2 ⊗ C3 for three.
     """
-    mats = [coxeter(standard_polarization(cartan_matrix(rid))) for rid in ids]
+    mats = [coxeter(P) for P in _polarizations(ids)]
     C = reduce(kron, mats)
     return C if len(mats) % 2 else tuple(tuple(-v for v in row) for row in C)
 
@@ -345,22 +352,11 @@ def conjugation_report(target: str) -> Dict[str, int]:
     return deviations
 
 
-def _contract_roots(rows: Sequence[Tuple[int, ...]], n: int) -> List[Tuple[Tuple[int, ...], ...]]:
-    """Contract the last tensor axis of rows, a factor A_n, with each root of A_n.
-
-    rows are vectors in tensor order (last axis fastest), so each run U of
-    n consecutive rows is one fiber of that axis.  The roots of A_n are
-    e_i - e_j (0 <= i != j <= n), which in simple-root coordinates is
-    α_{i+1} + ... + α_j, negated when i > j.  With the prefix sums
-    P_m = U_1 + ... + U_m, its contraction is P_j - P_i.
-    """
-    zero = (0,) * len(rows[0])
-    points = [
-        list(accumulate(rows[s:s + n], lambda p, u: tuple(map(add, p, u)), initial=zero))
-        for s in range(0, len(rows), n)
-    ]
+def _an_roots(n: int) -> List[Tuple[int, ...]]:
+    """The roots e_i - e_j (0 <= i != j <= n) of A_n in simple-root coordinates:
+    α_{i+1} + ... + α_j, negated when i > j."""
     return [
-        tuple(tuple(map(sub, P[j], P[i])) for P in points)
+        tuple((i < k <= j) - (j < k <= i) for k in range(1, n + 1))
         for i in range(n + 1)
         for j in range(n + 1)
         if i != j
@@ -373,18 +369,13 @@ def root_image_count() -> Tuple[int, bool]:
     Each of the 240 triples (x, y, z) maps to G⁻¹·(x ⊗ y ⊗ z); returns
     the number of distinct images and whether all have squared norm 2
     under A(E8).  (General vectors don't survive the join this way; the
-    240 root triples land on exactly 60 E8 roots.)  The map is contracted
-    one tensor factor at a time, last factor first, so no x ⊗ y ⊗ z is
-    formed; everything is exact.
+    240 root triples land on exactly 60 E8 roots.)  The rows x ⊗ y ⊗ z are
+    the Kronecker product of the factors' root lists, in the join's tensor
+    order, and the images are exact.
     """
     G, _ = e8_factorization()
     j = JOINS["E8"]
-    first, *rest = (rid.rank for rid in j.factors)
-    # row f is G⁻¹·e_f, the image of tensor basis vector f
-    partial = [transpose(frac_inverse(G))]
-    for n in reversed(rest):  # the later factors, last first
-        partial = [c for rows in partial for c in _contract_roots(rows, n)]
-    # contracting the first factor leaves one row: the image itself
-    images = {v for rows in partial for (v,) in _contract_roots(rows, first)}
+    triples = reduce(kron, [_an_roots(rid.rank) for rid in j.factors])
+    images = set(transpose(matmul(frac_inverse(G), transpose(triples))))
     A = cartan_matrix(j.target)
     return len(images), all(_pairing(A, v, v) == 2 for v in images)

@@ -45,11 +45,6 @@ __all__ = [
     "q_spectrum",
 ]
 
-# q_spectrum substitutes q = 2^LAW_BASE_BITS, so it proves the law for records
-# whose coefficient bound (see _law_deviation) is below 2^(LAW_BASE_BITS - 1)
-LAW_BASE_BITS = 32
-
-
 class QDeformedCartan(NamedTuple):
     """Unit-triangular split A = L + U (exact) with the tree exponent vector;
     evaluate(D, 1.0) is A in floats."""
@@ -174,19 +169,17 @@ def _law_deviation(D: QDeformedCartan) -> int:
     coefficient g_k(q) of z^k in G (q = t²) is the one monomial e_k q^{(n-k)/2},
     and 0 when n - k is odd.
 
-    g_k comes from one intmat.char_poly of B·L₀ + U₀, B = 2^LAW_BASE_BITS, as
-    the balanced base-B digits of g_k(B) (intmat.balanced_digits).  The digits
-    are the coefficients of g_k when every coefficient is below B/2 in
-    absolute value.  Expanding the determinant over permutations bounds them
-    all by Π_i (1 + Σ_j (|l₀_ij| + |u₀_ij|)); a record whose bound reaches B/2
-    raises ValueError.
+    g_k comes from one intmat.char_poly of B·L₀ + U₀, B = 2^b, as the balanced
+    base-B digits of g_k(B) (intmat.balanced_digits).  The digits are the
+    coefficients of g_k when every coefficient is below B/2 in absolute value.
+    Expanding the determinant over permutations bounds them all by
+    Π_i (1 + Σ_j (|l₀_ij| + |u₀_ij|)), and b is one bit above that bound, so
+    every record is proved.
     """
     L0 = tuple(tuple(l - (i == j) for j, l in enumerate(row)) for i, row in enumerate(D.L))
     U0 = tuple(tuple(u - (i == j) for j, u in enumerate(row)) for i, row in enumerate(D.U))
-    bits = LAW_BASE_BITS
     bound = math.prod(1 + sum(map(abs, rl)) + sum(map(abs, ru)) for rl, ru in zip(L0, U0))
-    if bound >= 1 << (bits - 1):
-        raise ValueError(f"the law's coefficient bound {bound} reaches 2^{bits - 1}")
+    bits = bound.bit_length() + 1
     M = tuple(tuple((l << bits) + u for l, u in zip(rl, ru)) for rl, ru in zip(L0, U0))
     dev = 0
     for j, c in enumerate(char_poly(M)):  # c = g_{n-j}(B), of degree <= j in q

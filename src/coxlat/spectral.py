@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
 from itertools import combinations
 from operator import index
 from typing import List, NamedTuple, Tuple
@@ -64,10 +65,10 @@ class Eigenpair(NamedTuple):
 
 
 def max_abs(values) -> float:
-    """max |x| over real or complex values: NaN if any term is (Python's max drops
-    a NaN after the first place), and inf, not OverflowError, past the float range."""
+    """max |x| over real or complex values, 0.0 over none: NaN if any term is (Python's
+    max drops a NaN after the first place), and inf, not OverflowError, past the float range."""
     moduli = [math.hypot(x.real, x.imag) for x in values]
-    return math.nan if any(map(math.isnan, moduli)) else max(moduli)
+    return math.nan if any(map(math.isnan, moduli)) else max(moduli, default=0.0)
 
 
 def _matvec(A, v) -> tuple:
@@ -130,14 +131,14 @@ def jacobi_eigh(A) -> Tuple[Tuple[float, ...], Tuple[Tuple[float, ...], ...]]:
 
 
 def normalize_eigvec(v) -> tuple:
-    """Scale so the largest-modulus coordinate equals +1.  A NaN or infinite
-    coordinate raises ValueError, as jacobi_eigh does."""
+    """Scale so the largest-modulus coordinate equals +1.  A zero or empty v raises
+    ValueError, and so does a NaN or infinite coordinate, as in jacobi_eigh."""
     v = tuple(v)
     if not all(map(cmath.isfinite, v)):
         raise ValueError("v must be finite")
-    j = max(range(len(v)), key=lambda i: abs(v[i]))
-    if v[j] == 0:
+    if not any(v):
         raise ValueError("zero vector")
+    j = max(range(len(v)), key=lambda i: abs(v[i]))
     return tuple(x / v[j] for x in v)
 
 
@@ -269,21 +270,16 @@ def factorized_coxeter_eigenvector(k4: int, k2: int) -> tuple:
     computes.
     """
     from . import gabrielov
-    from .intmat import frac_inverse
+    from .intmat import frac_inverse, kron
 
     j = gabrielov.JOINS["E8"]
     n4, n2, n1 = (rid.rank for rid in j.factors)
     k4, k2 = index(k4), index(k2)  # ints; a float raises TypeError
     if not (1 <= k4 <= n4 and 1 <= k2 <= n2):
         raise ValueError(f"need 1 <= k4 <= {n4} and 1 <= k2 <= {n2}")
-    theta = k4 * math.pi / (n4 + 1)
-    gam = k2 * math.pi / (n2 + 1)
-    x_star = tuple(
-        a * b * c
-        for a in an_coxeter_eigenvector(n4, theta)
-        for b in an_coxeter_eigenvector(n2, gam)
-        for c in an_coxeter_eigenvector(n1, 0.0)
-    )
+    angles = (k4 * math.pi / (n4 + 1), k2 * math.pi / (n2 + 1), 0.0)
+    # each factor's eigenvector as a one-row matrix: their Kronecker product is x_*
+    [x_star] = reduce(kron, [(an_coxeter_eigenvector(n, t),) for n, t in zip((n4, n2, n1), angles)])
     w = gabrielov.weyl_apply(j.target, j.conjugator_word)
     return _matvec(w, _matvec(frac_inverse(j.change_of_basis), x_star))
 

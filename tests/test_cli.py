@@ -615,7 +615,7 @@ _PLANTED_DEFECTS = [
          word=gabrielov.JOINS["E8"].word[:-1])),
      {"e8-factorization", "root-image"}),
     ("a-n-root-dropped",
-     _patch(gabrielov, "_contract_roots", lambda real: lambda rows, n: real(rows, n)[:-1]),
+     _patch(gabrielov, "_an_roots", lambda real: lambda n: real(n)[:-1]),
      {"root-image"}),
     ("e8-eigenvector-entry",
      _patch(spectral, "e8_eigenvector", lambda real: lambda a, b: _bump_first(real(a, b))),

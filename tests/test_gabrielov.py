@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from functools import reduce
 
@@ -34,6 +35,8 @@ from coxlat import gabrielov
 from coxlat.intmat import as_imatrix, det_exact, frac_inverse, iidentity, matmul, matrix_order, transpose
 from coxlat.lattice import bipartite_coxeter, coxeter, join, standard_polarization
 from coxlat.rootsys import RootSystemId, cartan_matrix, dynkin_edges
+
+from test_intmat import _gauss_jordan_inverse  # frac_inverse's oracle
 
 A_STAR = join_cartan([RootSystemId("A", 4), RootSystemId("A", 2), RootSystemId("A", 1)])
 
@@ -89,15 +92,20 @@ def test_cyclic_indexing():
     assert alpha(b, 9).basis == alpha(b, 1).basis
 
 
+# a rank-0 basis has no row to move, and a join of no systems has no factor
 @pytest.mark.parametrize(
-    "move",
-    [lambda b: alpha(b, 1), lambda b: beta(b, 1), lambda b: gamma(b, 1),
-     lambda b: inverse_move(("alpha", 1), b.rank)],
-    ids=["alpha", "beta", "gamma", "inverse_move"],
+    "call, message",
+    [(lambda: alpha(BasedLattice((), ()), 1), "rank-0 basis"),
+     (lambda: beta(BasedLattice((), ()), 1), "rank-0 basis"),
+     (lambda: gamma(BasedLattice((), ()), 1), "rank-0 basis"),
+     (lambda: inverse_move(("alpha", 1), 0), "rank-0 basis"),
+     (lambda: join_cartan(()), "need at least one root system id"),
+     (lambda: join_coxeter(()), "need at least one root system id")],
+    ids=["alpha", "beta", "gamma", "inverse_move", "join_cartan", "join_coxeter"],
 )
-def test_moves_on_a_rank_0_basis_raise_value_error(move):
-    with pytest.raises(ValueError, match="rank-0 basis"):
-        move(BasedLattice((), ()))
+def test_moves_on_a_rank_0_basis_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 _moves = st.tuples(
@@ -314,6 +322,40 @@ def test_repair_words_are_the_shortlex_first_conjugators():
 
 def test_root_image_count():
     assert root_image_count() == (60, True)
+
+
+def _root_images_by_loop(G):
+    """root_image_count for a change of basis G, one triple at a time: the roots
+    ±(α_{i+1} + ... + α_j) of each factor, x ⊗ y ⊗ z with x varying slowest,
+    and G⁻¹ by Gauss-Jordan."""
+    def roots(n):
+        return [[s * (i <= k < j) for k in range(n)]
+                for i in range(n) for j in range(i + 1, n + 1) for s in (1, -1)]
+
+    Ginv = _gauss_jordan_inverse(G)
+    A = cartan_matrix(RootSystemId("E", 8))
+    images = set()
+    for x in roots(4):
+        for y in roots(2):
+            for z in roots(1):
+                t = [a * b * c for a in x for b in y for c in z]
+                images.add(tuple(sum(g * v for g, v in zip(row, t)) for row in Ginv))
+    norms = {sum(A[i][k] * v[i] * v[k] for i in range(8) for k in range(8)) for v in images}
+    return len(images), norms == {2}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_root_image_count_matches_a_plain_loop(monkeypatch, seed):
+    # seed 0 is G itself; the others shear it by a seeded unimodular matrix
+    G, deviations = e8_factorization()
+    rng = random.Random(seed)
+    S = [list(row) for row in iidentity(8)]
+    for _ in range(4 * seed):
+        (i, j), c = rng.sample(range(8), 2), rng.randint(-3, 3)
+        S[i] = [a + c * b for a, b in zip(S[i], S[j])]
+    sheared = matmul(G, as_imatrix(S))
+    monkeypatch.setattr(gabrielov, "e8_factorization", lambda: (sheared, deviations))
+    assert root_image_count() == _root_images_by_loop(sheared)
 
 
 def test_root_image_count_is_exact_past_int64(monkeypatch):

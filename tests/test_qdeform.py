@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from coxlat import qdeform, spectral
+from coxlat import spectral
 from coxlat.intmat import as_imatrix
 from coxlat.qdeform import (
     QDeformedCartan,
@@ -181,15 +181,16 @@ def test_certificate_fails_on_a_changed_diagonal():
     assert q_spectrum(bad, 2.0) >= 1.0
 
 
-def test_law_refuses_records_past_its_coefficient_bound():
-    # the bound of [[2, -b], [-1, 2]] is (1 + b)·2, and the Kronecker base
-    # 2^LAW_BASE_BITS decodes coefficients below half of it
-    half = 1 << (qdeform.LAW_BASE_BITS - 1)
-    inside = deform(as_imatrix([[2, -(half // 2 - 2)], [-1, 2]]))
-    assert q_spectrum(inside, 2.0) == 0.0
-    outside = deform(as_imatrix([[2, -(half // 2 - 1)], [-1, 2]]))
-    with pytest.raises(ValueError, match="coefficient bound"):
-        q_spectrum(outside, 2.0)
+@pytest.mark.parametrize("b", [2**30 - 2, 2**30 - 1, 10**30], ids=["2^30-2", "2^30-1", "10^30"])
+def test_law_is_proved_past_a_fixed_digit_width(b):
+    # the coefficient bound of [[2, -b], [-1, 2]] is (1 + b)·2: it is 2^31 - 2
+    # and 2^31 for the first two, which sit on either side of a 32-bit width
+    D = deform(as_imatrix([[2, -b], [-1, 2]]))
+    assert q_spectrum(D, 2.0) == 0.0
+    # one more on a diagonal entry of U adds -z to det(zI - t²L₀ - U₀): an odd
+    # power the law forbids, found at every width
+    bad = D._replace(U=_with_entry(D.U, 0, 0, 1))
+    assert q_spectrum(bad, 2.0) >= 1.0
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

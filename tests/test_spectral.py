@@ -21,6 +21,8 @@ from coxlat.spectral import (
     e8_eigenvector,
     eigenvalue_for_angles,
     factorized_coxeter_eigenvector,
+    jacobi_eigh,
+    max_abs,
     normalize_eigvec,
     perron_frobenius,
     pf_closed_form,
@@ -60,6 +62,19 @@ def test_normalize_eigvec_refuses_nonfinite_entries(v):
     # a NaN compares false, so the largest-modulus pick would skip or keep it
     with pytest.raises(ValueError, match="finite"):
         normalize_eigvec(v)
+
+
+@pytest.mark.parametrize("v", [(), (0.0, 0.0), (0.0, 0j)], ids=["empty", "zero", "complex-zero"])
+def test_normalize_eigvec_refuses_the_zero_vector(v):
+    with pytest.raises(ValueError, match="zero vector"):
+        normalize_eigvec(v)
+
+
+def test_the_empty_vector_has_sup_norm_zero():
+    # so the residual of the 0 x 0 eigenproblem, which jacobi_eigh solves, is 0
+    assert max_abs([]) == 0.0
+    assert jacobi_eigh(()) == ((), ())
+    assert residual((), (), 0.0) == 0.0
 
 
 def test_cartan_spectrum_labels():
