@@ -5,8 +5,9 @@ Closed-form eigenvectors and the Perron-Frobenius vector
 Every E8 Cartan eigenvector is a vector of cosines in two angles
 theta = a*pi/5, gamma = b*pi/3 (plus a fixed pi/2), with eigenvalue
 2 - 2cos(theta + gamma + pi/2).  Phase-dressing by e^{+-i theta/2}
-turns Cartan eigenvectors into bipartite-Coxeter eigenvectors, and the
-top eigenvector reproduces the famous mass vector.
+turns Cartan eigenvectors into bipartite-Coxeter eigenvectors, which the
+joins A4*A2*A1 (E8) and A3*A2*A1 (E6) also build, one angle per factor.
+The top eigenvector reproduces the famous mass vector.
 """
 
 from __future__ import annotations
@@ -57,9 +58,18 @@ print("dressed vector residual vs C_W C_B:",
       f"{residual(C, y, cmath.exp(2j * theta)):.2e}")
 
 # the same eigenvector through the tensor factorization pipeline
-z = factorized_coxeter_eigenvector(4, 2)
+z = factorized_coxeter_eigenvector("E8", (4, 2, 1))
 lam = cmath.exp(2j * (4 * math.pi / 5 + 2 * math.pi / 3 + math.pi / 2))
 print("factorized pipeline residual:", f"{residual(C, z, lam):.2e}")
+
+# the same pipeline through E6 = A3*A2*A1, over all six angle pairs
+C6 = bipartite_coxeter(cartan_matrix(RootSystemId.parse("E6")))
+worst = max(
+    residual(C6, factorized_coxeter_eigenvector("E6", (k3, k2, 1)),
+             cmath.exp(2j * (k3 * math.pi / 4 + k2 * math.pi / 3 + math.pi / 2)))
+    for k3 in (1, 2, 3) for k2 in (1, 2)
+)
+print("E6 factorized pipeline, worst residual:", f"{worst:.2e}")
 
 # Perron-Frobenius vector == the mass vector, smallest mass normalized to 1
 v = np.sort(perron_frobenius(A))

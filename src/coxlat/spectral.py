@@ -257,30 +257,29 @@ def e6_eigenvector(a: int, b: int) -> tuple:
     )
 
 
-def factorized_coxeter_eigenvector(k4: int, k2: int) -> tuple:
-    """Eigenvector of C_BW(E8) built from factor eigenvectors: w·G⁻¹·x_*.
+def factorized_coxeter_eigenvector(target: str, ks) -> tuple:
+    """Eigenvector of C_BW(target) built from factor eigenvectors: w·G⁻¹·x_*.
 
-    x_* = X_{C(A4)}(k4·pi/5) ⊗ X_{C(A2)}(k2·pi/3) ⊗ (1) is an eigenvector
-    of C(A4)⊗C(A2)⊗C(A1) for mu = e^{2i alpha}, alpha = theta+gamma+pi/2;
-    G⁻¹ carries it to the E8 simple-root basis and w conjugates the
-    Gabrielov Coxeter element into the bipartite one.  The factors, G and w
-    are those of gabrielov.JOINS["E8"], imported here so that the rest of
-    this module loads no move engine; G is the reference change of basis,
-    which `verify e8-factorization` proves equal to the one the move word
-    computes.
+    ks holds one k per factor A_n of the join gabrielov.JOINS[target],
+    1 <= k <= n, and that factor's angle is k·pi/(n+1) (DELTA for A1).  x_*,
+    the product of the factors' X_{C(A_n)}(angle), is an eigenvector of the
+    join's Coxeter element for e^{2i·(sum of the angles)}; the join's
+    reference G⁻¹ carries it to simple roots of target, and w (the join's
+    repair word, else its conjugator) turns C_G into C_BW.  gabrielov is
+    imported here, so that the rest of this module loads no move engine.
     """
     from . import gabrielov
     from .intmat import frac_inverse, kron
 
-    j = gabrielov.JOINS["E8"]
-    n4, n2, n1 = (rid.rank for rid in j.factors)
-    k4, k2 = index(k4), index(k2)  # ints; a float raises TypeError
-    if not (1 <= k4 <= n4 and 1 <= k2 <= n2):
-        raise ValueError(f"need 1 <= k4 <= {n4} and 1 <= k2 <= {n2}")
-    angles = (k4 * math.pi / (n4 + 1), k2 * math.pi / (n2 + 1), 0.0)
+    j = gabrielov.JOINS[target]
+    ns = [rid.rank for rid in j.factors]
+    ks = tuple(map(index, ks))  # ints; a float raises TypeError
+    if len(ks) != len(ns) or not all(1 <= k <= n for k, n in zip(ks, ns)):
+        raise ValueError(f"need one k per factor A_n of {target}, n in {ns}, with 1 <= k <= n")
     # each factor's eigenvector as a one-row matrix: their Kronecker product is x_*
-    [x_star] = reduce(kron, [(an_coxeter_eigenvector(n, t),) for n, t in zip((n4, n2, n1), angles)])
-    w = gabrielov.weyl_apply(j.target, j.conjugator_word)
+    [x_star] = reduce(kron, [(an_coxeter_eigenvector(n, k * math.pi / (n + 1)),)
+                             for n, k in zip(ns, ks)])
+    w = gabrielov.weyl_apply(j.target, j.repair_word or j.conjugator_word)
     return _matvec(w, _matvec(frac_inverse(j.change_of_basis), x_star))
 
 

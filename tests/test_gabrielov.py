@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from functools import reduce
@@ -32,9 +33,10 @@ from coxlat.gabrielov import (
     weyl_apply,
 )
 from coxlat import gabrielov
-from coxlat.intmat import as_imatrix, det_exact, frac_inverse, iidentity, matmul, matrix_order, transpose
+from coxlat.intmat import (as_imatrix, det_exact, deviation, frac_inverse, iidentity, matmul,
+                           matrix_order, transpose)
 from coxlat.lattice import bipartite_coxeter, coxeter, join, standard_polarization
-from coxlat.rootsys import RootSystemId, cartan_matrix, dynkin_edges
+from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, dynkin_edges
 
 from test_intmat import _gauss_jordan_inverse  # frac_inverse's oracle
 
@@ -154,6 +156,76 @@ def test_join_coxeter_is_the_coxeter_element_of_the_join(names):
     ids = [RootSystemId.parse(name) for name in names]
     joined = reduce(join, [standard_polarization(cartan_matrix(rid)) for rid in ids])
     assert join_coxeter(ids) == coxeter(joined)
+
+
+def _reflection_product(A, basis):
+    """Picard–Lefschetz: s_{e_1}···s_{e_μ} over the rows e of basis, where
+    s_e(v) = v − (e, v)·e in the form A is the matrix I − e·(A·e)ᵗ, so the
+    last row's reflection acts first."""
+    n = len(A)
+    M = iidentity(n)
+    for e in basis:
+        Ae = [sum(a * x for a, x in zip(row, e)) for row in A]
+        M = matmul(M, [[(i == k) - e[i] * Ae[k] for k in range(n)] for i in range(n)])
+    return M
+
+
+def _standard_basis(ids) -> BasedLattice:
+    A = join_cartan(ids)
+    return BasedLattice(A, iidentity(len(A)))
+
+
+# every ordered join of one to three catalog systems of rank <= 4, join rank <= 27
+_SMALL_JOINS = [
+    ids for m in (1, 2, 3)
+    for ids in itertools.product([rid for rid in CATALOG_IDS if rid.rank <= 4], repeat=m)
+    if math.prod(rid.rank for rid in ids) <= 27
+]
+
+
+def test_join_coxeter_is_the_product_of_the_basis_reflections():
+    # the two-factor joins' sign (-1)^(m+1) comes out with no rule for it
+    assert len(_SMALL_JOINS) == 117
+    for ids in _SMALL_JOINS:
+        b = _standard_basis(ids)
+        assert _reflection_product(b.ambient_gram, b.basis) == join_coxeter(ids), ids
+
+
+@pytest.mark.parametrize("rid", CATALOG_IDS, ids=str)
+def test_coxeter_is_the_product_of_the_simple_reflections(rid):
+    A = cartan_matrix(rid)
+    assert _reflection_product(A, iidentity(len(A))) == coxeter(standard_polarization(A))
+
+
+@pytest.mark.parametrize("target", list(JOINS))
+def test_reflection_product_survives_every_prefix_of_the_move_word(target):
+    j = JOINS[target]
+    b, C = _standard_basis(j.factors), join_coxeter(j.factors)
+    for move in reversed(j.word):
+        b = apply_word(b, [move])
+        assert _reflection_product(b.ambient_gram, b.basis) == C, move
+
+
+@pytest.mark.parametrize("target", list(JOINS))
+def test_reflection_product_survives_non_wrapping_moves(target):
+    # alpha_m with m < μ, beta_m with m > 1 and every gamma_m are braid moves
+    j = JOINS[target]
+    b0, C = _standard_basis(j.factors), join_coxeter(j.factors)
+    mu, rng = b0.rank, random.Random(22)
+    moves = ([("alpha", m) for m in range(1, mu)] + [("beta", m) for m in range(2, mu + 1)]
+             + [("gamma", m) for m in range(1, mu + 1)])
+    for _ in range(50):
+        b = apply_word(b0, rng.choices(moves, k=10))
+        assert _reflection_product(b.ambient_gram, b.basis) == C
+
+
+@pytest.mark.parametrize("target", list(JOINS))
+def test_the_wrapped_alpha_changes_the_reflection_product(target):
+    # the cyclic alpha_μ pairs rows μ and 1 (test_cyclic_indexing): no braid move
+    j = JOINS[target]
+    b = _standard_basis(j.factors)
+    b = alpha(b, b.rank)
+    assert deviation(_reflection_product(b.ambient_gram, b.basis), join_coxeter(j.factors)) == 2
 
 
 FACTORIZATION_IDENTITIES = ["G^t A_* G = A", "G^{-1} C_* G = C_G", "G = reference matrix"]

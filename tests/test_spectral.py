@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from coxlat.gabrielov import JOINS
 from coxlat.lattice import bipartite_coxeter, steinberg_decomposition
 from coxlat.qdeform import deform, q_eigenvector
 from coxlat.rootsys import CATALOG_IDS, RootSystemId, cartan_matrix, exponents
@@ -253,21 +255,81 @@ def test_angle_grid_covers_exponents():
 @pytest.mark.parametrize("k4,k2", _E8_GRID)
 def test_factorized_coxeter_pipeline(k4, k2):
     C = np.array(bipartite_coxeter(cartan_matrix(RootSystemId("E", 8))), dtype=float)
-    x = factorized_coxeter_eigenvector(k4, k2)
+    x = factorized_coxeter_eigenvector("E8", (k4, k2, 1))
     lam = cmath.exp(2j * (k4 * math.pi / 5 + k2 * math.pi / 3 + math.pi / 2))
     assert residual(C, x, lam) <= IDENTITY_TOL
+
+
+# each join's angle tuples (one k per factor A_n, the A1 factor's k = 1) and the
+# printed closed forms over their grid of pairs (a, b)
+_JOIN_CLOSED_FORMS = {
+    "E8": ([(k4, k2, 1) for k4, k2 in _E8_GRID], e8_eigenvector, _E8_GRID),
+    "E6": ([(k3, k2, 1) for k3, k2 in _E6_GRID], e6_eigenvector, _E6_GRID),
+}
+
+
+def _undressed_join_eigenvectors(target):
+    """The worst C_BW residual of w·G⁻¹·x_* over the angle tuples of target's
+    join, and how often each closed-form pair (a, b) is proportional to one
+    of its undressings."""
+    tuples, closed_form, grid = _JOIN_CLOSED_FORMS[target]
+    A = cartan_matrix(RootSystemId.parse(target))
+    C_B, _ = steinberg_decomposition(A)
+    C = bipartite_coxeter(A)
+    closed = {ab: closed_form(*ab) for ab in grid}
+    worst, reached = 0.0, Counter()
+    for ks in tuples:
+        angle = sum(k * math.pi / (rid.rank + 1) for k, rid in zip(ks, JOINS[target].factors))
+        z = factorized_coxeter_eigenvector(target, ks)
+        worst = max(worst, residual(C, z, cmath.exp(2j * angle)))
+        # the phase dressing run backwards: coordinate j loses e^{i c_jj theta/2},
+        # which leaves an A-eigenvector for 2 - 2cos(theta) on both branches
+        for theta in (angle, angle + math.pi):
+            x = [cmath.exp(-1j * theta / 2 * C_B[j][j]) * zj for j, zj in enumerate(z)]
+            # by proportionality: normalizing x or e picks a sign on modulus ties
+            reached.update(ab for ab, e in closed.items() if projective_distance(x, e) < 1e-12)
+    return worst, reached
+
+
+@pytest.mark.parametrize("target", list(_JOIN_CLOSED_FORMS))
+def test_closed_forms_are_the_join_eigenvectors_undressed(target):
+    # the paper's construction end to end: each closed form comes out of the
+    # join's factors, once on each branch of the undressing
+    worst, reached = _undressed_join_eigenvectors(target)
+    assert worst <= IDENTITY_TOL
+    assert reached == dict.fromkeys(_JOIN_CLOSED_FORMS[target][2], 2)
+
+
+def test_the_written_e6_conjugator_breaks_the_join_eigenvectors(monkeypatch):
+    # planted defect: E6's reference conjugator v as written (no repair word)
+    monkeypatch.setitem(JOINS, "E6", JOINS["E6"]._replace(repair_word=None))
+    worst, reached = _undressed_join_eigenvectors("E6")
+    assert worst > IDENTITY_TOL  # 0.75
+    assert reached != dict.fromkeys(_E6_GRID, 2)
 
 
 @pytest.mark.parametrize(
     "build, args",
     [(e8_eigenvector, (1.5, 1)), (e8_eigenvector, (1, 1.0)), (e6_eigenvector, (1.5, 1)),
-     (factorized_coxeter_eigenvector, (1.5, 1)), (factorized_coxeter_eigenvector, (1, 2.0))],
+     (factorized_coxeter_eigenvector, ("E8", (1.5, 1, 1))),
+     (factorized_coxeter_eigenvector, ("E8", (1, 2.0, 1)))],
     ids=["e8-a", "e8-b", "e6-a", "factorized-k4", "factorized-k2"],
 )
 def test_closed_form_builders_take_integers(build, args):
     # a fractional index passes the range check but builds no eigenvector
     with pytest.raises(TypeError):
         build(*args)
+
+
+@pytest.mark.parametrize(
+    "target, ks",
+    [("E8", (1, 1)), ("E8", (1, 1, 1, 1)), ("E8", (0, 1, 1)), ("E8", (5, 1, 1)),
+     ("E8", (1, 3, 1)), ("E8", (1, 1, 2)), ("E6", (4, 1, 1)), ("E6", (1, 1, 0))],
+    ids=["too-few", "too-many", "k4-zero", "k4-high", "k2-high", "e8-a1", "k3-high", "e6-a1"],
+)
+def test_factorized_coxeter_eigenvector_takes_one_k_per_factor_in_range(target, ks):
+    with pytest.raises(ValueError, match="one k per factor"):
+        factorized_coxeter_eigenvector(target, ks)
 
 
 def test_perron_frobenius_matches_closed_form():
